@@ -8,12 +8,11 @@ preferring the on-chain copy and falling back to the cache while the
 registration is still confirming.
 """
 
-from .cas import BlobStore, CapacityError, Cid, LatencyProfile, NotFoundError
+from .cas import BlobStore, CapacityError, Cid, CorruptBlobError, LatencyProfile, NotFoundError
 from .clock import Clock, RealClock, VirtualClock, make_clock
 from .config import HarnessConfig
 from .envelope import (
     DecryptionError,
-    SealedBlob,
     SecretBundle,
     bundle_to_secret,
     generate_bundle,
@@ -60,6 +59,7 @@ __all__ = [
     "Client",
     "Clock",
     "ClockModeError",
+    "CorruptBlobError",
     "DecryptionError",
     "DEFAULT_PARAMS",
     "HarnessConfig",
@@ -75,7 +75,6 @@ __all__ = [
     "RealClock",
     "ReconstructionError",
     "RetrievalReport",
-    "SealedBlob",
     "SecretBundle",
     "Share",
     "ShareCache",

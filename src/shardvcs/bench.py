@@ -21,34 +21,26 @@ import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .cas import BlobStore, LatencyProfile
 from .clock import Clock, VirtualClock
 from .ledger import Address, ChainConfig, SimulatedChain
 from .middleman import ShareCache
 from .protocol import Client
 
-CSV_COLUMNS = (
-    "operation",
-    "size_mb",
-    "repeat",
-    "user_perceived_s",
-    "seal_s",
-    "store_s",
-    "middleman_s",
-    "submit_s",
-    "confirmation_s",
-    "access_s",
-    "share_fetch_s",
-    "blob_fetch_s",
-    "decrypt_s",
-    "path_used",
-)
-
 PUSH_PHASES = ("seal_s", "store_s", "middleman_s", "submit_s")
 PULL_PHASES = ("access_s", "share_fetch_s", "blob_fetch_s", "decrypt_s")
 
+CSV_COLUMNS = (
+    ("operation", "size_mb", "repeat", "user_perceived_s")
+    + PUSH_PHASES
+    + ("confirmation_s",)
+    + PULL_PHASES
+    + ("path_used",)
+)
+
+# Modeled constant for the pull-only protocol work (access view call and
+# share reconstruction); subtracted before fetch-profile fitting and charged
+# back to every benchmarked pull. Not a measured figure.
 DEFAULT_PULL_OVERHEAD_S = 0.2
 
 
@@ -150,16 +142,13 @@ class CalibrationResult:
 def _fit_line(sizes: list[int], times: list[float]) -> FitResult:
     if len(sizes) < 2:
         raise CalibrationError("need at least two rows for a linear fit")
-    x = np.asarray(sizes, dtype=float)
-    y = np.asarray(times, dtype=float)
-    design = np.vstack([np.ones_like(x), x]).T
-    (intercept, slope), *_ = np.linalg.lstsq(design, y, rcond=None)
+    slope, intercept = statistics.linear_regression(sizes, times)
     if slope <= 0:
         raise CalibrationError(f"degenerate fit: non-positive slope {slope:.6f}")
     if intercept < 0:
         raise CalibrationError(f"degenerate fit: negative intercept {intercept:.6f}")
-    residuals = tuple(float(t - (intercept + slope * s)) for s, t in zip(x, y))
-    return FitResult(slope=float(slope), intercept=float(intercept), residuals=residuals)
+    residuals = tuple(t - (intercept + slope * s) for s, t in zip(sizes, times))
+    return FitResult(slope=slope, intercept=intercept, residuals=residuals)
 
 
 def calibrate(
@@ -200,26 +189,12 @@ def _cell(value: float | None) -> str:
 def samples_to_csv(samples: list[BenchSample]) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for s in samples:
-        lines.append(
-            ",".join(
-                [
-                    s.operation,
-                    str(s.size_mb),
-                    str(s.repeat_index),
-                    _cell(s.user_perceived_s),
-                    _cell(s.phases.get("seal_s")),
-                    _cell(s.phases.get("store_s")),
-                    _cell(s.phases.get("middleman_s")),
-                    _cell(s.phases.get("submit_s")),
-                    _cell(s.confirmation_s),
-                    _cell(s.phases.get("access_s")),
-                    _cell(s.phases.get("share_fetch_s")),
-                    _cell(s.phases.get("blob_fetch_s")),
-                    _cell(s.phases.get("decrypt_s")),
-                    s.path_used or "",
-                ]
-            )
-        )
+        cells = [s.operation, str(s.size_mb), str(s.repeat_index), _cell(s.user_perceived_s)]
+        cells += [_cell(s.phases.get(name)) for name in PUSH_PHASES]
+        cells.append(_cell(s.confirmation_s))
+        cells += [_cell(s.phases.get(name)) for name in PULL_PHASES]
+        cells.append(s.path_used or "")
+        lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 

@@ -1,10 +1,11 @@
 """Content-addressed blob store with a size-dependent latency model.
 
 Blobs live on disk under their SHA-256 digest (`<root>/<first 2 hex>/<digest>`),
-so identical content is stored once and a fetched blob can always be re-hashed
-against its address. Store and fetch each carry an independent linear delay
-(fixed overhead plus a per-megabyte term) charged to the configured clock, so
-a benchmark can model remote-gateway transfer times on a virtual clock.
+so identical content is stored once, and every fetched blob is re-hashed
+against its address before it is returned. Store and fetch each carry an
+independent linear delay (fixed overhead plus a per-megabyte term) charged to
+the configured clock, so a benchmark can model remote-gateway transfer times
+on a virtual clock.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ class NotFoundError(KeyError):
 
 class CapacityError(Exception):
     """The store's configured byte capacity would be exceeded."""
+
+
+class CorruptBlobError(Exception):
+    """Stored bytes no longer hash to the content identifier they sit under."""
 
 
 @dataclass(frozen=True)
@@ -128,13 +133,15 @@ class BlobStore:
         return cid
 
     def fetch(self, cid: Cid) -> bytes:
-        """Return the stored bytes after the modeled download delay."""
+        """Return the stored bytes after the modeled download delay and a re-hash."""
         path = self._path(cid)
         try:
             blob = path.read_bytes()
         except FileNotFoundError:
             raise NotFoundError(f"no blob stored under {cid.text}") from None
         self.clock.sleep(self.fetch_profile.delay_for(len(blob)))
+        if Cid.of(blob) != cid:
+            raise CorruptBlobError(f"stored blob does not hash to {cid.text}")
         return blob
 
     def contains(self, cid: Cid) -> bool:

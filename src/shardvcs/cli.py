@@ -25,7 +25,14 @@ from .cas import BlobStore, CapacityError, Cid, NotFoundError
 from .clock import Clock, RealClock, VirtualClock
 from .config import HarnessConfig
 from .ledger import AccessDeniedError, Address, ClockModeError, SimulatedChain
-from .middleman import HttpShareCache, MiddlemanServer, MiddlemanUnavailableError, ShareCache
+from .middleman import (
+    DEFAULT_PORT,
+    DEFAULT_TTL_S,
+    HttpShareCache,
+    MiddlemanServer,
+    MiddlemanUnavailableError,
+    ShareCache,
+)
 from .protocol import Client, ProtocolError
 from .sss import Share
 
@@ -144,7 +151,7 @@ def _cmd_push(args) -> int:
     try:
         payload = _read_push_payload(args.path)
         owner = _parse_address(args.owner)
-        result = world.client.push(payload, owner, params=world.cfg.threshold_params())
+        result = world.client.push(payload, owner)
     finally:
         _save_world(world)  # keep snapshot and receipt log consistent on failure
     print(f"cid: {result.cid.text}")
@@ -202,7 +209,7 @@ def _cmd_advance(args) -> int:
 
 
 def _cmd_serve_middleman(args) -> int:
-    ttl = args.ttl_s if args.ttl_s is not None else HarnessConfig().middleman_ttl_s
+    ttl = args.ttl_s if args.ttl_s is not None else DEFAULT_TTL_S
     server = MiddlemanServer(ShareCache(ttl_s=ttl), port=args.port)
     print(f"middleman listening on {server.url} (ttl {ttl}s)", flush=True)
     try:
@@ -319,7 +326,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_advance)
 
     p = sub.add_parser("serve-middleman", help="run the share-cache HTTP service")
-    p.add_argument("--port", type=int, default=HarnessConfig().middleman_port)
+    p.add_argument("--port", type=int, default=DEFAULT_PORT)
     p.add_argument("--ttl-s", type=float, default=None)
     p.set_defaults(func=_cmd_serve_middleman)
 

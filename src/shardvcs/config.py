@@ -3,9 +3,10 @@
 One `key = value` per line; `#` starts a comment; unknown keys are errors so
 typos surface instead of silently falling back to defaults. Every knob the
 simulation exposes lives here: the two blob-transfer latency profiles, the
-chain confirmation-delay bounds, threshold parameters, middleman port/TTL,
-the clock kind, and two modeling constants (pull protocol overhead, grant
-gas) that are deliberate artifact choices rather than measured figures.
+chain confirmation-delay bounds, the middleman TTL, the clock kind, and two
+modeling constants (pull protocol overhead, grant gas) that are deliberate
+artifact choices rather than measured figures. Each default is the constant
+of the module that owns it.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
+from .bench import DEFAULT_PULL_OVERHEAD_S
 from .cas import LatencyProfile
 from .clock import Clock, make_clock
-from .ledger import ChainConfig
-from .sss import ThresholdParams
+from .ledger import DEFAULT_ADD_COLLABORATOR_GAS, ChainConfig
+from .middleman import DEFAULT_TTL_S
 
 CLOCK_KINDS = ("virtual", "real")
 
@@ -31,16 +33,9 @@ class HarnessConfig:
     confirmation_delay_min_s: float = 12.0
     confirmation_delay_max_s: float = 16.0
     clock: str = "virtual"
-    threshold_k: int = 2
-    threshold_n: int = 3
-    middleman_port: int = 8377
-    middleman_ttl_s: float = 24 * 3600.0
-    # Modeled constant for the pull-only protocol work (access view call and
-    # share reconstruction); subtracted before fetch-profile fitting and
-    # charged back to every benchmarked pull. Not a measured figure.
-    pull_overhead_s: float = 0.2
-    # Modeled grant cost; arbitrary positive constant, no measured figure.
-    add_collaborator_gas: int = 50_000
+    middleman_ttl_s: float = DEFAULT_TTL_S
+    pull_overhead_s: float = DEFAULT_PULL_OVERHEAD_S
+    add_collaborator_gas: int = DEFAULT_ADD_COLLABORATOR_GAS
 
     def __post_init__(self) -> None:
         if self.clock not in CLOCK_KINDS:
@@ -99,9 +94,6 @@ class HarnessConfig:
             confirmation_delay_max_s=self.confirmation_delay_max_s,
             add_collaborator_gas=self.add_collaborator_gas,
         )
-
-    def threshold_params(self) -> ThresholdParams:
-        return ThresholdParams(k=self.threshold_k, n=self.threshold_n)
 
     def make_clock(self) -> Clock:
         return make_clock(self.clock)

@@ -16,7 +16,6 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 KEY_LEN = 32
 IV_LEN = 12
-TAG_LEN = 16
 SECRET_LEN = KEY_LEN + IV_LEN
 
 _SYSTEM_RNG = random.SystemRandom()
@@ -38,26 +37,6 @@ class SecretBundle:
             raise ValueError(f"iv must be {IV_LEN} bytes, got {len(self.iv)}")
 
 
-@dataclass(frozen=True)
-class SealedBlob:
-    ciphertext: bytes
-    tag: bytes
-
-    def __post_init__(self) -> None:
-        if len(self.tag) != TAG_LEN:
-            raise ValueError(f"tag must be {TAG_LEN} bytes, got {len(self.tag)}")
-
-    def to_bytes(self) -> bytes:
-        """Wire form: ciphertext followed by the 16-byte tag."""
-        return self.ciphertext + self.tag
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "SealedBlob":
-        if len(data) < TAG_LEN:
-            raise ValueError("sealed blob shorter than the authentication tag")
-        return cls(ciphertext=data[:-TAG_LEN], tag=data[-TAG_LEN:])
-
-
 def generate_bundle(rng: random.Random | None = None) -> SecretBundle:
     """Fresh key/IV pair. One bundle per snapshot; never reuse an IV."""
     if rng is None:
@@ -65,14 +44,14 @@ def generate_bundle(rng: random.Random | None = None) -> SecretBundle:
     return SecretBundle(key=rng.randbytes(KEY_LEN), iv=rng.randbytes(IV_LEN))
 
 
-def seal(plaintext: bytes, bundle: SecretBundle) -> SealedBlob:
-    out = AESGCM(bundle.key).encrypt(bundle.iv, plaintext, None)
-    return SealedBlob(ciphertext=out[:-TAG_LEN], tag=out[-TAG_LEN:])
+def seal(plaintext: bytes, bundle: SecretBundle) -> bytes:
+    """Sealed wire form: ciphertext followed by the 16-byte tag (RFC 5116 §5.1)."""
+    return AESGCM(bundle.key).encrypt(bundle.iv, plaintext, None)
 
 
-def unseal(sealed: SealedBlob, bundle: SecretBundle) -> bytes:
+def unseal(sealed: bytes, bundle: SecretBundle) -> bytes:
     try:
-        return AESGCM(bundle.key).decrypt(bundle.iv, sealed.to_bytes(), None)
+        return AESGCM(bundle.key).decrypt(bundle.iv, sealed, None)
     except InvalidTag as exc:
         raise DecryptionError("authentication failed (wrong key/IV or tampered data)") from exc
 

@@ -30,6 +30,7 @@ from .clock import Clock, RealClock
 from .sss import Share
 
 DEFAULT_TTL_S = 24 * 3600.0
+DEFAULT_PORT = 8377
 
 
 class MiddlemanUnavailableError(ConnectionError):

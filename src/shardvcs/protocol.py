@@ -8,9 +8,10 @@ waiting for the registration to confirm; the receipt handle settles later.
 
 Pull prefers the authoritative on-chain share and falls back to the
 middleman cache only while the registration is pending (or the chain is too
-slow to answer). Two shares rebuild the key, the blob is fetched and
-re-hashed against its address, and the seal is opened. Every phase duration
-is measured on the configured clock so benchmarks can decompose latency.
+slow to answer). Two shares rebuild the key, the blob is fetched (the
+store re-hashes it against its address), and the seal is opened. Every phase
+duration is measured on the configured clock so benchmarks can decompose
+latency.
 """
 
 from __future__ import annotations
@@ -18,20 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import envelope
-from .cas import BlobStore, Cid
+from .cas import BlobStore, Cid, CorruptBlobError
 from .clock import Clock
 from .ledger import AccessDeniedError, Address, SimulatedChain, TxReceipt
-from .sss import DEFAULT_PARAMS, ReconstructionError, Share, ThresholdParams, split, combine
+from .sss import DEFAULT_PARAMS, ReconstructionError, Share, split, combine
 
 ON_CHAIN = "on-chain"
 MIDDLEMAN = "middleman"
-
-# Share roles are positional and fixed: the owner keeps index 1, the
-# middleman caches index 2, index 3 is escrowed on-chain. Shares beyond
-# index 3 (n > 3) have no distribution target and are discarded.
-OWNER_INDEX = 1
-MIDDLEMAN_INDEX = 2
-ON_CHAIN_INDEX = 3
 
 
 class ProtocolError(Exception):
@@ -87,18 +81,10 @@ class Client:
 
     # -- publish ------------------------------------------------------------
 
-    def push(
-        self,
-        repo_bytes: bytes,
-        owner: Address,
-        params: ThresholdParams = DEFAULT_PARAMS,
-        rng=None,
-    ) -> PushResult:
+    def push(self, repo_bytes: bytes, owner: Address, rng=None) -> PushResult:
         """Seal, store, distribute shares, register; return before confirmation."""
         if not repo_bytes:
             raise ValueError("cannot push an empty repository blob")
-        if params.k != 2 or params.n < 3:
-            raise ValueError("push requires threshold k=2 and n>=3 distribution targets")
         rng = rng if rng is not None else self.rng
 
         t0 = self.clock.now()
@@ -106,17 +92,17 @@ class Client:
         sealed = envelope.seal(repo_bytes, bundle)
         t1 = self.clock.now()
 
-        cid = self.cas.store(sealed.to_bytes())
+        cid = self.cas.store(sealed)
         t2 = self.clock.now()
 
-        shares = split(envelope.bundle_to_secret(bundle), params, rng)
-        by_index = {s.index: s for s in shares}
+        # Share roles by index: the owner keeps 1, the middleman caches 2, 3 goes on-chain.
+        owner_share, cached_share, escrowed_share = split(envelope.bundle_to_secret(bundle), DEFAULT_PARAMS, rng)
         repo = cid.text
-        self.middleman.store_share(repo, by_index[MIDDLEMAN_INDEX].to_text())
+        self.middleman.store_share(repo, cached_share.to_text())
         t3 = self.clock.now()
 
         try:
-            receipt = self.chain.submit_register(owner, repo, by_index[ON_CHAIN_INDEX].to_text())
+            receipt = self.chain.submit_register(owner, repo, escrowed_share.to_text())
         except BaseException:
             self.middleman.evict(repo)  # failed push must leave no live cache entry
             raise
@@ -124,7 +110,7 @@ class Client:
 
         return PushResult(
             cid=cid,
-            owner_share=by_index[OWNER_INDEX],
+            owner_share=owner_share,
             registration=receipt,
             user_perceived_duration=t4 - t0,
             phases={
@@ -181,15 +167,12 @@ class Client:
             raise IntegrityError(f"share reconstruction failed: {exc}") from exc
         t2 = self.clock.now()
 
-        blob = self.cas.fetch(cid)
-        if Cid.of(blob) != cid:
-            raise IntegrityError(f"fetched blob does not hash to {repo}")
-        t3 = self.clock.now()
-
         try:
-            plaintext = envelope.unseal(envelope.SealedBlob.from_bytes(blob), bundle)
-        except (envelope.DecryptionError, ValueError) as exc:
-            raise IntegrityError(f"sealed blob failed authentication: {exc}") from exc
+            blob = self.cas.fetch(cid)
+            t3 = self.clock.now()
+            plaintext = envelope.unseal(blob, bundle)
+        except (CorruptBlobError, envelope.DecryptionError) as exc:
+            raise IntegrityError(f"sealed blob failed verification: {exc}") from exc
         t4 = self.clock.now()
 
         report = RetrievalReport(

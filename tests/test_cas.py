@@ -9,6 +9,7 @@ from shardvcs.cas import (
     BlobStore,
     CapacityError,
     Cid,
+    CorruptBlobError,
     LatencyProfile,
     NotFoundError,
 )
@@ -71,6 +72,17 @@ def test_fetch_unknown_cid(tmp_path):
     store = BlobStore(tmp_path)
     with pytest.raises(NotFoundError):
         store.fetch(Cid.of(b"never stored"))
+
+
+def test_fetch_rejects_bytes_that_no_longer_match_their_cid(tmp_path):
+    store = BlobStore(tmp_path)
+    cid = store.store(b"bit rot target")
+    path = tmp_path / cid.digest.hex()[:2] / cid.digest.hex()
+    raw = bytearray(path.read_bytes())
+    raw[3] ^= 0x01
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CorruptBlobError):
+        store.fetch(cid)
 
 
 def test_contains(tmp_path):

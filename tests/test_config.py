@@ -6,7 +6,8 @@ from shardvcs.config import HarnessConfig
 def test_defaults():
     cfg = HarnessConfig()
     assert cfg.clock == "virtual"
-    assert cfg.threshold_k == 2 and cfg.threshold_n == 3
+    assert cfg.middleman_ttl_s == 24 * 3600.0
+    assert cfg.pull_overhead_s == 0.2 and cfg.add_collaborator_gas == 50_000
     assert cfg.confirmation_delay_min_s == 12.0
     assert cfg.confirmation_delay_max_s == 16.0
 
@@ -22,9 +23,6 @@ def test_parse_full_file():
         confirmation_delay_min_s = 14
         confirmation_delay_max_s = 14
         clock = real
-        threshold_k = 2
-        threshold_n = 3
-        middleman_port = 9000
         middleman_ttl_s = 3600
         pull_overhead_s = 0.2
         add_collaborator_gas = 50000
@@ -34,23 +32,26 @@ def test_parse_full_file():
     assert cfg.fetch_profile().per_mb_s == 0.14
     assert cfg.chain_config().confirmation_delay_min_s == 14.0
     assert not cfg.make_clock().is_virtual
-    assert cfg.threshold_params().n == 3
-    assert cfg.middleman_port == 9000
+    assert cfg.middleman_ttl_s == 3600.0
+    assert cfg.chain_config().add_collaborator_gas == 50000
 
 
 def test_unknown_key_is_an_error():
     with pytest.raises(ValueError, match="unknown key"):
         HarnessConfig.from_text("store_fxied_s = 1.0")
+    # keys removed from the schema fail the same way, at their line
+    with pytest.raises(ValueError, match="line 2: unknown key 'threshold_k'"):
+        HarnessConfig.from_text("clock = virtual\nthreshold_k = 2")
 
 
 def test_bad_value_reports_line():
     with pytest.raises(ValueError, match="line 2"):
-        HarnessConfig.from_text("clock = virtual\nthreshold_k = two")
+        HarnessConfig.from_text("clock = virtual\nadd_collaborator_gas = two")
 
 
 def test_missing_equals_sign():
     with pytest.raises(ValueError, match="key = value"):
-        HarnessConfig.from_text("threshold_k 2")
+        HarnessConfig.from_text("add_collaborator_gas 2")
 
 
 def test_bad_clock_kind():
@@ -59,7 +60,7 @@ def test_bad_clock_kind():
 
 
 def test_text_roundtrip():
-    cfg = HarnessConfig(store_fixed_s=1.5, clock="real", middleman_port=1234)
+    cfg = HarnessConfig(store_fixed_s=1.5, clock="real", middleman_ttl_s=60.0)
     assert HarnessConfig.from_text(cfg.to_text()) == cfg
 
 

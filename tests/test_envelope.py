@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from shardvcs import envelope
 from shardvcs.envelope import (
     DecryptionError,
-    SealedBlob,
     SecretBundle,
     bundle_to_secret,
     generate_bundle,
@@ -47,15 +46,15 @@ def test_roundtrip_simple():
 def test_empty_plaintext():
     b = _bundle(1)
     sealed = seal(b"", b)
-    assert sealed.ciphertext == b""
-    assert len(sealed.tag) == 16
+    assert sealed[:-16] == b""
+    assert len(sealed) == 16
     assert unseal(sealed, b) == b""
 
 
 def test_ciphertext_length_equals_plaintext_length():
     b = _bundle(2)
     for n in (1, 15, 16, 17, 1000):
-        assert len(seal(b"\x00" * n, b).ciphertext) == n
+        assert len(seal(b"\x00" * n, b)[:-16]) == n
 
 
 def test_golden_vectors_from_independent_implementation():
@@ -66,8 +65,8 @@ def test_golden_vectors_from_independent_implementation():
         key_h, iv_h, pt_h, ct_h, tag_h = line.split(" ")
         bundle = SecretBundle(bytes.fromhex(key_h), bytes.fromhex(iv_h))
         sealed = seal(bytes.fromhex(pt_h), bundle)
-        assert sealed.ciphertext == bytes.fromhex(ct_h)
-        assert sealed.tag == bytes.fromhex(tag_h)
+        assert sealed[:-16] == bytes.fromhex(ct_h)
+        assert sealed[-16:] == bytes.fromhex(tag_h)
         assert unseal(sealed, bundle) == bytes.fromhex(pt_h)
 
 
@@ -79,31 +78,25 @@ def test_dual_route_agreement_fresh_inputs():
         plaintext = rng.randbytes(length)
         sealed = seal(plaintext, bundle)
         ct, tag = aes_gcm_oracle.gcm_encrypt(bundle.key, bundle.iv, plaintext)
-        assert (sealed.ciphertext, sealed.tag) == (ct, tag)
-        assert aes_gcm_oracle.gcm_decrypt(bundle.key, bundle.iv, sealed.ciphertext, sealed.tag) == plaintext
+        assert (sealed[:-16], sealed[-16:]) == (ct, tag)
+        assert aes_gcm_oracle.gcm_decrypt(bundle.key, bundle.iv, sealed[:-16], sealed[-16:]) == plaintext
 
 
 def test_known_answer_zero_key_zero_iv():
     bundle = SecretBundle(b"\x00" * 32, b"\x00" * 12)
-    assert seal(b"", bundle).tag.hex() == "530f8afbc74536b9a963b4f1c4cb738b"
+    assert seal(b"", bundle)[-16:].hex() == "530f8afbc74536b9a963b4f1c4cb738b"
     sealed = seal(b"\x00" * 16, bundle)
-    assert sealed.ciphertext.hex() == "cea7403d4d606b6e074ec5d3baf39d18"
-    assert sealed.tag.hex() == "d0d1c8a799996bf0265b98b5d48ab919"
+    assert sealed[:-16].hex() == "cea7403d4d606b6e074ec5d3baf39d18"
+    assert sealed[-16:].hex() == "d0d1c8a799996bf0265b98b5d48ab919"
 
 
 def test_tamper_detection_ciphertext_and_tag():
     b = _bundle(3)
     sealed = seal(b"sensitive", b)
-    flipped_ct = SealedBlob(
-        ciphertext=bytes([sealed.ciphertext[0] ^ 0x01]) + sealed.ciphertext[1:],
-        tag=sealed.tag,
-    )
+    flipped_ct = bytes([sealed[0] ^ 0x01]) + sealed[1:]
     with pytest.raises(DecryptionError):
         unseal(flipped_ct, b)
-    flipped_tag = SealedBlob(
-        ciphertext=sealed.ciphertext,
-        tag=sealed.tag[:-1] + bytes([sealed.tag[-1] ^ 0x80]),
-    )
+    flipped_tag = sealed[:-1] + bytes([sealed[-1] ^ 0x80])
     with pytest.raises(DecryptionError):
         unseal(flipped_tag, b)
 
@@ -125,14 +118,9 @@ def test_roundtrip_at_benchmark_size():
     assert unseal(seal(plaintext, b), b) == plaintext
 
 
-def test_sealed_blob_wire_form():
-    b = _bundle(9)
-    sealed = seal(b"wire", b)
-    raw = sealed.to_bytes()
-    assert raw == sealed.ciphertext + sealed.tag
-    assert SealedBlob.from_bytes(raw) == sealed
-    with pytest.raises(ValueError):
-        SealedBlob.from_bytes(b"\x00" * 15)
+def test_unseal_shorter_than_tag_fails():
+    with pytest.raises(DecryptionError):
+        unseal(b"\x00" * 15, _bundle(9))
 
 
 def test_secret_concatenation_inverse():
@@ -163,11 +151,11 @@ def test_property_roundtrip(plaintext, seed):
 def test_property_single_bit_flip_rejected(plaintext, seed, data):
     b = _bundle(seed)
     sealed = seal(plaintext, b)
-    raw = bytearray(sealed.to_bytes())
+    raw = bytearray(sealed)
     bit = data.draw(st.integers(0, len(raw) * 8 - 1))
     raw[bit // 8] ^= 1 << (bit % 8)
     with pytest.raises(DecryptionError):
-        unseal(SealedBlob.from_bytes(bytes(raw)), b)
+        unseal(bytes(raw), b)
 
 
 def test_full_pipeline_shares_to_plaintext():

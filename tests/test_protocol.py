@@ -13,7 +13,7 @@ from shardvcs.protocol import (
     IntegrityError,
     SharesUnavailableError,
 )
-from shardvcs.sss import Share, ThresholdParams
+from shardvcs.sss import Share
 
 BOB = Address.from_label("bob")
 MALLORY = Address.from_label("mallory")
@@ -41,10 +41,6 @@ def test_push_validates_inputs(make_world):
     world = make_world()
     with pytest.raises(ValueError):
         world.client.push(b"", world.owner)
-    with pytest.raises(ValueError):
-        world.client.push(b"x", world.owner, params=ThresholdParams(2, 2))
-    with pytest.raises(ValueError):
-        world.client.push(b"x", world.owner, params=ThresholdParams(3, 3))
 
 
 def test_push_returns_before_confirmation(make_world):
@@ -68,14 +64,6 @@ def test_push_share_role_assignment(make_world):
     escrowed = Share.from_text(world.chain.get_on_chain_share(world.owner, result.cid.text))
     assert escrowed.index == 3
     assert len({result.owner_share.index, cached.index, escrowed.index}) == 3
-
-
-def test_push_with_n4_discards_extra_share(make_world):
-    world = make_world()
-    result = world.client.push(b"spare share", world.owner, params=ThresholdParams(2, 4))
-    world.chain.advance_clock(14.0)
-    plaintext, _ = world.client.pull(result.cid, world.owner, result.owner_share)
-    assert plaintext == b"spare share"
 
 
 def test_push_stores_sealed_not_plaintext(make_world):
