@@ -134,13 +134,18 @@ def _open_world(args) -> _World:
 
 
 def _save_world(world: _World) -> None:
-    snap = {
-        "clock_time": world.clock.now() if getattr(world.clock, "is_virtual", False) else None,
-        "chain": world.chain.snapshot(),
-    }
-    (world.state_dir / "chain.json").write_text(json.dumps(snap))
-    if world.cache_is_embedded:
-        (world.state_dir / "middleman.json").write_text(json.dumps(world.middleman.snapshot()))
+    """Persist the chain and an embedded cache; close a remote cache's connection."""
+    try:
+        snap = {
+            "clock_time": world.clock.now() if getattr(world.clock, "is_virtual", False) else None,
+            "chain": world.chain.snapshot(),
+        }
+        (world.state_dir / "chain.json").write_text(json.dumps(snap))
+        if world.cache_is_embedded:
+            (world.state_dir / "middleman.json").write_text(json.dumps(world.middleman.snapshot()))
+    finally:
+        if not world.cache_is_embedded:
+            world.middleman.close()
 
 
 # -- commands -------------------------------------------------------------------

@@ -156,7 +156,9 @@ class SimulatedChain:
         self._receipt_log = Path(receipt_log) if receipt_log is not None else None
         self._lock = threading.RLock()
         self._owners: dict[str, Address] = {}
-        self._has_access: dict[str, set[Address]] = {}
+        # Access beyond the owner's, which is implied: a set per registered
+        # repo would be most of the memory a registration keeps.
+        self._collaborators: dict[str, set[Address]] = {}
         self._shares: dict[str, str] = {}
         self._pending: list[_PendingTx] = []
         self._next_seq = 0
@@ -183,7 +185,6 @@ class SimulatedChain:
                 r.rejection_reason = REASON_ALREADY_REGISTERED
             else:
                 self._owners[tx.repo] = tx.sender
-                self._has_access.setdefault(tx.repo, set()).add(tx.sender)
                 self._shares[tx.repo] = tx.share_text
                 r.status = CONFIRMED
                 r.gas_used = REGISTER_GAS
@@ -192,12 +193,15 @@ class SimulatedChain:
                 r.status = REJECTED
                 r.rejection_reason = REASON_NOT_OWNER
             else:
-                self._has_access[tx.repo].add(tx.collaborator)
+                self._collaborators.setdefault(tx.repo, set()).add(tx.collaborator)
                 r.status = CONFIRMED
                 r.gas_used = self.config.add_collaborator_gas
         else:  # pragma: no cover - enqueue is the only producer
             raise AssertionError(f"unknown tx kind {tx.kind!r}")
         self._log(r)
+
+    def _can_access(self, repo: str, user: Address) -> bool:
+        return self._owners.get(repo) == user or user in self._collaborators.get(repo, ())
 
     def _sync(self) -> list[TxReceipt]:
         """Settle every pending transaction whose due time has passed."""
@@ -249,7 +253,7 @@ class SimulatedChain:
     def check_access(self, repo: str, user: Address) -> bool:
         with self._lock:
             self._sync()
-            return user in self._has_access.get(repo, set())
+            return self._can_access(repo, user)
 
     def get_on_chain_share(self, caller: Address, repo: str) -> Optional[str]:
         """Stored share for confirmed repos; None while pending or unknown."""
@@ -257,7 +261,7 @@ class SimulatedChain:
             self._sync()
             if repo not in self._owners:
                 return None
-            if caller not in self._has_access.get(repo, set()):
+            if not self._can_access(repo, caller):
                 raise AccessDeniedError(f"{caller.text} has no access to {repo}")
             return self._shares[repo]
 
@@ -303,7 +307,10 @@ class SimulatedChain:
             return {
                 "next_seq": self._next_seq,
                 "owners": {repo: addr.text for repo, addr in self._owners.items()},
-                "access": {repo: sorted(a.text for a in users) for repo, users in self._has_access.items()},
+                "access": {
+                    repo: sorted(a.text for a in {owner} | self._collaborators.get(repo, set()))
+                    for repo, owner in self._owners.items()
+                },
                 "shares": dict(self._shares),
                 "pending": [
                     {
@@ -325,9 +332,11 @@ class SimulatedChain:
         with self._lock:
             self._next_seq = state["next_seq"]
             self._owners = {repo: Address.from_text(a) for repo, a in state["owners"].items()}
-            self._has_access = {
-                repo: {Address.from_text(a) for a in users} for repo, users in state["access"].items()
-            }
+            self._collaborators = {}
+            for repo, users in state["access"].items():
+                extra = {Address.from_text(a) for a in users} - {self._owners.get(repo)}
+                if extra:
+                    self._collaborators[repo] = extra
             self._shares = dict(state["shares"])
             self._pending = [
                 _PendingTx(

@@ -7,7 +7,7 @@ import zipfile
 import pytest
 
 from shardvcs.cli import main
-from shardvcs.middleman import MiddlemanServer, ShareCache
+from shardvcs.middleman import HttpShareCache, MiddlemanServer, ShareCache
 
 
 @pytest.fixture
@@ -276,6 +276,27 @@ def test_remote_middleman_down_fails_push(run, tmp_path):
     )
     assert rc == 2
     assert "error:" in err
+
+
+def test_remote_middleman_commands_close_their_connection(run, tmp_path, monkeypatch):
+    closed = []
+    original = HttpShareCache.close
+
+    def spy(self):
+        closed.append(self.base_url)
+        original(self)
+
+    monkeypatch.setattr(HttpShareCache, "close", spy)
+    server = MiddlemanServer(ShareCache(ttl_s=3600)).start()
+    try:
+        src = tmp_path / "f.bin"
+        src.write_bytes(b"x")
+        world = ("--state-dir", str(tmp_path / "s"), "--middleman-url", server.url)
+        assert run("push", str(src), "--owner", "alice", *world)[0] == 0
+        assert run("pull", "sha256:" + "00" * 32, "--as", "alice", "--share", "02aa", *world)[0] == 2
+    finally:
+        server.stop()
+    assert closed == [server.url, server.url]  # after success and after failure alike
 
 
 def test_state_survives_failed_command(run, tmp_path):

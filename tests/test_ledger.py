@@ -210,6 +210,26 @@ def test_snapshot_restore_preserves_pending(tmp_path):
     assert chain2.get_on_chain_share(ALICE, "repo") == "03aa"
 
 
+def test_snapshot_lists_everyone_with_access_and_restores_it():
+    chain, clock = make_chain(delay=1.0)
+    chain.submit_register(ALICE, "repo", "03aa")
+    chain.submit_register(BOB, "solo", "03bb")
+    chain.advance_clock(1.0)
+    chain.submit_add_collaborator(ALICE, "repo", CAROL)
+    chain.submit_add_collaborator(ALICE, "repo", ALICE)  # the owner already has access
+    chain.advance_clock(1.0)
+    state = chain.snapshot()
+    assert state["access"] == {"repo": sorted([ALICE.text, CAROL.text]), "solo": [BOB.text]}
+
+    chain2 = SimulatedChain(ChainConfig.constant(1.0), VirtualClock(start=clock.now()))
+    chain2.restore(json.loads(json.dumps(state)))
+    assert chain2.snapshot() == state
+    assert chain2.check_access("repo", CAROL) and chain2.check_access("repo", ALICE)
+    assert not chain2.check_access("solo", CAROL)
+    with pytest.raises(AccessDeniedError):
+        chain2.get_on_chain_share(CAROL, "solo")
+
+
 def test_ownership_never_changes_and_access_monotone():
     chain, _ = make_chain(delay=1.0)
     rng = random.Random(9)

@@ -1,13 +1,25 @@
+import http.client
 import json
 import random
+import socket
+import sys
+import threading
+import time
 import urllib.error
 import urllib.parse
 import urllib.request
+from http.server import ThreadingHTTPServer
 
 import pytest
 
 from shardvcs.clock import VirtualClock
-from shardvcs.middleman import HttpShareCache, MiddlemanServer, ShareCache
+from shardvcs.middleman import (
+    MAX_BODY_BYTES,
+    HttpShareCache,
+    MiddlemanServer,
+    MiddlemanUnavailableError,
+    ShareCache,
+)
 from shardvcs.sss import ReconstructionError, Share, ThresholdParams, combine, split
 
 
@@ -159,3 +171,206 @@ def test_http_client_adapter_matches_in_process_contract(server):
     client.evict("repo")
     client.evict("repo")
     assert client.fetch_share("repo") is None
+
+
+def test_http_non_object_bodies_and_non_string_fields_are_400(server):
+    for body in ([], "cid", {"cid": 5, "share": "02aa"}, {"cid": "r", "share": 2}):
+        status, doc = _raw("POST", server.url + "/share", body)
+        assert status == 400, body
+        assert "error" in doc
+    # an int cid must not be stored under a key that GET can never name
+    assert _raw("GET", server.url + "/share/5")[0] == 404
+
+
+# -- connection behaviour --------------------------------------------------------
+
+
+@pytest.fixture
+def accepts(monkeypatch):
+    """Count the connections every server accepts, seen from the server side."""
+    count = [0]
+    original = ThreadingHTTPServer.process_request
+
+    def counting(self, request, client_address):
+        count[0] += 1  # the accept loop runs on one thread
+        original(self, request, client_address)
+
+    monkeypatch.setattr(ThreadingHTTPServer, "process_request", counting)
+    return count
+
+
+def _host_port(url: str) -> tuple[str, int]:
+    parts = urllib.parse.urlsplit(url)
+    return parts.hostname, parts.port
+
+
+def _exchange(conn: http.client.HTTPConnection, method: str, path: str, body: bytes | None = None):
+    conn.request(method, path, body=body)
+    resp = conn.getresponse()
+    return resp.status, resp.read()
+
+
+def _send_until_closed(url: str, request: bytes) -> bytes:
+    """Send raw bytes, keep our side open, and read until the server closes."""
+    with socket.create_connection(_host_port(url), timeout=5) as sock:
+        sock.sendall(request)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    return reply
+
+
+def test_http_client_uses_one_connection_for_many_calls(server, accepts):
+    client = HttpShareCache(server.url)
+    try:
+        for i in range(25):
+            client.store_share(f"repo-{i}", f"02{i:02x}")
+            assert client.fetch_share(f"repo-{i}") == f"02{i:02x}"
+            client.evict(f"repo-{i}")
+            assert client.fetch_share(f"repo-{i}") is None
+    finally:
+        client.close()
+    assert accepts[0] == 1
+
+
+def test_unread_body_is_not_taken_for_the_next_request(server, accepts):
+    _raw("POST", server.url + "/share", {"cid": "repo", "share": "02aa"})
+    conn = http.client.HTTPConnection(*_host_port(server.url), timeout=5)
+    try:
+        body = b'GET /share/other HTTP/1.1\r\n\r\n'  # would parse as a request if left unread
+        assert _exchange(conn, "POST", "/nope", body)[0] == 404
+        status, reply = _exchange(conn, "GET", "/share/repo")
+        assert (status, json.loads(reply)) == (200, {"share": "02aa"})
+    finally:
+        conn.close()
+    assert accepts[0] == 2  # one for _raw, one kept alive for both requests
+
+
+def test_threads_sharing_one_client_each_see_their_own_values(server, accepts):
+    client = HttpShareCache(server.url)
+    errors = []
+
+    def work(t: int) -> None:
+        try:
+            for i in range(50):
+                share = f"{t + 1:02x}{i:04x}"
+                client.store_share(f"repo-{t}", share)
+                got = client.fetch_share(f"repo-{t}")
+                if got != share:
+                    errors.append((t, i, got))
+        except Exception as exc:  # reported by the assertion below
+            errors.append((t, exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+        assert not any(th.is_alive() for th in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        client.close()
+    assert errors == []
+    assert accepts[0] == 1
+
+
+def test_client_reaches_a_server_restarted_on_the_same_port():
+    first = MiddlemanServer(ShareCache(), port=0).start()
+    client = HttpShareCache(first.url)
+    try:
+        client.store_share("repo", "02aa")
+        first.stop()
+        second = MiddlemanServer(ShareCache(), port=_host_port(first.url)[1]).start()
+        try:
+            assert client.fetch_share("repo") is None  # the new, empty cache answers
+            client.store_share("repo", "02bb")
+            assert second.cache.fetch_share("repo") == "02bb"
+        finally:
+            second.stop()
+    finally:
+        client.close()
+
+
+def test_stopped_server_does_not_answer_open_connections():
+    srv = MiddlemanServer(ShareCache(), port=0).start()
+    client = HttpShareCache(srv.url)
+    try:
+        client.store_share("repo", "02aa")
+        assert client.fetch_share("repo") == "02aa"
+        srv.stop()
+        with pytest.raises(MiddlemanUnavailableError):
+            client.fetch_share("repo")
+    finally:
+        client.close()
+
+
+def test_close_is_idempotent_and_the_next_call_reconnects(server, accepts):
+    client = HttpShareCache(server.url)
+    client.close()  # before any connection exists
+    client.store_share("repo", "02aa")
+    client.close()
+    client.close()
+    assert client.fetch_share("repo") == "02aa"
+    client.close()
+    assert accepts[0] == 2
+
+
+def test_unsupported_method_is_501_promptly(server):
+    conn = http.client.HTTPConnection(*_host_port(server.url), timeout=2)
+    try:
+        assert _exchange(conn, "PUT", "/share", b"{}")[0] == 501
+    finally:
+        conn.close()
+
+
+@pytest.mark.parametrize(
+    "headers, body, status",
+    [
+        pytest.param(b"", b"", 400, id="no-length"),
+        pytest.param(b"Content-Length: two\r\n", b"", 400, id="non-integer"),
+        pytest.param(b"Content-Length: -1\r\n", b"", 400, id="negative"),
+        pytest.param(b"Content-Length: 2\r\nContent-Length: 3\r\n", b"{}", 400, id="two-lengths"),
+        pytest.param(b"Transfer-Encoding: chunked\r\n", b"2\r\n{}\r\n0\r\n\r\n", 400, id="chunked"),
+        # the body is never sent, so the server must answer without awaiting it
+        pytest.param(b"Content-Length: 1000000000\r\n", b"", 413, id="huge-unsent"),
+        pytest.param(
+            b"Content-Length: %d\r\n" % (MAX_BODY_BYTES + 1), b"x" * (MAX_BODY_BYTES + 1), 413, id="one-over"
+        ),
+    ],
+)
+def test_badly_framed_post_is_refused_and_closed(server, headers, body, status):
+    request = b"POST /share HTTP/1.1\r\nHost: test\r\n" + headers + b"\r\n" + body
+    reply = _send_until_closed(server.url, request)  # returns only once the server closes
+    assert reply.startswith(b"HTTP/1.1 %d " % status)
+    assert b"\r\nConnection: close\r\n" in reply
+
+
+def test_deeply_nested_json_is_400(server):
+    conn = http.client.HTTPConnection(*_host_port(server.url), timeout=5)
+    try:
+        assert _exchange(conn, "POST", "/share", b"[" * MAX_BODY_BYTES)[0] == 400
+        assert _exchange(conn, "GET", "/share/ghost")[0] == 404  # connection still serves
+    finally:
+        conn.close()
+
+
+def test_hung_middleman_costs_one_timeout():
+    with socket.socket() as listener:  # accepts connections, never answers
+        listener.bind(("127.0.0.1", 0))
+        listener.listen()
+        client = HttpShareCache("http://127.0.0.1:%d" % listener.getsockname()[1], timeout_s=0.3)
+        start = time.monotonic()
+        with pytest.raises(MiddlemanUnavailableError):
+            client.fetch_share("repo")
+        assert time.monotonic() - start < 1.0
+        client.close()
+
+
+@pytest.mark.parametrize("url", ["https://127.0.0.1:8377", "ftp://127.0.0.1", "127.0.0.1:8377", "http://"])
+def test_client_rejects_urls_it_cannot_speak_to(url):
+    with pytest.raises(ValueError):
+        HttpShareCache(url)
+
