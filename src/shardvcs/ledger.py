@@ -98,7 +98,7 @@ class ChainConfig:
         return cls(confirmation_delay_min_s=delay_s, confirmation_delay_max_s=delay_s, **kw)
 
 
-@dataclass
+@dataclass(slots=True)
 class TxReceipt:
     """Live handle to a submitted transaction; mutates in place on settlement."""
 
@@ -126,7 +126,7 @@ class TxReceipt:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class _PendingTx:
     receipt: TxReceipt
     kind: str  # "register" | "add_collaborator"

@@ -16,28 +16,32 @@ same three-method contract either way:
   entry is absent or expired
 - ``DELETE /share/<repoId>`` -> 200 always (eviction is idempotent)
 
-The service speaks HTTP/1.1 with keep-alive: each `HttpShareCache` holds one
-connection and reuses it for every call, and each reply leaves the server
-in one write. A request body is framed only by ``Content-Length``: a missing,
-non-integer or negative length gets 400, a body over `MAX_BODY_BYTES` gets
-413 unread, and either reply closes the connection, since the server can no
-longer tell where the next request starts. A call that fails on a reused
-connection before any reply arrives (the server closed it while idle) is
-sent once more on a fresh connection; every call is idempotent, so the retry
-is safe. Any other failure, or a timeout, raises `MiddlemanUnavailableError`.
-`MiddlemanServer.stop` also shuts every open connection, so no client keeps
-talking to a stopped server's cache.
+Both ends share one small HTTP/1.1 framer (`_read_head`, `_body_length`).
+Each `HttpShareCache` holds one keep-alive connection, and each request and
+each reply leaves in one write. A message body is framed only by
+``Content-Length``. The server answers a request line over `MAX_LINE_BYTES`
+with 414, a longer header line or more than `MAX_HEADER_FIELDS` fields with
+431, any other malformed head or a missing, non-integer or negative length
+with 400, and a body over `MAX_BODY_BYTES` with 413 unread; each of these
+closes the connection, since the server can no longer tell where the next
+request starts. Other methods get 501. A connection that sends nothing for
+`IDLE_TIMEOUT_S` is closed. A call that fails on a reused connection before
+any reply byte arrives (the server closed it while idle) is sent once more
+on a fresh connection; every call is idempotent, so the retry is safe. Any
+other failure, a timeout or a malformed reply raises
+`MiddlemanUnavailableError`. `MiddlemanServer.stop` also shuts every open
+connection, so no client keeps talking to a stopped server's cache.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
+import re
 import socket
+import socketserver
 import threading
 import urllib.parse
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .clock import Clock, RealClock
 from .sss import Share
@@ -45,6 +49,11 @@ from .sss import Share
 DEFAULT_TTL_S = 24 * 3600.0
 DEFAULT_PORT = 8377
 MAX_BODY_BYTES = 4096  # a store body is about 200 bytes
+MAX_LINE_BYTES = 65536  # the limits http.server applies
+MAX_HEADER_FIELDS = 100
+MAX_REPLY_BYTES = 65536  # a 400 reply may quote a store body, escaped
+IDLE_TIMEOUT_S = 60.0  # a server connection silent this long is closed
+_STOP_POLL_S = 0.02  # how often a started server checks for `stop`
 
 
 class MiddlemanUnavailableError(ConnectionError):
@@ -114,67 +123,133 @@ class ShareCache:
             }
 
 
-class _Handler(BaseHTTPRequestHandler):
+class _FramingError(ValueError):
+    """A message the framer refuses; `status` is the server's reply to it."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+
+
+def _read_head(rfile) -> tuple[str, dict[str, list[str]]] | None:
+    """Read a start line and header fields; None at EOF before the first byte.
+
+    Field names come back lower-cased, each with its values in arrival order.
+    """
+    start = rfile.readline(MAX_LINE_BYTES + 1)
+    if not start:
+        return None
+    if len(start) > MAX_LINE_BYTES:
+        raise _FramingError(414, "start line too long")
+    fields: dict[str, list[str]] = {}
+    for _ in range(MAX_HEADER_FIELDS + 1):
+        line = rfile.readline(MAX_LINE_BYTES + 1)
+        if len(line) > MAX_LINE_BYTES:
+            raise _FramingError(431, "header line too long")
+        if line in (b"\r\n", b"\n"):
+            return start.rstrip(b"\r\n").decode("latin-1"), fields
+        name, colon, value = line.decode("latin-1").partition(":")
+        if not colon or not line.endswith(b"\n"):
+            raise _FramingError(400, "malformed header line")
+        fields.setdefault(name.strip().lower(), []).append(value.strip())
+    raise _FramingError(431, f"more than {MAX_HEADER_FIELDS} header fields")
+
+
+def _body_length(fields: dict[str, list[str]], required: bool) -> int:
+    """The body's length: one all-digit Content-Length and no Transfer-Encoding.
+
+    A message with neither has no body unless `required`.
+    """
+    lengths = fields.get("content-length", [])
+    if not lengths and not required and "transfer-encoding" not in fields:
+        return 0
+    try:
+        (text,) = lengths
+        if "transfer-encoding" in fields or not (text.isascii() and text.isdigit()):
+            raise ValueError(text)
+        return int(text)
+    except ValueError:  # not exactly one length, not all digits, or past int()'s digit limit
+        raise _FramingError(400, "a body needs one valid Content-Length") from None
+
+
+def _keep_alive(version: str, fields: dict[str, list[str]]) -> bool:
+    """HTTP/1.1 keeps a connection open unless the message says `close`."""
+    tokens = {t.strip().lower() for value in fields.get("connection", []) for t in value.split(",")}
+    return version == "HTTP/1.1" and "close" not in tokens
+
+
+_STATUS_LINE = re.compile(r"(HTTP/1\.[01]) ([0-9]{3})(?: .*)?", re.DOTALL)
+_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found", 413: "Content Too Large", 414: "URI Too Long",
+            431: "Request Header Fields Too Large", 501: "Not Implemented"}
+
+
+class _Handler(socketserver.StreamRequestHandler):
     cache: ShareCache  # set by MiddlemanServer
 
-    protocol_version = "HTTP/1.1"  # keep the connection open between requests
-    # Without this, Nagle's algorithm holds each small reply until the
+    # Without this, Nagle's algorithm can hold a small reply until the
     # client's delayed ACK, about 40 ms later.
     disable_nagle_algorithm = True
-    wbufsize = -1  # buffer the reply; handle_one_request flushes it in one write
 
     def handle(self) -> None:
+        self.connection.settimeout(IDLE_TIMEOUT_S)
         try:
-            super().handle()
-        except ConnectionError:
-            pass  # the client, or MiddlemanServer.stop, ended the connection
+            while self._serve_one():
+                pass
+        except OSError:
+            pass  # idle timeout, or the client or MiddlemanServer.stop ended the connection
 
     def _reply(self, code: int, payload: dict, close: bool = False) -> None:
         body = json.dumps(payload).encode()
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
+        head = f"HTTP/1.1 {code} {_REASONS[code]}\r\nContent-Type: application/json\r\n"
+        head += f"Content-Length: {len(body)}\r\n"
         if close:
-            self.send_header("Connection", "close")  # also sets close_connection
-        self.end_headers()
-        self.wfile.write(body)
+            head += "Connection: close\r\n"
+        self.connection.sendall(head.encode() + b"\r\n" + body)
 
-    def _read_body(self) -> bytes | None:
-        """The request body, or None after replying 400/413 and closing.
+    def _serve_one(self) -> bool:
+        """Read and answer one request; False once the connection should close.
 
-        Every handler reads the body before it replies, so a kept-alive
-        connection never parses an unread body as the next request.
+        The body is always read before the reply, so a kept-alive connection
+        never parses an unread body as the next request.
         """
-        lengths = self.headers.get_all("Content-Length", [])
-        chunked = "Transfer-Encoding" in self.headers  # not supported
-        if not lengths and not chunked and self.command != "POST":
-            return b""
         try:
-            (text,) = lengths
-            text = text.strip()
-            length = int(text) if text.isascii() and text.isdigit() and not chunked else -1
-        except ValueError:  # not exactly one header, or too many digits for int()
-            length = -1
-        if length < 0:
-            self._reply(400, {"error": "request body needs one valid Content-Length"}, close=True)
-            return None
-        if length > MAX_BODY_BYTES:
-            self._reply(413, {"error": f"body over {MAX_BODY_BYTES} bytes"}, close=True)
-            return None
-        return self.rfile.read(length)
+            head = _read_head(self.rfile)
+            if head is None:
+                return False
+            start, fields = head
+            parts = start.split(" ")
+            if len(parts) != 3 or parts[2] not in ("HTTP/1.0", "HTTP/1.1"):
+                raise _FramingError(400, "malformed request line")
+            method, target, version = parts
+            length = _body_length(fields, required=method == "POST")
+            if length > MAX_BODY_BYTES:
+                raise _FramingError(413, f"body over {MAX_BODY_BYTES} bytes")
+        except _FramingError as exc:
+            self._reply(exc.status, {"error": str(exc)}, close=True)
+            return False
+        body = self.rfile.read(length)
+        if len(body) < length:
+            return False  # the client closed mid-body
+        if method not in ("POST", "GET", "DELETE"):
+            self._reply(501, {"error": f"unsupported method {method}"}, close=True)
+            return False
+        keep = _keep_alive(version, fields)
+        self._reply(*self._answer(method, target, body), close=not keep)
+        return keep
 
-    def _repo_from_path(self, prefix: str = "/share/") -> str | None:
-        if not self.path.startswith(prefix):
-            return None
-        return urllib.parse.unquote(self.path[len(prefix):])
+    def _answer(self, method: str, target: str, body: bytes) -> tuple[int, dict]:
+        if method == "POST":
+            return self._store(body) if target == "/share" else (404, {"error": "unknown endpoint"})
+        if not target.startswith("/share/"):
+            return 404, {"error": "unknown endpoint"}
+        repo = urllib.parse.unquote(target[len("/share/"):])
+        if method == "DELETE":
+            self.cache.evict(repo)
+            return 200, {"ok": True}
+        share_text = self.cache.fetch_share(repo)
+        return (404, {"error": "absent"}) if share_text is None else (200, {"share": share_text})
 
-    def do_POST(self) -> None:
-        body = self._read_body()
-        if body is None:
-            return
-        if self.path != "/share":
-            self._reply(404, {"error": "unknown endpoint"})
-            return
+    def _store(self, body: bytes) -> tuple[int, dict]:
         try:
             doc = json.loads(body)
             if not isinstance(doc, dict):
@@ -184,39 +259,15 @@ class _Handler(BaseHTTPRequestHandler):
                 raise ValueError("cid and share must be strings")
             self.cache.store_share(repo, share_text)
         except (ValueError, RecursionError) as exc:  # RecursionError: deeply nested JSON
-            self._reply(400, {"error": str(exc)})
-            return
-        self._reply(200, {"ok": True})
-
-    def do_GET(self) -> None:
-        if self._read_body() is None:
-            return
-        repo = self._repo_from_path()
-        if repo is None:
-            self._reply(404, {"error": "unknown endpoint"})
-            return
-        share_text = self.cache.fetch_share(repo)
-        if share_text is None:
-            self._reply(404, {"error": "absent"})
-        else:
-            self._reply(200, {"share": share_text})
-
-    def do_DELETE(self) -> None:
-        if self._read_body() is None:
-            return
-        repo = self._repo_from_path()
-        if repo is None:
-            self._reply(404, {"error": "unknown endpoint"})
-            return
-        self.cache.evict(repo)
-        self._reply(200, {"ok": True})
-
-    def log_message(self, fmt, *args) -> None:  # quiet by default
-        pass
+            return 400, {"error": str(exc)}
+        return 200, {"ok": True}
 
 
-class _Server(ThreadingHTTPServer):
+class _Server(socketserver.ThreadingTCPServer):
     """Tracks accepted connections so `close_connections` can end them."""
+
+    allow_reuse_address = True  # a restarted server takes its port back at once
+    daemon_threads = True
 
     def __init__(self, address, handler):
         super().__init__(address, handler)
@@ -258,30 +309,20 @@ class MiddlemanServer:
         return f"http://{host}:{port}"
 
     def start(self) -> "MiddlemanServer":
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        self._thread = threading.Thread(target=self._httpd.serve_forever, args=(_STOP_POLL_S,), daemon=True)
         self._thread.start()
         return self
 
     def stop(self) -> None:
         """Stop accepting, then end every open connection."""
-        self._httpd.shutdown()
+        if self._thread is not None:  # shutdown() would wait forever for a loop never started
+            self._httpd.shutdown()
+            self._thread.join()
         self._httpd.close_connections()
         self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join()
 
     def serve_forever(self) -> None:
         self._httpd.serve_forever()
-
-
-# A reused connection that fails with one of these before any reply was
-# most likely closed by the server while idle; the call is sent once more.
-_STALE_CONNECTION = (
-    http.client.RemoteDisconnected,
-    BrokenPipeError,
-    ConnectionResetError,
-    ConnectionAbortedError,
-)
 
 
 class HttpShareCache:
@@ -292,13 +333,17 @@ class HttpShareCache:
 
     def __init__(self, base_url: str, timeout_s: float = 10.0):
         parts = urllib.parse.urlsplit(base_url)
-        if parts.scheme != "http" or not parts.hostname:
+        prefix = parts.path.rstrip("/")
+        # the prefix goes into the request line as-is: printable ASCII, no spaces
+        if parts.scheme != "http" or not parts.hostname or not all("!" <= c <= "~" for c in prefix):
             raise ValueError(f"middleman URL must be http://host[:port][/prefix], got {base_url!r}")
         self.base_url = base_url.rstrip("/")
         self.timeout_s = timeout_s
-        self._host, self._port = parts.hostname, parts.port  # .port raises on a bad port
-        self._prefix = parts.path.rstrip("/")
-        self._conn: http.client.HTTPConnection | None = None
+        self._address = (parts.hostname, parts.port or 80)  # .port raises on a bad port
+        self._host_field = parts.netloc.rpartition("@")[2]
+        self._prefix = prefix
+        self._sock: socket.socket | None = None
+        self._rfile = None
         self._lock = threading.Lock()
 
     def close(self) -> None:
@@ -307,34 +352,56 @@ class HttpShareCache:
             self._drop()
 
     def _drop(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
+        if self._sock is not None:
+            self._rfile.close()
+            self._sock.close()
+            self._sock = self._rfile = None
+
+    def _send(self, message: bytes) -> bool:
+        """Send one request; False if a reused connection ends before any reply byte."""
+        reused = self._sock is not None
+        if not reused:
+            sock = socket.create_connection(self._address, timeout=self.timeout_s)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._sock, self._rfile = sock, sock.makefile("rb")
+        try:
+            self._sock.sendall(message)
+            if self._rfile.peek(1):
+                return True
+            raise ConnectionResetError("connection closed before any reply")
+        except (BrokenPipeError, ConnectionResetError, ConnectionAbortedError):
+            if not reused:
+                raise
+        self._drop()  # most likely the server closed it while idle
+        return False
 
     def _request(self, method: str, path: str, body: dict | None = None):
-        data = json.dumps(body).encode() if body is not None else None
-        headers = {"Content-Type": "application/json"} if data is not None else {}
+        head = f"{method} {self._prefix}{path} HTTP/1.1\r\nHost: {self._host_field}\r\n"
+        data = b""
+        if body is not None:
+            data = json.dumps(body).encode()
+            head += f"Content-Type: application/json\r\nContent-Length: {len(data)}\r\n"
+        message = (head + "\r\n").encode() + data
         with self._lock:
-            while True:
-                reused = self._conn is not None
-                if not reused:
-                    self._conn = http.client.HTTPConnection(self._host, self._port, timeout=self.timeout_s)
-                try:
-                    try:
-                        self._conn.request(method, self._prefix + path, body=data, headers=headers)
-                        resp = self._conn.getresponse()
-                    except _STALE_CONNECTION:
-                        if not reused:
-                            raise
-                        self._drop()
-                        continue
-                    raw = resp.read()
-                except (OSError, http.client.HTTPException) as exc:
-                    self._drop()
-                    raise MiddlemanUnavailableError(f"middleman at {self.base_url}: {exc}") from exc
-                if resp.will_close:
-                    self._drop()
-                return resp.status, json.loads(raw.decode() or "{}")
+            try:
+                self._send(message) or self._send(message)  # the second send is on a fresh connection
+                start, fields = _read_head(self._rfile)  # _send saw a first byte
+                status_line = _STATUS_LINE.fullmatch(start)
+                if status_line is None:
+                    raise ValueError(f"bad status line {start!r}")
+                length = _body_length(fields, required=True)
+                if length > MAX_REPLY_BYTES:
+                    raise ValueError(f"reply body of {length} bytes")
+                raw = self._rfile.read(length)
+                if len(raw) < length:
+                    raise ValueError("reply body cut short")
+                doc = json.loads(raw or b"{}")
+            except (OSError, ValueError) as exc:
+                self._drop()
+                raise MiddlemanUnavailableError(f"middleman at {self.base_url}: {exc}") from exc
+            if not _keep_alive(status_line[1], fields):
+                self._drop()
+            return int(status_line[2]), doc
 
     def store_share(self, repo: str, share_text: str) -> None:
         status, doc = self._request("POST", "/share", {"cid": repo, "share": share_text})

@@ -1,17 +1,22 @@
+import contextlib
 import http.client
 import json
 import random
+import os
 import socket
+import subprocess
 import sys
 import threading
 import time
 import urllib.error
 import urllib.parse
 import urllib.request
-from http.server import ThreadingHTTPServer
+from socketserver import ThreadingMixIn
 
 import pytest
 
+import shardvcs
+from shardvcs import middleman
 from shardvcs.clock import VirtualClock
 from shardvcs.middleman import (
     MAX_BODY_BYTES,
@@ -189,13 +194,13 @@ def test_http_non_object_bodies_and_non_string_fields_are_400(server):
 def accepts(monkeypatch):
     """Count the connections every server accepts, seen from the server side."""
     count = [0]
-    original = ThreadingHTTPServer.process_request
+    original = ThreadingMixIn.process_request
 
     def counting(self, request, client_address):
         count[0] += 1  # the accept loop runs on one thread
         original(self, request, client_address)
 
-    monkeypatch.setattr(ThreadingHTTPServer, "process_request", counting)
+    monkeypatch.setattr(ThreadingMixIn, "process_request", counting)
     return count
 
 
@@ -210,10 +215,16 @@ def _exchange(conn: http.client.HTTPConnection, method: str, path: str, body: by
     return resp.status, resp.read()
 
 
-def _send_until_closed(url: str, request: bytes) -> bytes:
+def _send_until_closed(url: str, request: bytes, byte_by_byte: bool = False) -> bytes:
     """Send raw bytes, keep our side open, and read until the server closes."""
     with socket.create_connection(_host_port(url), timeout=5) as sock:
-        sock.sendall(request)
+        if byte_by_byte:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for i in range(len(request)):
+                sock.send(request[i : i + 1])
+                time.sleep(0.001)
+        else:
+            sock.sendall(request)
         reply = b""
         while chunk := sock.recv(65536):
             reply += chunk
@@ -369,8 +380,167 @@ def test_hung_middleman_costs_one_timeout():
         client.close()
 
 
-@pytest.mark.parametrize("url", ["https://127.0.0.1:8377", "ftp://127.0.0.1", "127.0.0.1:8377", "http://"])
+@pytest.mark.parametrize(
+    "url", ["https://127.0.0.1:8377", "ftp://127.0.0.1", "127.0.0.1:8377", "http://", "http://127.0.0.1:8377/a b"]
+)
 def test_client_rejects_urls_it_cannot_speak_to(url):
     with pytest.raises(ValueError):
         HttpShareCache(url)
 
+
+
+# -- the HTTP/1.1 framer ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "request_bytes, status",
+    [
+        # http.server's limits: 65,536-byte lines and 100 header fields
+        pytest.param(b"GET /" + b"a" * 65536 + b" HTTP/1.1\r\n\r\n", 414, id="long-request-line"),
+        pytest.param(b"GET /share/x HTTP/1.1\r\nX-Pad: " + b"a" * 65536 + b"\r\n\r\n", 431, id="long-header-line"),
+        pytest.param(b"GET /share/x HTTP/1.1\r\n" + b"X-Field: 1\r\n" * 101 + b"\r\n", 431, id="101-fields"),
+        pytest.param(b"GET /share/x HTTP/1.1\r\nno colon here\r\n\r\n", 400, id="no-colon"),
+        pytest.param(b"GET /share/x\r\n\r\n", 400, id="two-word-request-line"),
+        pytest.param(b"GET /share/x HTTP/2.0\r\n\r\n", 400, id="unknown-version"),
+    ],
+)
+def test_malformed_head_is_refused_and_closed(server, request_bytes, status):
+    reply = _send_until_closed(server.url, request_bytes)
+    assert reply.startswith(b"HTTP/1.1 %d " % status)
+    assert b"\r\nConnection: close\r\n" in reply
+
+
+def test_head_at_the_limits_is_served(server):
+    fields = b"X-Field: 1\r\n" * 99 + b"X-Pad: " + b"a" * 65000 + b"\r\n"  # 100 fields
+    request = b"GET /share/ghost HTTP/1.1\r\n" + fields + b"\r\nGET /share/ghost HTTP/1.1\r\nConnection: close\r\n\r\n"
+    reply = _send_until_closed(server.url, request)
+    assert reply.count(b"HTTP/1.1 404 Not Found\r\n") == 2  # and the connection served a second request
+
+
+@pytest.mark.parametrize(
+    "request_bytes",
+    [
+        pytest.param(b"GET /share/ghost HTTP/1.0\r\n\r\n", id="http-1.0"),
+        pytest.param(b"GET /share/ghost HTTP/1.1\r\nConnection: close\r\n\r\n", id="connection-close"),
+    ],
+)
+def test_closing_requests_are_answered_then_closed(server, request_bytes):
+    reply = _send_until_closed(server.url, request_bytes)  # returns only once the server closes
+    assert reply.startswith(b"HTTP/1.1 404 ")
+    assert reply.endswith(b'{"error": "absent"}')
+
+
+@pytest.mark.parametrize("byte_by_byte", [False, True], ids=["one-send", "one-byte-at-a-time"])
+def test_pipelined_requests_get_replies_in_order(server, byte_by_byte):
+    store = b'{"cid": "repo", "share": "02aa"}'
+    request = b"POST /share HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s" % (len(store), store)
+    request += b"GET /share/repo HTTP/1.1\r\nConnection: close\r\n\r\n"
+    first, second = _send_until_closed(server.url, request, byte_by_byte).split(b"HTTP/1.1 ")[1:]
+    assert first.startswith(b"200 ") and first.endswith(b'{"ok": true}')
+    assert second.startswith(b"200 ") and second.endswith(b'{"share": "02aa"}')
+
+
+@contextlib.contextmanager
+def _scripted_middleman(replies: list[bytes]):
+    """Answer the first request of the i-th connection with replies[i], then close it."""
+    accepted = []
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+
+        def serve() -> None:
+            for reply in replies:
+                conn, _ = listener.accept()
+                with conn:
+                    accepted.append(conn)
+                    head = b""
+                    while b"\r\n\r\n" not in head:
+                        head += conn.recv(65536)
+                    conn.sendall(reply)
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        yield "http://127.0.0.1:%d" % listener.getsockname()[1], accepted
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+def _http_reply(body: bytes) -> bytes:
+    return b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+
+
+@pytest.mark.parametrize(
+    "bad_reply",
+    [
+        pytest.param(b'HTTP/1.1 200 OK\r\n\r\n{"share": "02aa"}', id="no-length"),
+        pytest.param(b"HTTP/1.1 200 OK\r\nContent-Length: 99999999\r\n\r\n", id="oversized-length"),
+        pytest.param(b'HTTP/1.1 OK\r\nContent-Length: 17\r\n\r\n{"share": "02aa"}', id="bad-status-line"),
+        pytest.param(b"garbage\r\n\r\n", id="not-http"),
+        pytest.param(b'HTTP/1.1 200 OK\r\nContent-Length: 40\r\n\r\n{"share": "02aa"}', id="body-cut-short"),
+    ],
+)
+def test_malformed_reply_raises_and_the_next_call_reconnects(bad_reply):
+    with _scripted_middleman([bad_reply, _http_reply(b'{"share": "02aa"}')]) as (url, accepted):
+        client = HttpShareCache(url, timeout_s=2)
+        try:
+            with pytest.raises(MiddlemanUnavailableError):
+                client.fetch_share("repo")
+            assert client.fetch_share("repo") == "02aa"
+        finally:
+            client.close()
+    assert len(accepted) == 2
+
+
+# -- idle connections and stop() ---------------------------------------------------
+
+
+def _handler_threads() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name.endswith("(process_request_thread)")]
+
+
+def test_silent_connections_are_closed_after_the_idle_timeout(server, monkeypatch):
+    monkeypatch.setattr(middleman, "IDLE_TIMEOUT_S", 0.2)
+    before = len(_handler_threads())
+    start = time.monotonic()
+    socks = [socket.create_connection(_host_port(server.url), timeout=5) for _ in range(5)]
+    try:
+        for sock in socks:
+            assert sock.recv(1) == b""  # EOF from the server, not our own 5 s timeout
+    finally:
+        for sock in socks:
+            sock.close()
+    assert time.monotonic() - start < 3.0
+    deadline = time.monotonic() + 5.0
+    while len(_handler_threads()) > before and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert len(_handler_threads()) <= before
+
+
+def test_client_idle_past_the_timeout_reconnects_once(server, accepts, monkeypatch):
+    monkeypatch.setattr(middleman, "IDLE_TIMEOUT_S", 0.2)
+    client = HttpShareCache(server.url)
+    try:
+        client.store_share("repo", "02aa")
+        time.sleep(0.5)  # the server closes the idle connection meanwhile
+        assert client.fetch_share("repo") == "02aa"
+        assert client.fetch_share("repo") == "02aa"
+    finally:
+        client.close()
+    assert accepts[0] == 2
+
+
+def test_stop_on_a_server_never_started_returns_and_frees_the_port():
+    srv = MiddlemanServer(ShareCache(), port=0)
+    stopper = threading.Thread(target=srv.stop, daemon=True)
+    stopper.start()
+    stopper.join(timeout=2)
+    assert not stopper.is_alive()
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(_host_port(srv.url), timeout=2).close()
+
+
+def test_importing_shardvcs_loads_no_stdlib_http_or_email():
+    src = os.path.dirname(os.path.dirname(shardvcs.__file__))
+    code = "import shardvcs, sys; print(sorted(m for m in sys.modules if m.split('.')[0] in ('http', 'email')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60
+    )
+    assert (out.returncode, out.stdout.strip()) == (0, "[]"), out.stderr
