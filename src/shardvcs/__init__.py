@@ -11,15 +11,7 @@ registration is still confirming.
 from .cas import BlobStore, CapacityError, Cid, CorruptBlobError, LatencyProfile, NotFoundError
 from .clock import Clock, RealClock, VirtualClock, make_clock
 from .config import HarnessConfig
-from .envelope import (
-    DecryptionError,
-    SecretBundle,
-    bundle_to_secret,
-    generate_bundle,
-    seal,
-    secret_to_bundle,
-    unseal,
-)
+from .envelope import DecryptionError, generate_secret, seal, unseal
 from .ledger import (
     AccessDeniedError,
     Address,
@@ -75,7 +67,6 @@ __all__ = [
     "RealClock",
     "ReconstructionError",
     "RetrievalReport",
-    "SecretBundle",
     "Share",
     "ShareCache",
     "SharesUnavailableError",
@@ -83,12 +74,10 @@ __all__ = [
     "ThresholdParams",
     "TxReceipt",
     "VirtualClock",
-    "bundle_to_secret",
     "combine",
-    "generate_bundle",
+    "generate_secret",
     "make_clock",
     "seal",
-    "secret_to_bundle",
     "split",
     "unseal",
 ]

@@ -25,10 +25,7 @@ from .cas import BlobStore, LatencyProfile
 from .clock import Clock, VirtualClock
 from .ledger import Address, ChainConfig, SimulatedChain
 from .middleman import ShareCache
-from .protocol import Client
-
-PUSH_PHASES = ("seal_s", "store_s", "middleman_s", "submit_s")
-PULL_PHASES = ("access_s", "share_fetch_s", "blob_fetch_s", "decrypt_s")
+from .protocol import PULL_PHASES, PUSH_PHASES, Client
 
 CSV_COLUMNS = (
     ("operation", "size_mb", "repeat", "user_perceived_s")
@@ -269,7 +266,7 @@ def make_world(
 
 
 def _settle(world: BenchWorld, chain_config: ChainConfig, receipt) -> None:
-    if getattr(world.clock, "is_virtual", False):
+    if world.clock.is_virtual:
         world.chain.advance_clock(chain_config.confirmation_delay_max_s)
     else:
         while not receipt.settled:
@@ -363,7 +360,7 @@ def run_pull_bench(
                 raise
             except Exception as exc:
                 raise BenchError(f"pull sample size={size} repeat={rep} failed: {exc}") from exc
-            phases = dict(report.durations)
+            phases = dict(report.phases)
             phases["access_s"] += pull_overhead_s  # modeled view-call + reconstruction cost
             samples.append(
                 BenchSample(

@@ -137,7 +137,7 @@ def _save_world(world: _World) -> None:
     """Persist the chain and an embedded cache; close a remote cache's connection."""
     try:
         snap = {
-            "clock_time": world.clock.now() if getattr(world.clock, "is_virtual", False) else None,
+            "clock_time": world.clock.now() if world.clock.is_virtual else None,
             "chain": world.chain.snapshot(),
         }
         (world.state_dir / "chain.json").write_text(json.dumps(snap))
@@ -172,7 +172,7 @@ def _cmd_pull(args) -> int:
         cid = Cid.from_text(args.cid)
         caller = _parse_address(getattr(args, "as"))
         held = Share.from_text(args.share)
-        plaintext, report = world.client.pull(cid, caller, held, fallback_timeout=args.timeout)
+        plaintext, report = world.client.pull(cid, caller, held)
     finally:
         _save_world(world)
     if args.out:
@@ -313,7 +313,6 @@ def _build_parser() -> _Parser:
     p.add_argument("cid")
     p.add_argument("--as", required=True, dest="as", help="caller account")
     p.add_argument("--share", required=True, help="held share text")
-    p.add_argument("--timeout", type=float, default=None, help="authoritative-path fallback timeout (s)")
     p.add_argument("--out", default=None, help="write plaintext here instead of stdout")
     add_world_args(p)
     p.set_defaults(func=_cmd_pull)

@@ -12,6 +12,8 @@ from typing import Protocol
 
 
 class Clock(Protocol):
+    is_virtual: bool
+
     def now(self) -> float: ...
 
     def sleep(self, seconds: float) -> None: ...

@@ -292,7 +292,7 @@ class SimulatedChain:
 
     def advance_clock(self, delta_s: float) -> list[TxReceipt]:
         """Advance virtual time and return the receipts settled by doing so."""
-        if not getattr(self.clock, "is_virtual", False):
+        if not self.clock.is_virtual:
             raise ClockModeError("advance_clock requires a virtual clock")
         with self._lock:
             assert isinstance(self.clock, VirtualClock)

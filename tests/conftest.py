@@ -1,5 +1,6 @@
 import random
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,22 @@ from shardvcs import (
     SimulatedChain,
     VirtualClock,
 )
+
+# A leaked socket or file, or an exception swallowed in a finalizer, fails the
+# test that leaked it. Scoped to this directory, because perfbench's
+# fresh-pull-http teardown still leaves its client socket open.
+_STRICT_WARNINGS = (
+    pytest.mark.filterwarnings("error::ResourceWarning"),
+    pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning"),
+)
+
+
+def pytest_collection_modifyitems(items):
+    here = Path(__file__).parent
+    for item in items:
+        if here in item.path.parents:
+            for mark in _STRICT_WARNINGS:
+                item.add_marker(mark)
 
 
 @dataclass

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from shardvcs.bench import (
@@ -151,6 +153,20 @@ def test_bench_reproducible_bit_identical(tmp_path):
     assert samples_to_csv(a) == samples_to_csv(b)
     c = run_push_bench([1, 5], 3, store, fetch, ChainConfig(), seed=12, workdir=tmp_path / "c")
     assert samples_to_csv(a) != samples_to_csv(c)
+
+
+def test_bench_csv_matches_golden_digest(tmp_path):
+    # Pins seeded output across versions, not just between two runs of one
+    # version: the chain's confirmation delays share the rng with key
+    # generation, sharing and the payloads, so any change to the draws moves
+    # the confirmation_s cells. Digest taken before SecretBundle was removed.
+    store, fetch = _bench_profiles()
+    args = ([1, 5], 2, store, fetch, ChainConfig())
+    samples = run_push_bench(*args, seed=0, workdir=tmp_path / "push")
+    samples += run_pull_bench(*args, start_offset_s=2.0, seed=0, workdir=tmp_path / "post")
+    samples += run_pull_bench(*args, start_offset_s=-2.0, seed=0, workdir=tmp_path / "pre")
+    digest = hashlib.sha256(samples_to_csv(samples).encode()).hexdigest()
+    assert digest == "cb18f0aae4aceaac29b4b820d15abdfa093d9796ab7d7b2c15d238721e15e3da"
 
 
 def test_csv_header_schema():

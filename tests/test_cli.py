@@ -151,6 +151,7 @@ def test_usage_errors_exit_1(run, tmp_path):
     assert run("pull", "sha256:nothex", "--as", "a", "--share", "0311", "--state-dir", state)[0] == 1
     cid = "sha256:" + hashlib.sha256(b"?").hexdigest()
     assert run("pull", cid, "--as", "a", "--share", "zz", "--state-dir", state)[0] == 1
+    assert run("pull", cid, "--as", "a", "--share", "0311", "--timeout", "1", "--state-dir", state)[0] == 1
 
     bad_cfg = tmp_path / "bad.cfg"
     bad_cfg.write_text("no_such_key = 1\n")

@@ -5,46 +5,41 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shardvcs import envelope
-from shardvcs.envelope import (
-    DecryptionError,
-    SecretBundle,
-    bundle_to_secret,
-    generate_bundle,
-    seal,
-    secret_to_bundle,
-    unseal,
-)
+from shardvcs.envelope import DecryptionError, generate_secret, seal, unseal
 
 import aes_gcm_oracle
 
 VECTORS = Path(__file__).parent / "data" / "envelope_vectors.txt"
 
 
-def _bundle(seed: int) -> SecretBundle:
-    return generate_bundle(random.Random(seed))
+def _secret(seed: int) -> bytes:
+    return generate_secret(random.Random(seed))
 
 
-def test_bundle_length_validation():
-    with pytest.raises(ValueError):
-        SecretBundle(key=b"\x00" * 31, iv=b"\x00" * 12)
-    with pytest.raises(ValueError):
-        SecretBundle(key=b"\x00" * 32, iv=b"\x00" * 11)
+def test_secret_length_validation():
+    secret = _secret(0)
+    sealed = seal(b"payload", secret)
+    for wrong in (secret[:43], secret + b"\x00"):
+        with pytest.raises(ValueError):
+            seal(b"payload", wrong)
+        with pytest.raises(DecryptionError):
+            unseal(sealed, wrong)
 
 
-def test_generate_bundle_distinct_and_reproducible():
-    assert generate_bundle() != generate_bundle()
-    assert _bundle(4) == _bundle(4)
-    assert _bundle(4) != _bundle(5)
+def test_generate_secret_distinct_and_reproducible():
+    assert len(generate_secret()) == 44
+    assert generate_secret() != generate_secret()
+    assert _secret(4) == _secret(4)
+    assert _secret(4) != _secret(5)
 
 
 def test_roundtrip_simple():
-    b = _bundle(0)
+    b = _secret(0)
     assert unseal(seal(b"repository bytes", b), b) == b"repository bytes"
 
 
 def test_empty_plaintext():
-    b = _bundle(1)
+    b = _secret(1)
     sealed = seal(b"", b)
     assert sealed[:-16] == b""
     assert len(sealed) == 16
@@ -52,7 +47,7 @@ def test_empty_plaintext():
 
 
 def test_ciphertext_length_equals_plaintext_length():
-    b = _bundle(2)
+    b = _secret(2)
     for n in (1, 15, 16, 17, 1000):
         assert len(seal(b"\x00" * n, b)[:-16]) == n
 
@@ -63,35 +58,35 @@ def test_golden_vectors_from_independent_implementation():
     assert len(lines) >= 10
     for line in lines:
         key_h, iv_h, pt_h, ct_h, tag_h = line.split(" ")
-        bundle = SecretBundle(bytes.fromhex(key_h), bytes.fromhex(iv_h))
-        sealed = seal(bytes.fromhex(pt_h), bundle)
+        secret = bytes.fromhex(key_h) + bytes.fromhex(iv_h)
+        sealed = seal(bytes.fromhex(pt_h), secret)
         assert sealed[:-16] == bytes.fromhex(ct_h)
         assert sealed[-16:] == bytes.fromhex(tag_h)
-        assert unseal(sealed, bundle) == bytes.fromhex(pt_h)
+        assert unseal(sealed, secret) == bytes.fromhex(pt_h)
 
 
 def test_dual_route_agreement_fresh_inputs():
     # same operation computed via the package and via the standalone oracle
     rng = random.Random(1234)
     for length in (1, 16, 100, 333):
-        bundle = generate_bundle(rng)
+        key, iv = rng.randbytes(32), rng.randbytes(12)
         plaintext = rng.randbytes(length)
-        sealed = seal(plaintext, bundle)
-        ct, tag = aes_gcm_oracle.gcm_encrypt(bundle.key, bundle.iv, plaintext)
+        sealed = seal(plaintext, key + iv)
+        ct, tag = aes_gcm_oracle.gcm_encrypt(key, iv, plaintext)
         assert (sealed[:-16], sealed[-16:]) == (ct, tag)
-        assert aes_gcm_oracle.gcm_decrypt(bundle.key, bundle.iv, sealed[:-16], sealed[-16:]) == plaintext
+        assert aes_gcm_oracle.gcm_decrypt(key, iv, sealed[:-16], sealed[-16:]) == plaintext
 
 
 def test_known_answer_zero_key_zero_iv():
-    bundle = SecretBundle(b"\x00" * 32, b"\x00" * 12)
-    assert seal(b"", bundle)[-16:].hex() == "530f8afbc74536b9a963b4f1c4cb738b"
-    sealed = seal(b"\x00" * 16, bundle)
+    secret = b"\x00" * 32 + b"\x00" * 12
+    assert seal(b"", secret)[-16:].hex() == "530f8afbc74536b9a963b4f1c4cb738b"
+    sealed = seal(b"\x00" * 16, secret)
     assert sealed[:-16].hex() == "cea7403d4d606b6e074ec5d3baf39d18"
     assert sealed[-16:].hex() == "d0d1c8a799996bf0265b98b5d48ab919"
 
 
 def test_tamper_detection_ciphertext_and_tag():
-    b = _bundle(3)
+    b = _secret(3)
     sealed = seal(b"sensitive", b)
     flipped_ct = bytes([sealed[0] ^ 0x01]) + sealed[1:]
     with pytest.raises(DecryptionError):
@@ -102,10 +97,10 @@ def test_tamper_detection_ciphertext_and_tag():
 
 
 def test_wrong_key_and_wrong_iv_fail():
-    b = _bundle(6)
+    b = _secret(6)
     sealed = seal(b"payload", b)
-    wrong_key = SecretBundle(bytes(32), b.iv)
-    wrong_iv = SecretBundle(b.key, bytes(12))
+    wrong_key = bytes(32) + b[32:]
+    wrong_iv = b[:32] + bytes(12)
     with pytest.raises(DecryptionError):
         unseal(sealed, wrong_key)
     with pytest.raises(DecryptionError):
@@ -113,32 +108,20 @@ def test_wrong_key_and_wrong_iv_fail():
 
 
 def test_roundtrip_at_benchmark_size():
-    b = _bundle(7)
+    b = _secret(7)
     plaintext = random.Random(8).randbytes(32 * 1024 * 1024)
     assert unseal(seal(plaintext, b), b) == plaintext
 
 
 def test_unseal_shorter_than_tag_fails():
     with pytest.raises(DecryptionError):
-        unseal(b"\x00" * 15, _bundle(9))
-
-
-def test_secret_concatenation_inverse():
-    b = _bundle(10)
-    secret = bundle_to_secret(b)
-    assert len(secret) == 44
-    assert secret == b.key + b.iv
-    assert secret_to_bundle(secret) == b
-    with pytest.raises(ValueError):
-        secret_to_bundle(secret + b"\x00")
-    zero = SecretBundle(b"\x00" * 32, b"\x00" * 12)
-    assert bundle_to_secret(zero) == b"\x00" * 44
+        unseal(b"\x00" * 15, _secret(9))
 
 
 @given(plaintext=st.binary(max_size=2048), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=50, deadline=None)
 def test_property_roundtrip(plaintext, seed):
-    b = _bundle(seed)
+    b = _secret(seed)
     assert unseal(seal(plaintext, b), b) == plaintext
 
 
@@ -149,7 +132,7 @@ def test_property_roundtrip(plaintext, seed):
 )
 @settings(max_examples=50, deadline=None)
 def test_property_single_bit_flip_rejected(plaintext, seed, data):
-    b = _bundle(seed)
+    b = _secret(seed)
     sealed = seal(plaintext, b)
     raw = bytearray(sealed)
     bit = data.draw(st.integers(0, len(raw) * 8 - 1))
@@ -164,9 +147,9 @@ def test_full_pipeline_shares_to_plaintext():
     from shardvcs.sss import ThresholdParams, combine, split
 
     rng = random.Random(77)
-    b = generate_bundle(rng)
-    sealed = seal(b"full pipeline", b)
-    shares = split(bundle_to_secret(b), ThresholdParams(2, 3), rng)
+    secret = generate_secret(rng)
+    sealed = seal(b"full pipeline", secret)
+    shares = split(secret, ThresholdParams(2, 3), rng)
     for pair in combinations(shares, 2):
-        rebuilt = secret_to_bundle(combine(list(pair), threshold=2))
+        rebuilt = combine(list(pair), threshold=2)
         assert unseal(sealed, rebuilt) == b"full pipeline"

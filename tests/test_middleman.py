@@ -168,14 +168,17 @@ def test_http_unknown_endpoint_is_404(server):
 
 def test_http_client_adapter_matches_in_process_contract(server):
     client = HttpShareCache(server.url)
-    assert client.fetch_share("repo") is None
-    client.store_share("repo", "02abcd")
-    assert client.fetch_share("repo") == "02abcd"
-    with pytest.raises(ValueError):
-        client.store_share("repo", "XYZ")
-    client.evict("repo")
-    client.evict("repo")
-    assert client.fetch_share("repo") is None
+    try:
+        assert client.fetch_share("repo") is None
+        client.store_share("repo", "02abcd")
+        assert client.fetch_share("repo") == "02abcd"
+        with pytest.raises(ValueError):
+            client.store_share("repo", "XYZ")
+        client.evict("repo")
+        client.evict("repo")
+        assert client.fetch_share("repo") is None
+    finally:
+        client.close()
 
 
 def test_http_non_object_bodies_and_non_string_fields_are_400(server):
