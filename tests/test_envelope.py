@@ -16,6 +16,28 @@ def _secret(seed: int) -> bytes:
     return generate_secret(random.Random(seed))
 
 
+def test_bundle_length_validation():
+    # a short key or a short IV makes a secret of the wrong length
+    for key_len, iv_len in ((31, 12), (32, 11)):
+        wrong = b"\x00" * key_len + b"\x00" * iv_len
+        with pytest.raises(ValueError):
+            seal(b"payload", wrong)
+        with pytest.raises(DecryptionError):
+            unseal(b"\x00" * 16, wrong)
+
+
+def test_secret_concatenation_inverse():
+    # the secret is the key bytes followed by the IV bytes, drawn in that order
+    rng = random.Random(10)
+    key, iv = rng.randbytes(32), rng.randbytes(12)
+    secret = _secret(10)
+    assert len(secret) == 44
+    assert secret == key + iv
+    ct, tag = aes_gcm_oracle.gcm_encrypt(key, iv, b"split")
+    assert seal(b"split", secret) == ct + tag
+    assert seal(b"", b"\x00" * 44) == b"".join(aes_gcm_oracle.gcm_encrypt(b"\x00" * 32, b"\x00" * 12, b""))
+
+
 def test_secret_length_validation():
     secret = _secret(0)
     sealed = seal(b"payload", secret)
