@@ -17,6 +17,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from shardvcs.bench import (  # noqa: E402
+    DEFAULT_PULL_OVERHEAD_S,
     calibrate,
     render_report,
     run_pull_bench,
@@ -45,7 +46,7 @@ def main() -> int:
     print(
         f"calibrated fetch profile: {cal.fetch_profile.fixed_overhead_s:.6f} s"
         f" + {cal.fetch_profile.per_mb_s:.6f} s/MB"
-        f" (plus {cal.pull_overhead_s} s modeled pull overhead)"
+        f" (plus {DEFAULT_PULL_OVERHEAD_S} s modeled pull overhead)"
     )
 
     with tempfile.TemporaryDirectory(prefix="shardvcs-repro-") as workdir:
@@ -56,8 +57,7 @@ def main() -> int:
         )
         pull_samples = run_pull_bench(
             sizes, args.repeats, cal.store_profile, cal.fetch_profile,
-            ChainConfig(), start_offset_s=2.0, pull_overhead_s=cal.pull_overhead_s,
-            seed=args.seed, workdir=work / "pull",
+            ChainConfig(), start_offset_s=2.0, seed=args.seed, workdir=work / "pull",
         )
 
     push_csv = out / "push.csv"

@@ -7,7 +7,7 @@ the full protocol on a virtual clock under those profiles, recording one
 sample per (size, repeat) with a per-phase latency breakdown. A fixed seed
 plus the virtual clock makes every run bit-identical.
 
-Pull samples carry a modeled constant (`pull_overhead_s`, default 0.2 s) for
+Pull samples carry a modeled constant (`DEFAULT_PULL_OVERHEAD_S`, 0.2 s) for
 the access view call and share reconstruction; calibration subtracts the
 same constant before fitting the fetch profile, so the two bookkeeping
 choices cancel when comparing against the reference table.
@@ -133,7 +133,6 @@ class CalibrationResult:
     fetch_profile: LatencyProfile
     push_fit: FitResult
     pull_fit: FitResult
-    pull_overhead_s: float
 
 
 def _fit_line(sizes: list[int], times: list[float]) -> FitResult:
@@ -148,20 +147,16 @@ def _fit_line(sizes: list[int], times: list[float]) -> FitResult:
     return FitResult(slope=slope, intercept=intercept, residuals=residuals)
 
 
-def calibrate(
-    reference: ReferenceTable = EMBEDDED_REFERENCE,
-    pull_overhead_s: float = DEFAULT_PULL_OVERHEAD_S,
-) -> CalibrationResult:
+def calibrate(reference: ReferenceTable = EMBEDDED_REFERENCE) -> CalibrationResult:
     """Fit store/fetch latency profiles to the reference push/pull columns."""
     sizes = reference.sizes()
     push_fit = _fit_line(sizes, reference.column("system_push_s"))
-    pull_fit = _fit_line(sizes, [t - pull_overhead_s for t in reference.column("system_pull_s")])
+    pull_fit = _fit_line(sizes, [t - DEFAULT_PULL_OVERHEAD_S for t in reference.column("system_pull_s")])
     return CalibrationResult(
         store_profile=LatencyProfile(push_fit.intercept, push_fit.slope),
         fetch_profile=LatencyProfile(pull_fit.intercept, pull_fit.slope),
         push_fit=push_fit,
         pull_fit=pull_fit,
-        pull_overhead_s=pull_overhead_s,
     )
 
 
@@ -295,7 +290,7 @@ def run_push_bench(
         for rep in range(repeats):
             blob = world.rng.randbytes(size * 1_000_000)
             try:
-                result = world.client.push(blob, world.owner, rng=world.rng)
+                result = world.client.push(blob, world.owner)
                 _settle(world, chain_config, result.registration)
                 if result.registration.status != "confirmed":
                     raise BenchError(f"registration {result.registration.status}")
@@ -323,7 +318,6 @@ def run_pull_bench(
     fetch_profile: LatencyProfile,
     chain_config: ChainConfig,
     start_offset_s: float = 2.0,
-    pull_overhead_s: float = DEFAULT_PULL_OVERHEAD_S,
     seed: int | None = 0,
     workdir: str | Path | None = None,
     clock: Clock | None = None,
@@ -344,7 +338,7 @@ def run_pull_bench(
         for rep in range(repeats):
             blob = world.rng.randbytes(size * 1_000_000)
             try:
-                result = world.client.push(blob, world.owner, rng=world.rng)
+                result = world.client.push(blob, world.owner)
                 due = world.chain.due_at(result.registration.tx_id)
                 if due is None:
                     raise BenchError("registration settled before the pull could be scheduled")
@@ -361,13 +355,13 @@ def run_pull_bench(
             except Exception as exc:
                 raise BenchError(f"pull sample size={size} repeat={rep} failed: {exc}") from exc
             phases = dict(report.phases)
-            phases["access_s"] += pull_overhead_s  # modeled view-call + reconstruction cost
+            phases["access_s"] += DEFAULT_PULL_OVERHEAD_S  # modeled view-call + reconstruction cost
             samples.append(
                 BenchSample(
                     operation="pull",
                     size_mb=size,
                     repeat_index=rep,
-                    user_perceived_s=report.total_s + pull_overhead_s,
+                    user_perceived_s=report.total_s + DEFAULT_PULL_OVERHEAD_S,
                     phases=phases,
                     path_used=report.path_used,
                 )

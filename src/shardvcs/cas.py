@@ -84,6 +84,19 @@ class LatencyProfile:
 ZERO_LATENCY = LatencyProfile(0.0, 0.0)
 
 
+def write_atomic(path: Path, data: bytes) -> None:
+    """Write the whole file or leave the old one: a temp file beside it, then a rename."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 class BlobStore:
     """Disk-backed content-addressed store standing in for a remote gateway."""
 
@@ -102,7 +115,10 @@ class BlobStore:
         self.clock = clock if clock is not None else RealClock()
         self.capacity_bytes = capacity_bytes
         self._lock = threading.Lock()
-        self._used_bytes = sum(p.stat().st_size for p in self.root.glob("??/*"))
+        # Only the capacity check reads the byte count, so only a capped store stats its tree.
+        self._used_bytes = (
+            sum(p.stat().st_size for p in self.root.glob("??/*")) if capacity_bytes is not None else 0
+        )
 
     def _path(self, cid: Cid) -> Path:
         hexd = cid.digest.hex()
@@ -119,15 +135,7 @@ class BlobStore:
                         f"store capacity {self.capacity_bytes} B exceeded by blob of {len(blob)} B"
                     )
                 path.parent.mkdir(parents=True, exist_ok=True)
-                fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
-                try:
-                    with os.fdopen(fd, "wb") as fh:
-                        fh.write(blob)
-                    os.replace(tmp, path)  # concurrent stores of the same blob converge
-                except BaseException:
-                    if os.path.exists(tmp):
-                        os.unlink(tmp)
-                    raise
+                write_atomic(path, blob)  # concurrent stores of the same blob converge
                 self._used_bytes += len(blob)
         self.clock.sleep(self.store_profile.delay_for(len(blob)))
         return cid

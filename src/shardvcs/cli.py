@@ -21,8 +21,8 @@ from io import BytesIO
 from pathlib import Path
 
 from . import bench as bench_mod
-from .cas import BlobStore, CapacityError, Cid, NotFoundError
-from .clock import Clock, RealClock, VirtualClock
+from .cas import BlobStore, CapacityError, Cid, NotFoundError, write_atomic
+from .clock import Clock
 from .config import HarnessConfig
 from .ledger import AccessDeniedError, Address, ClockModeError, SimulatedChain
 from .middleman import (
@@ -107,11 +107,9 @@ def _open_world(args) -> _World:
     chain_path = state_dir / "chain.json"
     saved = json.loads(chain_path.read_text()) if chain_path.exists() else None
 
-    if cfg.clock == "virtual":
-        start = saved["clock_time"] if saved and saved.get("clock_time") is not None else 0.0
-        clock: Clock = VirtualClock(start=start)
-    else:
-        clock = RealClock()
+    clock = cfg.make_clock()
+    if clock.is_virtual and saved and saved.get("clock_time") is not None:
+        clock.advance_to(saved["clock_time"])
 
     rng = random.Random(args.seed) if getattr(args, "seed", None) is not None else None
     cas = BlobStore(state_dir / "cas", cfg.store_profile(), cfg.fetch_profile(), clock)
@@ -140,9 +138,9 @@ def _save_world(world: _World) -> None:
             "clock_time": world.clock.now() if world.clock.is_virtual else None,
             "chain": world.chain.snapshot(),
         }
-        (world.state_dir / "chain.json").write_text(json.dumps(snap))
+        write_atomic(world.state_dir / "chain.json", json.dumps(snap).encode())
         if world.cache_is_embedded:
-            (world.state_dir / "middleman.json").write_text(json.dumps(world.middleman.snapshot()))
+            write_atomic(world.state_dir / "middleman.json", json.dumps(world.middleman.snapshot()).encode())
     finally:
         if not world.cache_is_embedded:
             world.middleman.close()
@@ -214,9 +212,8 @@ def _cmd_advance(args) -> int:
 
 
 def _cmd_serve_middleman(args) -> int:
-    ttl = args.ttl_s if args.ttl_s is not None else DEFAULT_TTL_S
-    server = MiddlemanServer(ShareCache(ttl_s=ttl), port=args.port)
-    print(f"middleman listening on {server.url} (ttl {ttl}s)", flush=True)
+    server = MiddlemanServer(ShareCache(ttl_s=args.ttl_s), port=args.port)
+    print(f"middleman listening on {server.url} (ttl {args.ttl_s}s)", flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -240,9 +237,7 @@ def _cmd_bench(args) -> int:
     if args.operation == "push":
         samples = bench_mod.run_push_bench(**common)
     else:
-        samples = bench_mod.run_pull_bench(
-            start_offset_s=args.offset, pull_overhead_s=cfg.pull_overhead_s, **common
-        )
+        samples = bench_mod.run_pull_bench(start_offset_s=args.offset, **common)
     csv_text = bench_mod.samples_to_csv(samples)
     if args.csv:
         Path(args.csv).write_text(csv_text)
@@ -258,7 +253,7 @@ def _cmd_calibrate(args) -> int:
         if args.reference
         else bench_mod.EMBEDDED_REFERENCE
     )
-    result = bench_mod.calibrate(reference, pull_overhead_s=args.pull_overhead)
+    result = bench_mod.calibrate(reference)
     print(
         f"store profile: fixed {result.store_profile.fixed_overhead_s:.6f} s"
         f" + {result.store_profile.per_mb_s:.6f} s/MB"
@@ -267,7 +262,7 @@ def _cmd_calibrate(args) -> int:
     print(
         f"fetch profile: fixed {result.fetch_profile.fixed_overhead_s:.6f} s"
         f" + {result.fetch_profile.per_mb_s:.6f} s/MB"
-        f" (after subtracting {result.pull_overhead_s} s pull overhead)"
+        f" (after subtracting {bench_mod.DEFAULT_PULL_OVERHEAD_S} s pull overhead)"
     )
     print(f"  pull residuals: {['%.4f' % r for r in result.pull_fit.residuals]}")
     if args.write_config:
@@ -276,7 +271,6 @@ def _cmd_calibrate(args) -> int:
             store_per_mb_s=result.store_profile.per_mb_s,
             fetch_fixed_s=result.fetch_profile.fixed_overhead_s,
             fetch_per_mb_s=result.fetch_profile.per_mb_s,
-            pull_overhead_s=result.pull_overhead_s,
         )
         Path(args.write_config).write_text(cfg.to_text())
         print(f"wrote calibrated config to {args.write_config}")
@@ -331,7 +325,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("serve-middleman", help="run the share-cache HTTP service")
     p.add_argument("--port", type=int, default=DEFAULT_PORT)
-    p.add_argument("--ttl-s", type=float, default=None)
+    p.add_argument("--ttl-s", type=float, default=DEFAULT_TTL_S)
     p.set_defaults(func=_cmd_serve_middleman)
 
     p = sub.add_parser("bench", help="run the latency benchmark and emit CSV")
@@ -346,7 +340,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("calibrate", help="fit latency profiles to the reference table")
     p.add_argument("--reference", default=None, help="CSV reference table file")
-    p.add_argument("--pull-overhead", type=float, default=bench_mod.DEFAULT_PULL_OVERHEAD_S)
     p.add_argument("--write-config", default=None, help="write a config file with the fitted profiles")
     p.set_defaults(func=_cmd_calibrate)
 

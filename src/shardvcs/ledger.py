@@ -29,7 +29,7 @@ REGISTER_GAS = 206_886
 
 # Modeled cost of a confirmed collaborator grant. Arbitrary positive
 # constant: no measured figure exists for this operation.
-DEFAULT_ADD_COLLABORATOR_GAS = 50_000
+ADD_COLLABORATOR_GAS = 50_000
 
 PENDING = "pending"
 CONFIRMED = "confirmed"
@@ -81,11 +81,10 @@ class Address:
 
 @dataclass(frozen=True)
 class ChainConfig:
-    """Confirmation-delay sampling rule plus modeled per-operation gas."""
+    """Confirmation-delay sampling rule: uniform between the two bounds."""
 
     confirmation_delay_min_s: float = 12.0
     confirmation_delay_max_s: float = 16.0
-    add_collaborator_gas: int = DEFAULT_ADD_COLLABORATOR_GAS
 
     def __post_init__(self) -> None:
         if self.confirmation_delay_min_s < 0 or self.confirmation_delay_max_s < 0:
@@ -94,8 +93,8 @@ class ChainConfig:
             raise ValueError("confirmation delay min must not exceed max")
 
     @classmethod
-    def constant(cls, delay_s: float, **kw) -> "ChainConfig":
-        return cls(confirmation_delay_min_s=delay_s, confirmation_delay_max_s=delay_s, **kw)
+    def constant(cls, delay_s: float) -> "ChainConfig":
+        return cls(confirmation_delay_min_s=delay_s, confirmation_delay_max_s=delay_s)
 
 
 @dataclass(slots=True)
@@ -195,7 +194,7 @@ class SimulatedChain:
             else:
                 self._collaborators.setdefault(tx.repo, set()).add(tx.collaborator)
                 r.status = CONFIRMED
-                r.gas_used = self.config.add_collaborator_gas
+                r.gas_used = ADD_COLLABORATOR_GAS
         else:  # pragma: no cover - enqueue is the only producer
             raise AssertionError(f"unknown tx kind {tx.kind!r}")
         self._log(r)

@@ -6,8 +6,9 @@ at the middleman cache, escrows one on-chain via a registration transaction,
 and hands the last share back to the owner. It returns without waiting for
 the registration to confirm; the receipt handle settles later.
 
-Pull uses the on-chain share when the chain returns one, and otherwise the
-middleman's copy (the registration is still pending). Two shares rebuild the
+Pull asks the chain once: a confirmed registration returns the on-chain share
+or denies the caller, and a pending or unknown one returns nothing, so the
+pull uses the middleman's copy. Two shares rebuild the
 secret, the blob is fetched (the store re-hashes it against its address), and
 the seal is opened. Every phase duration is measured on the configured clock
 so benchmarks can decompose latency.
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 from . import envelope
 from .cas import BlobStore, Cid, CorruptBlobError
 from .clock import Clock
-from .ledger import AccessDeniedError, Address, SimulatedChain, TxReceipt
+from .ledger import Address, SimulatedChain, TxReceipt
 from .sss import DEFAULT_PARAMS, Share, split, combine
 
 ON_CHAIN = "on-chain"
@@ -88,14 +89,13 @@ class Client:
 
     # -- publish ------------------------------------------------------------
 
-    def push(self, repo_bytes: bytes, owner: Address, rng=None) -> PushResult:
+    def push(self, repo_bytes: bytes, owner: Address) -> PushResult:
         """Seal, store, distribute shares, register; return before confirmation."""
         if not repo_bytes:
             raise ValueError("cannot push an empty repository blob")
-        rng = rng if rng is not None else self.rng
 
         stamps = [self.clock.now()]
-        secret = envelope.generate_secret(rng)
+        secret = envelope.generate_secret(self.rng)
         sealed = envelope.seal(repo_bytes, secret)
         stamps.append(self.clock.now())
 
@@ -103,7 +103,7 @@ class Client:
         stamps.append(self.clock.now())
 
         # Share roles by index: the owner keeps 1, the middleman caches 2, 3 goes on-chain.
-        owner_share, cached_share, escrowed_share = split(secret, DEFAULT_PARAMS, rng)
+        owner_share, cached_share, escrowed_share = split(secret, DEFAULT_PARAMS, self.rng)
         repo = cid.text
         self.middleman.store_share(repo, cached_share.to_text())
         stamps.append(self.clock.now())
@@ -129,18 +129,16 @@ class Client:
         """Fetch, rebuild the secret from two shares, verify, and open the blob."""
         repo = cid.text
 
-        # Access gate: only a confirmed registration can deny. While the
-        # registration is still pending (or unknown) there is no on-chain
-        # owner to consult, so the pull proceeds optimistically.
+        # One view call is both the access gate and the share read: a confirmed
+        # registration returns the share or denies the caller. While the
+        # registration is still pending (or unknown) it returns None, there is
+        # no on-chain owner to consult, and the pull proceeds optimistically
+        # on the middleman's copy.
         stamps = [self.clock.now()]
-        owner = self.chain.registered_owner(repo)
-        access_checked = owner is not None
-        if access_checked and not self.chain.check_access(repo, caller):
-            raise AccessDeniedError(f"{caller.text} has no access to {repo}")
+        remote_text = self.chain.get_on_chain_share(caller, repo)
+        access_checked = remote_text is not None
         stamps.append(self.clock.now())
 
-        # The on-chain share when the chain has one, else the middleman's copy.
-        remote_text = self.chain.get_on_chain_share(caller, repo)
         path_used = ON_CHAIN
         if remote_text is None:
             remote_text = self.middleman.fetch_share(repo)

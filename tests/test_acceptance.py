@@ -224,7 +224,7 @@ def test_acceptance_6_reference_table_reproduction(tmp_path):
     )
     pull_samples = run_pull_bench(
         sizes, 5, cal.store_profile, cal.fetch_profile, ChainConfig(),
-        start_offset_s=2.0, pull_overhead_s=cal.pull_overhead_s, seed=0, workdir=tmp_path / "pull",
+        start_offset_s=2.0, seed=0, workdir=tmp_path / "pull",
     )
     assert all(s.path_used == "on-chain" for s in pull_samples)
 

@@ -51,7 +51,7 @@ def test_reference_table_requires_increasing_sizes():
 
 
 def test_calibrate_matches_independent_least_squares():
-    result = calibrate(EMBEDDED_REFERENCE, pull_overhead_s=0.2)
+    result = calibrate(EMBEDDED_REFERENCE)
     slope, intercept = normal_equations_fit([1, 5, 10, 20], [2.04, 4.19, 6.56, 11.47])
     assert result.push_fit.slope == pytest.approx(slope, abs=1e-9)
     assert result.push_fit.intercept == pytest.approx(intercept, abs=1e-9)
@@ -77,7 +77,7 @@ def test_calibrate_exact_linear_table_has_zero_residuals():
     rows = tuple(
         ReferenceRow(s, 1.0 + 0.5 * s, 0.9 + 0.3 * s, 1.0, 1.0) for s in (1, 2, 4, 8)
     )
-    result = calibrate(ReferenceTable(rows), pull_overhead_s=0.2)
+    result = calibrate(ReferenceTable(rows))
     assert all(abs(r) < 1e-9 for r in result.push_fit.residuals)
     assert all(abs(r) < 1e-9 for r in result.pull_fit.residuals)
     assert result.push_fit.slope == pytest.approx(0.5)

@@ -136,6 +136,14 @@ def test_capacity_cap(tmp_path):
     store.store(b"12345")
 
 
+def test_capacity_counts_blobs_already_on_disk(tmp_path):
+    BlobStore(tmp_path).store(b"x" * 8)  # written by an uncapped store
+    reopened = BlobStore(tmp_path, capacity_bytes=10)
+    with pytest.raises(CapacityError):
+        reopened.store(b"123")
+    reopened.store(b"12")  # 8 + 2 fills the cap exactly
+
+
 def test_disk_layout(tmp_path):
     store = BlobStore(tmp_path)
     cid = store.store(b"layout probe")

@@ -1,11 +1,14 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import zipfile
 
 import pytest
 
+import shardvcs
 from shardvcs.cli import main
 from shardvcs.middleman import HttpShareCache, MiddlemanServer, ShareCache
 
@@ -159,6 +162,7 @@ def test_usage_errors_exit_1(run, tmp_path):
     assert run("bench", "push", "--sizes", "abc", "--repeats", "1")[0] == 1
     assert run("report", str(tmp_path / "missing.csv"))[0] == 1
     assert run("calibrate", "--reference", str(tmp_path / "missing.csv"))[0] == 1
+    assert run("calibrate", "--pull-overhead", "0.3")[0] == 1  # a modeling constant, not a flag
 
 
 def test_protocol_errors_exit_2(run, tmp_path):
@@ -309,3 +313,30 @@ def test_state_survives_failed_command(run, tmp_path):
     assert rc == 3
     after = json.loads((state / "chain.json").read_text())
     assert after["chain"] == before["chain"]  # a denied pull does not mutate the ledger
+
+
+def test_state_write_that_fails_part_way_keeps_previous_state(run, tmp_path):
+    # A second push runs in a child whose file-size limit stops the new, longer
+    # chain.json part-way through its write (EFBIG, with SIGXFSZ ignored).
+    state = tmp_path / "state"
+    cid, share = push_file(run, tmp_path, state)
+    before = (state / "chain.json").read_bytes()
+    second = tmp_path / "second.bin"
+    second.write_bytes(b"second")
+    child = (
+        "import resource, signal, sys\n"
+        "from shardvcs.cli import main\n"
+        "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+        f"resource.setrlimit(resource.RLIMIT_FSIZE, ({len(before)}, {len(before)}))\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(shardvcs.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "push", str(second), "--owner", "alice", "--state-dir", str(state)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1 and "File too large" in proc.stderr, proc.stderr
+    assert (state / "chain.json").read_bytes() == before
+    assert not list(state.rglob(".tmp-*"))
+    rc, out, _ = run("pull", cid, "--as", "alice", "--share", share, "--state-dir", str(state))
+    assert (rc, out) == (0, "hello shard world\n")

@@ -7,7 +7,6 @@ def test_defaults():
     cfg = HarnessConfig()
     assert cfg.clock == "virtual"
     assert cfg.middleman_ttl_s == 24 * 3600.0
-    assert cfg.pull_overhead_s == 0.2 and cfg.add_collaborator_gas == 50_000
     assert cfg.confirmation_delay_min_s == 12.0
     assert cfg.confirmation_delay_max_s == 16.0
 
@@ -24,8 +23,6 @@ def test_parse_full_file():
         confirmation_delay_max_s = 14
         clock = real
         middleman_ttl_s = 3600
-        pull_overhead_s = 0.2
-        add_collaborator_gas = 50000
         """
     )
     assert cfg.store_profile().fixed_overhead_s == 1.62
@@ -33,7 +30,6 @@ def test_parse_full_file():
     assert cfg.chain_config().confirmation_delay_min_s == 14.0
     assert not cfg.make_clock().is_virtual
     assert cfg.middleman_ttl_s == 3600.0
-    assert cfg.chain_config().add_collaborator_gas == 50000
 
 
 def test_unknown_key_is_an_error():
@@ -42,16 +38,19 @@ def test_unknown_key_is_an_error():
     # keys removed from the schema fail the same way, at their line
     with pytest.raises(ValueError, match="line 2: unknown key 'threshold_k'"):
         HarnessConfig.from_text("clock = virtual\nthreshold_k = 2")
+    for key in ("pull_overhead_s", "add_collaborator_gas"):
+        with pytest.raises(ValueError, match=f"line 1: unknown key '{key}'"):
+            HarnessConfig.from_text(f"{key} = 0")
 
 
 def test_bad_value_reports_line():
-    with pytest.raises(ValueError, match="line 2"):
-        HarnessConfig.from_text("clock = virtual\nadd_collaborator_gas = two")
+    with pytest.raises(ValueError, match="line 2: bad value for 'middleman_ttl_s'"):
+        HarnessConfig.from_text("clock = virtual\nmiddleman_ttl_s = two")
 
 
 def test_missing_equals_sign():
     with pytest.raises(ValueError, match="key = value"):
-        HarnessConfig.from_text("add_collaborator_gas 2")
+        HarnessConfig.from_text("middleman_ttl_s 2")
 
 
 def test_bad_clock_kind():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from shardvcs.clock import RealClock, VirtualClock
 from shardvcs.ledger import (
+    ADD_COLLABORATOR_GAS,
     REGISTER_GAS,
     AccessDeniedError,
     Address,
@@ -115,7 +116,7 @@ def test_add_collaborator_flow():
     assert not chain.check_access("repo", BOB)
     chain.advance_clock(14.0)
     assert grant.status == "confirmed"
-    assert grant.gas_used == ChainConfig().add_collaborator_gas
+    assert grant.gas_used == ADD_COLLABORATOR_GAS
     assert chain.check_access("repo", BOB)
     assert chain.get_on_chain_share(BOB, "repo") == "03aa"
 

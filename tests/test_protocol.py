@@ -36,6 +36,27 @@ class CountingCache:
         self.inner.evict(repo)
 
 
+class CountingChain:
+    """SimulatedChain wrapper that counts view calls (one per pull is the budget)."""
+
+    VIEWS = ("registered_owner", "check_access", "get_on_chain_share")
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.views = 0
+
+    def __getattr__(self, name):
+        attr = getattr(self.inner, name)
+        if name not in self.VIEWS:
+            return attr
+
+        def counted(*args):
+            self.views += 1
+            return attr(*args)
+
+        return counted
+
+
 def test_push_validates_inputs(make_world):
     world = make_world()
     with pytest.raises(ValueError):
@@ -104,6 +125,25 @@ def test_pull_after_confirmation_uses_chain_and_skips_middleman(make_world):
     assert report.path_used == ON_CHAIN
     assert report.access_checked is True
     assert counting.fetches == 0
+
+
+def test_pull_asks_the_chain_once(make_world):
+    world = make_world(delay_s=14.0)
+    chain = CountingChain(world.chain)
+    world.client.chain = chain
+    result = world.client.push(b"one question", world.owner)
+    assert chain.views == 0
+
+    _, report = world.client.pull(result.cid, world.owner, result.owner_share)
+    assert (report.path_used, report.access_checked, chain.views) == (MIDDLEMAN, False, 1)
+
+    world.chain.advance_clock(14.0)
+    _, report = world.client.pull(result.cid, world.owner, result.owner_share)
+    assert (report.path_used, report.access_checked, chain.views) == (ON_CHAIN, True, 2)
+
+    with pytest.raises(AccessDeniedError):
+        world.client.pull(result.cid, MALLORY, result.owner_share)
+    assert chain.views == 3
 
 
 def test_pull_by_stranger_denied_before_share_traffic(make_world):
