@@ -10,9 +10,10 @@ on a virtual clock.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import itertools
 import os
-import tempfile
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -84,16 +85,30 @@ class LatencyProfile:
 ZERO_LATENCY = LatencyProfile(0.0, 0.0)
 
 
+_TMP_COUNTER = itertools.count()
+
+
 def write_atomic(path: Path, data: bytes) -> None:
-    """Write the whole file or leave the old one: a temp file beside it, then a rename."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
+    """Write the whole file or leave the old one: a mode-0600 `.tmp-<pid>-<n>` file, then a rename.
+
+    A temp name already taken (say, left by a crash) is skipped. A missing directory raises
+    FileNotFoundError before anything is created.
+    """
+    for n in _TMP_COUNTER:
+        tmp = f"{path.parent}/.tmp-{os.getpid()}-{n}"
+        with contextlib.suppress(FileExistsError):
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+            break
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view) :]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 
@@ -134,8 +149,11 @@ class BlobStore:
                     raise CapacityError(
                         f"store capacity {self.capacity_bytes} B exceeded by blob of {len(blob)} B"
                     )
-                path.parent.mkdir(parents=True, exist_ok=True)
-                write_atomic(path, blob)  # concurrent stores of the same blob converge
+                try:
+                    write_atomic(path, blob)  # concurrent stores of the same blob converge
+                except FileNotFoundError:  # first blob under this prefix
+                    path.parent.mkdir(exist_ok=True)
+                    write_atomic(path, blob)
                 self._used_bytes += len(blob)
         self.clock.sleep(self.store_profile.delay_for(len(blob)))
         return cid

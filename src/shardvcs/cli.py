@@ -12,6 +12,8 @@ Exit codes: 0 success, 1 usage error, 2 protocol error, 3 access denied.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import fcntl
 import json
 import random
 import sys
@@ -99,11 +101,26 @@ class _World:
     cache_is_embedded: bool
 
 
-def _open_world(args) -> _World:
-    cfg = HarnessConfig.from_file(args.config) if args.config else HarnessConfig()
+@contextlib.contextmanager
+def _world(args):
+    """The persisted world, held under an exclusive lock on the state dir and saved on exit.
+
+    Concurrent commands on one state dir run one after another, so none loses another's
+    transactions. The world is saved on failure too, keeping snapshot and receipt log consistent.
+    """
     state_dir = Path(args.state_dir)
     state_dir.mkdir(parents=True, exist_ok=True)
+    with open(state_dir / ".lock", "ab") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
+        world = _open_world(args, state_dir)
+        try:
+            yield world
+        finally:
+            _save_world(world)
 
+
+def _open_world(args, state_dir: Path) -> _World:
+    cfg = HarnessConfig.from_file(args.config) if args.config else HarnessConfig()
     chain_path = state_dir / "chain.json"
     saved = json.loads(chain_path.read_text()) if chain_path.exists() else None
 
@@ -150,13 +167,10 @@ def _save_world(world: _World) -> None:
 
 
 def _cmd_push(args) -> int:
-    world = _open_world(args)
-    try:
+    with _world(args) as world:
         payload = _read_push_payload(args.path)
         owner = _parse_address(args.owner)
         result = world.client.push(payload, owner)
-    finally:
-        _save_world(world)  # keep snapshot and receipt log consistent on failure
     print(f"cid: {result.cid.text}")
     print(f"owner-share: {result.owner_share.to_text()}")
     print(f"registration: {result.registration.tx_id} {result.registration.status}")
@@ -165,14 +179,11 @@ def _cmd_push(args) -> int:
 
 
 def _cmd_pull(args) -> int:
-    world = _open_world(args)
-    try:
+    with _world(args) as world:
         cid = Cid.from_text(args.cid)
         caller = _parse_address(getattr(args, "as"))
         held = Share.from_text(args.share)
         plaintext, report = world.client.pull(cid, caller, held)
-    finally:
-        _save_world(world)
     if args.out:
         Path(args.out).write_bytes(plaintext)
     else:
@@ -187,23 +198,17 @@ def _cmd_pull(args) -> int:
 
 
 def _cmd_grant(args) -> int:
-    world = _open_world(args)
-    try:
+    with _world(args) as world:
         receipt = world.client.add_collaborator(
             _parse_address(args.owner), Cid.from_text(args.cid), _parse_address(args.to)
         )
-    finally:
-        _save_world(world)
     print(f"grant: {receipt.tx_id} {receipt.status}")
     return EXIT_OK
 
 
 def _cmd_advance(args) -> int:
-    world = _open_world(args)
-    try:
+    with _world(args) as world:
         settled = world.chain.advance_clock(args.seconds)
-    finally:
-        _save_world(world)
     print(f"advanced {args.seconds}s; settled {len(settled)} transaction(s)")
     for r in settled:
         reason = f" ({r.rejection_reason})" if r.rejection_reason else ""

@@ -8,6 +8,10 @@ to the secret itself and is never issued.
     shares = split(secret, ThresholdParams(k=2, n=3), rng)
     assert combine(shares[:2]) == secret
 
+Table-driven: `bytes.translate` with a multiply-by-c table scales a whole string
+at once, and XOR of the strings as integers adds them. The draws are k-1
+`rng.randrange(256)` per secret byte in byte order, so a seed fixes the shares.
+
 `combine` interpolates with exactly the shares it is given. It cannot detect a
 forged payload at a valid index; integrity is the job of the authenticated
 encryption layer above.
@@ -21,36 +25,21 @@ from typing import Sequence
 
 _SYSTEM_RNG = random.SystemRandom()
 
-# GF(256) exp/log tables over generator 3.
-_EXP = [0] * 512
-_LOG = [0] * 256
 
-
-def _mul_no_tables(a: int, b: int) -> int:
-    # Russian-peasant multiply with 0x11B reduction; only used to build tables.
-    p = 0
-    for _ in range(8):
-        if b & 1:
-            p ^= a
-        carry = a & 0x80
-        a = (a << 1) & 0xFF
-        if carry:
-            a ^= 0x1B
-        b >>= 1
-    return p
-
-
-def _build_tables() -> None:
-    x = 1
+def _exp_log_tables() -> tuple[bytes, list[int]]:
+    # Powers of the generator 3, stored twice over so a sum of two logs needs no mod 255.
+    exp, log, x = bytearray(510), [0] * 256, 1
     for i in range(255):
-        _EXP[i] = x
-        _LOG[x] = i
-        x = _mul_no_tables(x, 3)
-    for i in range(255, 512):
-        _EXP[i] = _EXP[i - 255]
+        exp[i] = exp[i + 255] = x
+        log[x] = i
+        x ^= (x << 1) ^ (0x11B if x & 0x80 else 0)  # x * 3 = x + 2x, reduced by 0x11B
+    return bytes(exp), log
 
 
-_build_tables()
+_EXP, _LOG = _exp_log_tables()
+_LOGS = bytes(_LOG[1:])
+# _MUL[c][b] == gf_mul(c, b): row c sends b = 3^i to 3^(log c + i).
+_MUL = [bytes(256)] + [b"\0" + _LOGS.translate(_EXP[_LOG[c] : _LOG[c] + 256]) for c in range(1, 256)]
 
 
 def gf_mul(a: int, b: int) -> int:
@@ -113,14 +102,6 @@ class Share:
         return cls(index=raw[0], payload=raw[1:])
 
 
-def _eval_poly(coeffs: Sequence[int], x: int) -> int:
-    # Horner's rule; coeffs[0] is the constant term.
-    acc = 0
-    for c in reversed(coeffs):
-        acc = gf_mul(acc, x) ^ c
-    return acc
-
-
 def split(secret: bytes, params: ThresholdParams, rng: random.Random | None = None) -> list[Share]:
     """Split `secret` into n shares, any k of which reconstruct it.
 
@@ -133,12 +114,18 @@ def split(secret: bytes, params: ThresholdParams, rng: random.Random | None = No
     if rng is None:
         rng = _SYSTEM_RNG
 
-    payloads = [bytearray(len(secret)) for _ in range(params.n)]
-    for pos, byte in enumerate(secret):
-        coeffs = [byte] + [rng.randrange(256) for _ in range(params.k - 1)]
-        for i in range(params.n):
-            payloads[i][pos] = _eval_poly(coeffs, i + 1)
-    return [Share(index=i + 1, payload=bytes(payloads[i])) for i in range(params.n)]
+    degree = params.k - 1
+    draws = bytes([rng.randrange(256) for _ in range(degree * len(secret))])
+    # strings[d] holds every byte's degree-d coefficient; the draws are byte-major.
+    strings = [secret] + [draws[d::degree] for d in range(degree)]
+    lower = [int.from_bytes(s, "big") for s in reversed(strings[:-1])]
+    shares = []
+    for x in range(1, params.n + 1):
+        acc, row = strings[-1], _MUL[x]
+        for c in lower:  # Horner's rule on all bytes at once
+            acc = (int.from_bytes(acc.translate(row), "big") ^ c).to_bytes(len(secret), "big")
+        shares.append(Share(index=x, payload=acc))
+    return shares
 
 
 def combine(shares: Sequence[Share], threshold: int | None = None) -> bytes:
@@ -162,20 +149,11 @@ def combine(shares: Sequence[Share], threshold: int | None = None) -> bytes:
         raise ValueError("shares have mismatched payload lengths")
 
     # Lagrange basis at x = 0: l_i = prod_{j != i} x_j / (x_i + x_j), in GF(256).
-    weights = []
-    for i, xi in enumerate(indices):
+    acc = 0
+    for share in shares:
         num, den = 1, 1
-        for j, xj in enumerate(indices):
-            if i == j:
-                continue
-            num = gf_mul(num, xj)
-            den = gf_mul(den, xi ^ xj)
-        weights.append(gf_mul(num, gf_inv(den)))
-
-    secret = bytearray(length)
-    for pos in range(length):
-        acc = 0
-        for w, share in zip(weights, shares):
-            acc ^= gf_mul(w, share.payload[pos])
-        secret[pos] = acc
-    return bytes(secret)
+        for xj in indices:
+            if xj != share.index:
+                num, den = gf_mul(num, xj), gf_mul(den, share.index ^ xj)
+        acc ^= int.from_bytes(share.payload.translate(_MUL[gf_mul(num, gf_inv(den))]), "big")
+    return acc.to_bytes(length, "big")

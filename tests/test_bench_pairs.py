@@ -1,0 +1,100 @@
+"""The pairs runner's parsing and aggregation, on canned `perfbench/run.py` outputs."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+SPECS = [
+    {"name": "push_wall_p50_ms", "unit": "ms", "better": "lower", "bound": 0.2},
+    {"name": "ops_per_s", "unit": "ops/s", "better": "higher", "bound": 0.2},
+]
+
+
+def canned_output(push_ms: float, ops: float, correct: bool = True, commit: str = "abc123") -> str:
+    result = {
+        "correct": correct, "attempted": 400, "failed": 0 if correct else 1,
+        "metrics": {"push_wall_p50_ms": {"value": push_ms, "unit": "ms"},
+                    "ops_per_s": {"value": ops, "unit": "ops/s"}},
+    }
+    return (
+        "# provenance: nproc=2 cpu='Test CPU @ 2.00GHz' python=3.11.7 cryptography=42.0.0"
+        f" commit={commit} workload=fresh-pull-http seed=1 ops_digest=ff00\n"
+        "# fresh-pull-http: end-to-end metrics, ...\n"
+        f"#   push_wall_p50_ms {push_ms:.6f} ms\n"
+        + json.dumps(result) + "\n"
+    )
+
+
+def test_parse_run_reads_provenance_and_json_result():
+    provenance, result = bench_pairs.parse_run(canned_output(0.7, 1500.0))
+    assert provenance["cpu"] == "Test CPU @ 2.00GHz"
+    assert provenance["commit"] == "abc123" and provenance["nproc"] == "2"
+    assert result["correct"] is True
+    assert result["metrics"]["push_wall_p50_ms"]["value"] == 0.7
+    assert bench_pairs.machine_line(provenance) == (
+        "nproc=2 cpu=Test CPU @ 2.00GHz python=3.11.7 cryptography=42.0.0"
+    )
+
+
+def test_parse_run_keeps_a_value_with_spaces():
+    provenance, _ = bench_pairs.parse_run(canned_output(0.7, 1500.0, commit="none (not a git checkout)"))
+    assert provenance["commit"] == "none (not a git checkout)"
+    assert provenance["workload"] == "fresh-pull-http"
+
+
+def test_parse_run_without_result_line_is_an_error():
+    with pytest.raises(ValueError):
+        bench_pairs.parse_run("# provenance: nproc=2\nTraceback (most recent call last):\n")
+
+
+def test_parse_seeds_ranges_and_lists():
+    assert bench_pairs.parse_seeds("1-4") == [1, 2, 3, 4]
+    assert bench_pairs.parse_seeds("7") == [7]
+    assert bench_pairs.parse_seeds("1,3-4,9") == [1, 3, 4, 9]
+
+
+def _runs(tree, pairs):
+    return [
+        {"tree": tree, "seed": seed, "correct": True,
+         "metrics": {"push_wall_p50_ms": push, "ops_per_s": ops}}
+        for seed, (push, ops) in enumerate(pairs, start=1)
+    ]
+
+
+def test_summarize_medians_quartiles_wins_and_bounds():
+    runs = _runs("parent", [(1.0, 100.0), (2.0, 200.0), (3.0, 300.0)])
+    runs += _runs("change", [(0.5, 150.0), (2.5, 150.0), (1.0, 350.0)])
+    summary = bench_pairs.summarize(runs, SPECS)
+
+    push = summary["push_wall_p50_ms"]
+    assert push["parent"] == {"median": 2.0, "q1": 1.5, "q3": 2.5}
+    assert push["change"] == {"median": 1.0, "q1": 0.75, "q3": 1.75}
+    assert (push["pairs"], push["wins"]) == (3, 2)  # seeds 1 and 3 are faster
+    assert push["bound"] == 0.2 and push["better"] == "lower"
+    assert push["median_change_ratio"] == pytest.approx(-0.5)
+    assert push["beats_parent_iqr"] is False  # a 1.0 gain does not exceed the 1.0 spread
+
+    ops = summary["ops_per_s"]
+    assert ops["parent"]["median"] == 200.0 and ops["change"]["median"] == 150.0
+    assert ops["wins"] == 2  # higher is better: seeds 1 and 3
+    assert ops["median_change_ratio"] == pytest.approx(-0.25)
+
+
+def test_summarize_skips_runs_without_metrics_and_single_tree_baselines():
+    runs = _runs("change", [(1.0, 10.0), (3.0, 30.0)])
+    runs.append({"tree": "change", "seed": 3, "correct": False, "metrics": {}})
+    summary = bench_pairs.summarize(runs, SPECS)
+    push = summary["push_wall_p50_ms"]
+    assert push["change"] == {"median": 2.0, "q1": 1.5, "q3": 2.5}
+    assert "parent" not in push and "wins" not in push
+
+    single = bench_pairs.summarize(_runs("change", [(4.0, 40.0)]), SPECS)
+    assert single["push_wall_p50_ms"]["change"] == {"median": 4.0, "q1": 4.0, "q3": 4.0}

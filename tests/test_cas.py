@@ -1,10 +1,14 @@
 import hashlib
+import itertools
+import os
+import stat
 import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shardvcs import cas
 from shardvcs.cas import (
     BlobStore,
     CapacityError,
@@ -12,6 +16,7 @@ from shardvcs.cas import (
     CorruptBlobError,
     LatencyProfile,
     NotFoundError,
+    write_atomic,
 )
 from shardvcs.clock import VirtualClock
 
@@ -176,6 +181,44 @@ def test_concurrent_stores_of_same_blob_converge(tmp_path):
     assert not errors
     assert len(set(results)) == 1
     assert store.fetch(results[0]) == blob
+    assert [p.name for p in tmp_path.rglob(".tmp-*")] == []
+
+
+def test_failed_replace_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypatch):
+    target = tmp_path / "state.json"
+    write_atomic(target, b"old state")
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        write_atomic(target, b"new state")
+    assert target.read_bytes() == b"old state"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["state.json"]
+
+
+def test_new_blobs_and_state_files_are_private(tmp_path):
+    store = BlobStore(tmp_path / "cas")
+    hexd = store.store(b"private blob").digest.hex()
+    state = tmp_path / "chain.json"
+    write_atomic(state, b"{}")
+    for path in (tmp_path / "cas" / hexd[:2] / hexd, state):
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
+
+
+def test_stale_temp_file_from_a_crash_never_fails_a_store(tmp_path, monkeypatch):
+    blob = b"after the crash"
+    hexd = Cid.of(blob).digest.hex()
+    prefix = tmp_path / hexd[:2]
+    prefix.mkdir()
+    stale = [prefix / f".tmp-{os.getpid()}-{n}" for n in range(2)]
+    for path in stale:
+        path.write_bytes(b"torn write")
+    monkeypatch.setattr(cas, "_TMP_COUNTER", itertools.count())  # next names are the stale ones
+    cid = BlobStore(tmp_path).store(blob)
+    assert BlobStore(tmp_path).fetch(cid) == blob
+    assert all(path.read_bytes() == b"torn write" for path in stale)
 
 
 @given(blob=st.binary(min_size=1, max_size=4096))

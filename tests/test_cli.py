@@ -340,3 +340,47 @@ def test_state_write_that_fails_part_way_keeps_previous_state(run, tmp_path):
     assert not list(state.rglob(".tmp-*"))
     rc, out, _ = run("pull", cid, "--as", "alice", "--share", share, "--state-dir", str(state))
     assert (rc, out) == (0, "hello shard world\n")
+
+
+def test_concurrent_pushes_on_one_state_dir_both_keep_their_registration(run, tmp_path):
+    # Each child marks that it has loaded the state dir, then waits up to 2 s for the
+    # other to do the same before it pushes and saves. Unserialized, both load the
+    # same snapshot and the last save drops the other's registration; under the
+    # state-dir lock the second child loads only after the first has saved.
+    state = tmp_path / "state"
+    child = (
+        "import sys, time\n"
+        "from pathlib import Path\n"
+        "from shardvcs import cli, protocol\n"
+        "mine, theirs = Path(sys.argv[1]), Path(sys.argv[2])\n"
+        "real_push = protocol.Client.push\n"
+        "def push(self, *args, **kwargs):\n"
+        "    mine.touch()\n"
+        "    deadline = time.monotonic() + 2.0\n"
+        "    while not theirs.exists() and time.monotonic() < deadline:\n"
+        "        time.sleep(0.01)\n"
+        "    return real_push(self, *args, **kwargs)\n"
+        "protocol.Client.push = push\n"
+        "sys.exit(cli.main(sys.argv[3:]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(shardvcs.__file__))
+    marks = [tmp_path / "loaded-a", tmp_path / "loaded-b"]
+    procs = []
+    for i, owner in enumerate(("alice", "bob")):
+        payload = tmp_path / f"{owner}.bin"
+        payload.write_bytes(f"{owner}'s repository\n".encode())
+        procs.append(subprocess.Popen(
+            [sys.executable, "-c", child, str(marks[i]), str(marks[1 - i]),
+             "push", str(payload), "--owner", owner, "--state-dir", str(state)],
+            env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        ))
+    outputs = [proc.communicate(timeout=60) for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0], outputs
+    rc, out, _ = run("advance", "20", "--state-dir", str(state))
+    assert rc == 0
+    assert "settled 2 transaction(s)" in out
+    for owner, (stdout, _) in zip(("alice", "bob"), outputs):
+        rc, _, err = run("pull", _field(stdout, "cid"), "--as", owner, "--share", _field(stdout, "owner-share"),
+                         "--out", str(tmp_path / f"{owner}.out"), "--state-dir", str(state))
+        assert rc == 0 and "path: on-chain" in err
+        assert (tmp_path / f"{owner}.out").read_bytes() == f"{owner}'s repository\n".encode()

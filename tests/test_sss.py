@@ -169,3 +169,58 @@ def test_single_share_of_k2_split_alone_fails():
     shares = split(b"\x2a" * 44, ThresholdParams(2, 3), random.Random(5))
     with pytest.raises(ReconstructionError):
         combine([shares[1]], threshold=2)
+
+
+GOLDEN_SECRET = bytes([0x00, 0x01, 0x7F, 0x80, 0xFE, 0xFF]) + b"key"
+
+# Shares of GOLDEN_SECRET under random.Random(seed), frozen from the per-byte evaluator
+# that table-driven split replaced; seeded pushes must keep producing exactly these.
+GOLDEN_SHARES = {
+    (2, 3, 0): ["01c5d66b040630f091ce", "0291b45793157a46960c", "0354634317edb5dd62bb"],
+    (2, 3, 1): ["014421fdbc03199aa712", "02884160f81f2892faaf", "03cc61e2c4e2ce6338c4"],
+    (2, 3, 2): ["011c2f5438a862eb096b", "02385d29eb52de70bd5d", "03247302530443f0d14f"],
+    (3, 5, 0): ["01129148ef26281caed5", "02e00f85502c07254996", "03f29fb23ff4d052823a",
+                "04e6c9f603be3b418f3a", "05f459c16c66ec364496"],
+    (3, 5, 1): ["0164bf64b3a508718084", "0208ee2b5ce82ea7dabd", "036c50306fb3d9bd3f40",
+                "043dd244fd64d625a37e", "05596c5fce3f213f4683"],
+    (3, 5, 2): ["013292b46cbdea36fecd", "02808191308555ad24bb", "03b2125adcc640f0bf0f",
+                "04a6d82f2cd186174c14", "05944be4c092934ad7a0"],
+    (1, 1, 0): ["0100017f80feff6b6579"],
+    (1, 1, 1): ["0100017f80feff6b6579"],
+    (1, 1, 2): ["0100017f80feff6b6579"],
+}
+
+
+@pytest.mark.parametrize("k,n,seed", sorted(GOLDEN_SHARES))
+def test_split_matches_golden_shares(k, n, seed):
+    shares = split(GOLDEN_SECRET, ThresholdParams(k, n), random.Random(seed))
+    assert [s.to_text() for s in shares] == GOLDEN_SHARES[(k, n, seed)]
+
+
+def oracle_split(secret: bytes, k: int, n: int, rng: random.Random) -> list[bytes]:
+    # k-1 draws per secret byte in byte order, each polynomial evaluated term by term
+    payloads = [bytearray() for _ in range(n)]
+    for byte in secret:
+        coeffs = [byte] + [rng.randrange(256) for _ in range(k - 1)]
+        for x in range(1, n + 1):
+            y, power = 0, 1
+            for c in coeffs:
+                y ^= oracle_gf_mul(c, power)
+                power = oracle_gf_mul(power, x)
+            payloads[x - 1].append(y)
+    return [bytes(p) for p in payloads]
+
+
+@given(
+    secret=st.binary(min_size=1, max_size=48),
+    kn=st.tuples(st.integers(1, 6), st.integers(1, 8)).map(lambda t: (min(t), max(t))),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_split_matches_independent_oracle_and_draw_order(secret, kn, seed):
+    k, n = kn
+    rng, twin = random.Random(seed), random.Random(seed)
+    shares = split(secret, ThresholdParams(k, n), rng)
+    assert [s.payload for s in shares] == oracle_split(secret, k, n, twin)
+    assert rng.getstate() == twin.getstate()  # same number of draws, so the shared rng stays in step
+
