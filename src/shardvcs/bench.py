@@ -27,12 +27,10 @@ from .ledger import Address, ChainConfig, SimulatedChain
 from .middleman import ShareCache
 from .protocol import PULL_PHASES, PUSH_PHASES, Client
 
+_PUSH_TIMINGS = PUSH_PHASES + ("confirmation_s",)
+_ZERO_PHASES = dict.fromkeys(PUSH_PHASES + PULL_PHASES, 0.0)
 CSV_COLUMNS = (
-    ("operation", "size_mb", "repeat", "user_perceived_s")
-    + PUSH_PHASES
-    + ("confirmation_s",)
-    + PULL_PHASES
-    + ("path_used",)
+    ("operation", "size_mb", "repeat", "user_perceived_s") + _PUSH_TIMINGS + PULL_PHASES + ("path_used",)
 )
 
 # Modeled constant for the pull-only protocol work (access view call and
@@ -52,8 +50,6 @@ class CalibrationError(Exception):
 class CsvParseError(Exception):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
-        self.message = message
 
 
 # -- reference data ----------------------------------------------------------
@@ -174,6 +170,13 @@ class BenchSample:
     path_used: str | None = None
 
 
+def _timings(sample: BenchSample) -> dict[str, float]:
+    """The sample's latency components: its phases, then confirmation_s when set."""
+    if sample.confirmation_s is None:
+        return sample.phases
+    return {**sample.phases, "confirmation_s": sample.confirmation_s}
+
+
 def _cell(value: float | None) -> str:
     return "" if value is None else f"{value:.6f}"
 
@@ -181,10 +184,9 @@ def _cell(value: float | None) -> str:
 def samples_to_csv(samples: list[BenchSample]) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for s in samples:
+        timings = _timings(s)
         cells = [s.operation, str(s.size_mb), str(s.repeat_index), _cell(s.user_perceived_s)]
-        cells += [_cell(s.phases.get(name)) for name in PUSH_PHASES]
-        cells.append(_cell(s.confirmation_s))
-        cells += [_cell(s.phases.get(name)) for name in PULL_PHASES]
+        cells += [_cell(timings.get(name)) for name in CSV_COLUMNS[4:-1]]
         cells.append(s.path_used or "")
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
@@ -203,26 +205,15 @@ def parse_csv(text: str) -> list[BenchSample]:
         cells = raw.split(",")
         if len(cells) != len(CSV_COLUMNS):
             raise CsvParseError(line_no, f"expected {len(CSV_COLUMNS)} cells, got {len(cells)}")
-        row = dict(zip(CSV_COLUMNS, cells))
-        if row["operation"] not in ("push", "pull"):
-            raise CsvParseError(line_no, f"unknown operation {row['operation']!r}")
+        if cells[0] not in ("push", "pull"):
+            raise CsvParseError(line_no, f"unknown operation {cells[0]!r}")
         try:
-            phases = {
-                name: float(row[name])
-                for name in PUSH_PHASES + PULL_PHASES
-                if row[name] != ""
+            timings = {
+                name: float(cell) for name, cell in zip(CSV_COLUMNS[4:-1], cells[4:-1]) if cell != ""
             }
-            samples.append(
-                BenchSample(
-                    operation=row["operation"],
-                    size_mb=int(row["size_mb"]),
-                    repeat_index=int(row["repeat"]),
-                    user_perceived_s=float(row["user_perceived_s"]),
-                    phases=phases,
-                    confirmation_s=float(row["confirmation_s"]) if row["confirmation_s"] != "" else None,
-                    path_used=row["path_used"] or None,
-                )
-            )
+            confirmation_s = timings.pop("confirmation_s", None)
+            head = (cells[0], int(cells[1]), int(cells[2]), float(cells[3]))
+            samples.append(BenchSample(*head, timings, confirmation_s, cells[-1] or None))
         except ValueError as exc:
             raise CsvParseError(line_no, f"bad numeric cell: {exc}") from None
     return samples
@@ -260,13 +251,30 @@ def make_world(
     return BenchWorld(clock, cas, cache, chain, client, rng, Address.from_label("bench-owner"))
 
 
-def _settle(world: BenchWorld, chain_config: ChainConfig, receipt) -> None:
-    if world.clock.is_virtual:
-        world.chain.advance_clock(chain_config.confirmation_delay_max_s)
-    else:
-        while not receipt.settled:
-            world.clock.sleep(0.01)
-            world.chain.pending_count()  # lazy settlement trigger
+def _sweep(op, sample, sizes, repeats, store_profile, fetch_profile, chain_config, seed, workdir, clock):
+    """Call `sample(world, size, repeat, blob)` once per (size, repeat) on one fresh world.
+
+    Each blob is drawn from the world's rng just before its sample runs. With no
+    workdir, the blob store lives in a temporary directory removed afterwards.
+    """
+    if not sizes:
+        raise ValueError("sizes must be non-empty")
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
+    with tempfile.TemporaryDirectory(prefix="shardvcs-bench-") as scratch:
+        root = scratch if workdir is None else workdir
+        world = make_world(store_profile, fetch_profile, chain_config, seed, root, clock)
+        samples = []
+        for size in sizes:
+            for rep in range(repeats):
+                blob = world.rng.randbytes(size * 1_000_000)
+                try:
+                    samples.append(sample(world, size, rep, blob))
+                except BenchError:
+                    raise
+                except Exception as exc:
+                    raise BenchError(f"{op} sample size={size} repeat={rep} failed: {exc}") from exc
+        return samples
 
 
 def run_push_bench(
@@ -280,35 +288,26 @@ def run_push_bench(
     clock: Clock | None = None,
 ) -> list[BenchSample]:
     """One push per (size, repeat); confirmation settles between samples."""
-    if not sizes:
-        raise ValueError("sizes must be non-empty")
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    world = make_world(store_profile, fetch_profile, chain_config, seed, workdir, clock)
-    samples = []
-    for size in sizes:
-        for rep in range(repeats):
-            blob = world.rng.randbytes(size * 1_000_000)
-            try:
-                result = world.client.push(blob, world.owner)
-                _settle(world, chain_config, result.registration)
-                if result.registration.status != "confirmed":
-                    raise BenchError(f"registration {result.registration.status}")
-            except BenchError:
-                raise
-            except Exception as exc:
-                raise BenchError(f"push sample size={size} repeat={rep} failed: {exc}") from exc
-            samples.append(
-                BenchSample(
-                    operation="push",
-                    size_mb=size,
-                    repeat_index=rep,
-                    user_perceived_s=result.user_perceived_duration,
-                    phases=dict(result.phases),
-                    confirmation_s=result.registration.confirmed_at - result.registration.submitted_at,
-                )
-            )
-    return samples
+
+    def sample(world: BenchWorld, size: int, rep: int, blob: bytes) -> BenchSample:
+        result = world.client.push(blob, world.owner)
+        receipt = result.registration
+        if world.clock.is_virtual:
+            world.chain.advance_clock(chain_config.confirmation_delay_max_s)
+        else:
+            while not receipt.settled:
+                world.clock.sleep(0.01)
+                world.chain.pending_count()  # lazy settlement trigger
+        if receipt.status != "confirmed":
+            raise BenchError(f"registration {receipt.status}")
+        return BenchSample(
+            "push", size, rep, result.user_perceived_duration, dict(result.phases),
+            confirmation_s=receipt.confirmed_at - receipt.submitted_at,
+        )
+
+    return _sweep(
+        "push", sample, sizes, repeats, store_profile, fetch_profile, chain_config, seed, workdir, clock
+    )
 
 
 def run_pull_bench(
@@ -328,45 +327,29 @@ def run_pull_bench(
     (exercising the cache fallback); a positive one schedules it after
     (exercising the authoritative path).
     """
-    if not sizes:
-        raise ValueError("sizes must be non-empty")
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    world = make_world(store_profile, fetch_profile, chain_config, seed, workdir, clock)
-    samples = []
-    for size in sizes:
-        for rep in range(repeats):
-            blob = world.rng.randbytes(size * 1_000_000)
-            try:
-                result = world.client.push(blob, world.owner)
-                due = world.chain.due_at(result.registration.tx_id)
-                if due is None:
-                    raise BenchError("registration settled before the pull could be scheduled")
-                target = due + start_offset_s
-                now = world.clock.now()
-                if target < now:
-                    raise BenchError(f"offset {start_offset_s} reaches back before the push returned")
-                world.clock.sleep(target - now)  # virtual clocks advance, real ones wait
-                plaintext, report = world.client.pull(result.cid, world.owner, result.owner_share)
-                if plaintext != blob:
-                    raise BenchError("pulled plaintext does not match the pushed bytes")
-            except BenchError:
-                raise
-            except Exception as exc:
-                raise BenchError(f"pull sample size={size} repeat={rep} failed: {exc}") from exc
-            phases = dict(report.phases)
-            phases["access_s"] += DEFAULT_PULL_OVERHEAD_S  # modeled view-call + reconstruction cost
-            samples.append(
-                BenchSample(
-                    operation="pull",
-                    size_mb=size,
-                    repeat_index=rep,
-                    user_perceived_s=report.total_s + DEFAULT_PULL_OVERHEAD_S,
-                    phases=phases,
-                    path_used=report.path_used,
-                )
-            )
-    return samples
+
+    def sample(world: BenchWorld, size: int, rep: int, blob: bytes) -> BenchSample:
+        result = world.client.push(blob, world.owner)
+        due = world.chain.due_at(result.registration.tx_id)
+        if due is None:
+            raise BenchError("registration settled before the pull could be scheduled")
+        target = due + start_offset_s
+        now = world.clock.now()
+        if target < now:
+            raise BenchError(f"offset {start_offset_s} reaches back before the push returned")
+        world.clock.sleep(target - now)  # virtual clocks advance, real ones wait
+        plaintext, report = world.client.pull(result.cid, world.owner, result.owner_share)
+        if plaintext != blob:
+            raise BenchError("pulled plaintext does not match the pushed bytes")
+        phases = dict(report.phases)
+        phases["access_s"] += DEFAULT_PULL_OVERHEAD_S  # modeled view-call + reconstruction cost
+        return BenchSample(
+            "pull", size, rep, report.total_s + DEFAULT_PULL_OVERHEAD_S, phases, path_used=report.path_used
+        )
+
+    return _sweep(
+        "pull", sample, sizes, repeats, store_profile, fetch_profile, chain_config, seed, workdir, clock
+    )
 
 
 # -- reporting ------------------------------------------------------------------------
@@ -374,10 +357,8 @@ def run_pull_bench(
 
 def largest_phase(sample: BenchSample) -> str:
     """Name of the single largest latency component of one sample."""
-    parts = dict(sample.phases)
-    if sample.confirmation_s is not None:
-        parts["confirmation_s"] = sample.confirmation_s
-    return max(parts, key=lambda name: parts[name])
+    parts = _timings(sample)
+    return max(parts, key=parts.get)
 
 
 def _q(value: float) -> float:
@@ -402,17 +383,14 @@ def summarize(samples: list[BenchSample]) -> list[SizeSummary]:
     for s in samples:
         groups.setdefault((s.operation, s.size_mb), []).append(s)
     out = []
-    for (op, size) in sorted(groups, key=lambda k: (k[0], k[1])):
+    for (op, size) in sorted(groups):
         rows = groups[(op, size)]
         totals = [_q(s.user_perceived_s) for s in rows]
-        phase_names = PUSH_PHASES + ("confirmation_s",) if op == "push" else PULL_PHASES
+        # A missing phase counts as zero; a sample without a confirmation is left out of that mean.
+        timings = [_ZERO_PHASES | _timings(s) for s in rows]
         phase_means = {}
-        for name in phase_names:
-            vals = [
-                _q(s.confirmation_s if name == "confirmation_s" else s.phases.get(name, 0.0))
-                for s in rows
-                if (s.confirmation_s is not None if name == "confirmation_s" else True)
-            ]
+        for name in _PUSH_TIMINGS if op == "push" else PULL_PHASES:
+            vals = [_q(t[name]) for t in timings if name in t]
             if vals:
                 phase_means[name] = statistics.fmean(vals)
         paths: dict[str, int] = {}
@@ -427,7 +405,7 @@ def summarize(samples: list[BenchSample]) -> list[SizeSummary]:
                 mean_s=statistics.fmean(totals),
                 std_s=statistics.stdev(totals) if len(totals) > 1 else 0.0,
                 phase_means=phase_means,
-                largest=max(phase_means, key=lambda n: phase_means[n]) if phase_means else "",
+                largest=max(phase_means, key=phase_means.get) if phase_means else "",
                 paths=paths,
             )
         )

@@ -18,13 +18,11 @@ import json
 import random
 import sys
 import zipfile
-from dataclasses import dataclass
 from io import BytesIO
 from pathlib import Path
 
 from . import bench as bench_mod
 from .cas import BlobStore, CapacityError, Cid, NotFoundError, write_atomic
-from .clock import Clock
 from .config import HarnessConfig
 from .ledger import AccessDeniedError, Address, ClockModeError, SimulatedChain
 from .middleman import (
@@ -90,87 +88,60 @@ def _read_push_payload(path_text: str) -> bytes:
 # -- persistent world --------------------------------------------------------
 
 
-@dataclass
-class _World:
-    cfg: HarnessConfig
-    clock: Clock
-    chain: SimulatedChain
-    middleman: object
-    client: Client
-    state_dir: Path
-    cache_is_embedded: bool
-
-
 @contextlib.contextmanager
 def _world(args):
-    """The persisted world, held under an exclusive lock on the state dir and saved on exit.
+    """A client on the persisted world, held under an exclusive lock on the state dir and saved on exit.
 
     Concurrent commands on one state dir run one after another, so none loses another's
     transactions. The world is saved on failure too, keeping snapshot and receipt log consistent.
+    A remote cache holds its own state; its connection is closed instead.
     """
     state_dir = Path(args.state_dir)
     state_dir.mkdir(parents=True, exist_ok=True)
     with open(state_dir / ".lock", "ab") as lock:
         fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
-        world = _open_world(args, state_dir)
+        cfg = HarnessConfig.from_file(args.config) if args.config else HarnessConfig()
+        chain_path, cache_path = state_dir / "chain.json", state_dir / "middleman.json"
+        saved = json.loads(chain_path.read_text()) if chain_path.exists() else None
+
+        clock = cfg.make_clock()
+        if clock.is_virtual and saved and saved.get("clock_time") is not None:
+            clock.advance_to(saved["clock_time"])
+
+        rng = random.Random(args.seed) if args.seed is not None else None
+        cas = BlobStore(state_dir / "cas", cfg.store_profile(), cfg.fetch_profile(), clock)
+        chain = SimulatedChain(cfg.chain_config(), clock, rng=rng, receipt_log=state_dir / "receipts.jsonl")
+        if saved:
+            chain.restore(saved["chain"])
+
+        if args.middleman_url:
+            middleman = HttpShareCache(args.middleman_url)
+        else:
+            middleman = ShareCache(ttl_s=cfg.middleman_ttl_s, clock=clock)
+            if cache_path.exists():
+                middleman.restore(json.loads(cache_path.read_text()))
+
         try:
-            yield world
+            yield Client(cas, chain, middleman, clock=clock, rng=rng)
         finally:
-            _save_world(world)
-
-
-def _open_world(args, state_dir: Path) -> _World:
-    cfg = HarnessConfig.from_file(args.config) if args.config else HarnessConfig()
-    chain_path = state_dir / "chain.json"
-    saved = json.loads(chain_path.read_text()) if chain_path.exists() else None
-
-    clock = cfg.make_clock()
-    if clock.is_virtual and saved and saved.get("clock_time") is not None:
-        clock.advance_to(saved["clock_time"])
-
-    rng = random.Random(args.seed) if getattr(args, "seed", None) is not None else None
-    cas = BlobStore(state_dir / "cas", cfg.store_profile(), cfg.fetch_profile(), clock)
-    chain = SimulatedChain(cfg.chain_config(), clock, rng=rng, receipt_log=state_dir / "receipts.jsonl")
-    if saved:
-        chain.restore(saved["chain"])
-
-    if getattr(args, "middleman_url", None):
-        middleman = HttpShareCache(args.middleman_url)
-        cache_is_embedded = False
-    else:
-        middleman = ShareCache(ttl_s=cfg.middleman_ttl_s, clock=clock)
-        cache_path = state_dir / "middleman.json"
-        if cache_path.exists():
-            middleman.restore(json.loads(cache_path.read_text()))
-        cache_is_embedded = True
-
-    client = Client(cas, chain, middleman, clock=clock, rng=rng)
-    return _World(cfg, clock, chain, middleman, client, state_dir, cache_is_embedded)
-
-
-def _save_world(world: _World) -> None:
-    """Persist the chain and an embedded cache; close a remote cache's connection."""
-    try:
-        snap = {
-            "clock_time": world.clock.now() if world.clock.is_virtual else None,
-            "chain": world.chain.snapshot(),
-        }
-        write_atomic(world.state_dir / "chain.json", json.dumps(snap).encode())
-        if world.cache_is_embedded:
-            write_atomic(world.state_dir / "middleman.json", json.dumps(world.middleman.snapshot()).encode())
-    finally:
-        if not world.cache_is_embedded:
-            world.middleman.close()
+            try:
+                snap = {"clock_time": clock.now() if clock.is_virtual else None, "chain": chain.snapshot()}
+                write_atomic(chain_path, json.dumps(snap).encode())
+                if not args.middleman_url:
+                    write_atomic(cache_path, json.dumps(middleman.snapshot()).encode())
+            finally:
+                if args.middleman_url:
+                    middleman.close()
 
 
 # -- commands -------------------------------------------------------------------
 
 
 def _cmd_push(args) -> int:
-    with _world(args) as world:
+    with _world(args) as client:
         payload = _read_push_payload(args.path)
         owner = _parse_address(args.owner)
-        result = world.client.push(payload, owner)
+        result = client.push(payload, owner)
     print(f"cid: {result.cid.text}")
     print(f"owner-share: {result.owner_share.to_text()}")
     print(f"registration: {result.registration.tx_id} {result.registration.status}")
@@ -179,11 +150,11 @@ def _cmd_push(args) -> int:
 
 
 def _cmd_pull(args) -> int:
-    with _world(args) as world:
+    with _world(args) as client:
         cid = Cid.from_text(args.cid)
         caller = _parse_address(getattr(args, "as"))
         held = Share.from_text(args.share)
-        plaintext, report = world.client.pull(cid, caller, held)
+        plaintext, report = client.pull(cid, caller, held)
     if args.out:
         Path(args.out).write_bytes(plaintext)
     else:
@@ -198,8 +169,8 @@ def _cmd_pull(args) -> int:
 
 
 def _cmd_grant(args) -> int:
-    with _world(args) as world:
-        receipt = world.client.add_collaborator(
+    with _world(args) as client:
+        receipt = client.add_collaborator(
             _parse_address(args.owner), Cid.from_text(args.cid), _parse_address(args.to)
         )
     print(f"grant: {receipt.tx_id} {receipt.status}")
@@ -207,8 +178,8 @@ def _cmd_grant(args) -> int:
 
 
 def _cmd_advance(args) -> int:
-    with _world(args) as world:
-        settled = world.chain.advance_clock(args.seconds)
+    with _world(args) as client:
+        settled = client.chain.advance_clock(args.seconds)
     print(f"advanced {args.seconds}s; settled {len(settled)} transaction(s)")
     for r in settled:
         reason = f" ({r.rejection_reason})" if r.rejection_reason else ""

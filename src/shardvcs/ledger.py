@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -97,14 +97,17 @@ class ChainConfig:
         return cls(confirmation_delay_min_s=delay_s, confirmation_delay_max_s=delay_s)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, kw_only=True)
 class TxReceipt:
-    """Live handle to a submitted transaction; mutates in place on settlement."""
+    """Live handle to a submitted transaction; mutates in place on settlement.
+
+    Fields are declared in receipt-log key order.
+    """
 
     tx_id: str
-    submitted_at: float
     status: str = PENDING
     gas_used: int = 0
+    submitted_at: float
     confirmed_at: Optional[float] = None
     rejection_reason: Optional[str] = None
 
@@ -113,16 +116,7 @@ class TxReceipt:
         return self.status != PENDING
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "tx_id": self.tx_id,
-                "status": self.status,
-                "gas_used": self.gas_used,
-                "submitted_at": self.submitted_at,
-                "confirmed_at": self.confirmed_at,
-                "rejection_reason": self.rejection_reason,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 @dataclass(slots=True)

@@ -55,8 +55,12 @@ class PushResult:
 @dataclass
 class RetrievalReport:
     path_used: str
-    access_checked: bool
     phases: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def access_checked(self) -> bool:
+        """Whether the chain's access gate ran: it did exactly when its share was used."""
+        return self.path_used == ON_CHAIN
 
     @property
     def total_s(self) -> float:
@@ -136,7 +140,6 @@ class Client:
         # on the middleman's copy.
         stamps = [self.clock.now()]
         remote_text = self.chain.get_on_chain_share(caller, repo)
-        access_checked = remote_text is not None
         stamps.append(self.clock.now())
 
         path_used = ON_CHAIN
@@ -160,12 +163,7 @@ class Client:
             raise IntegrityError(f"sealed blob failed verification: {exc}") from exc
         stamps.append(self.clock.now())
 
-        report = RetrievalReport(
-            path_used=path_used,
-            access_checked=access_checked,
-            phases=_phases(PULL_PHASES, stamps),
-        )
-        return plaintext, report
+        return plaintext, RetrievalReport(path_used, _phases(PULL_PHASES, stamps))
 
     # -- access management ------------------------------------------------------
 

@@ -169,6 +169,35 @@ def test_bench_csv_matches_golden_digest(tmp_path):
     assert digest == "cb18f0aae4aceaac29b4b820d15abdfa093d9796ab7d7b2c15d238721e15e3da"
 
 
+def test_report_matches_golden_digest(tmp_path):
+    # The report over the samples of test_bench_csv_matches_golden_digest;
+    # digest taken before the runners shared one sweep loop.
+    store, fetch = _bench_profiles()
+    args = ([1, 5], 2, store, fetch, ChainConfig())
+    samples = run_push_bench(*args, seed=0, workdir=tmp_path / "push")
+    samples += run_pull_bench(*args, start_offset_s=2.0, seed=0, workdir=tmp_path / "post")
+    samples += run_pull_bench(*args, start_offset_s=-2.0, seed=0, workdir=tmp_path / "pre")
+    digest = hashlib.sha256(render_report(samples).encode()).hexdigest()
+    assert digest == "87ac66a56e5ed2b0076192b21f7dcb57f0a80a6f0b2d6b5d705dc5f003ac40e3"
+
+
+def test_report_counts_missing_phase_as_zero_and_skips_missing_confirmation():
+    header = ",".join(CSV_COLUMNS)
+    text = (
+        header
+        + "\npush,1,0,0.800000,0.100000,,0.300000,0.400000,14.000000,,,,,"
+        + "\npush,1,1,2.600000,0.300000,2.000000,0.100000,0.200000,,,,,,"
+        + "\npull,1,0,1.500000,,,,,,0.400000,,0.900000,0.200000,on-chain\n"
+    )
+    breakdown = render_report(parse_csv(text)).split("== Phase breakdown", 1)[1].splitlines()[1:]
+    # pull share_fetch_s: its one cell is empty, so 0; push store_s: (0 + 2.0) / 2;
+    # push confirmation_s: the mean of the one row that has it
+    assert breakdown == [
+        "pull 1 MB: access_s=0.4000  share_fetch_s=0.0000  blob_fetch_s=0.9000*  decrypt_s=0.2000",
+        "push 1 MB: seal_s=0.2000  store_s=1.0000  middleman_s=0.2000  submit_s=0.3000  confirmation_s=14.0000*",
+    ]
+
+
 def test_csv_header_schema():
     assert samples_to_csv([]).strip() == ",".join(CSV_COLUMNS)
     assert CSV_COLUMNS[0] == "operation"

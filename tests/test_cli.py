@@ -4,7 +4,9 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import zipfile
+from pathlib import Path
 
 import pytest
 
@@ -229,6 +231,33 @@ def test_bench_csv_to_stdout(run):
     assert rc == 0
     assert out.startswith("operation,size_mb,repeat,")
     assert "\npush,1,0," in out
+
+
+def test_bench_removes_its_scratch_store(run, tmp_path, monkeypatch):
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    rc, _, _ = run("bench", "push", "--sizes", "1", "--repeats", "1")
+    assert rc == 0
+    assert list(scratch.iterdir()) == []
+
+
+def test_reproduce_script_writes_the_cli_bench_csvs(run, tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_reference_table.py"
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--repeats", "1", "--out", str(out)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    cfg = tmp_path / "fitted.cfg"
+    assert run("calibrate", "--write-config", str(cfg))[0] == 0
+    for op in ("push", "pull"):
+        rc, csv_text, _ = run(
+            "bench", op, "--sizes", "1,5,10,20", "--repeats", "1", "--seed", "0", "--config", str(cfg)
+        )
+        assert rc == 0
+        assert (out / f"{op}.csv").read_text() == csv_text
 
 
 def test_report_from_stdin(run, tmp_path, monkeypatch):

@@ -195,6 +195,20 @@ def test_receipt_log_jsonl(tmp_path):
     assert json.loads(lines[1])["status"] == "rejected"
 
 
+def test_receipt_log_line_is_pinned(tmp_path):
+    log = tmp_path / "receipts.jsonl"
+    chain, _ = make_chain(receipt_log=log)
+    chain.submit_register(ALICE, "repo", "03aa")
+    chain.submit_register(BOB, "repo", "03bb")
+    chain.advance_clock(14.0)
+    assert log.read_text().splitlines() == [
+        '{"tx_id": "tx-000000", "status": "confirmed", "gas_used": 206886, "submitted_at": 0.0,'
+        ' "confirmed_at": 14.0, "rejection_reason": null}',
+        '{"tx_id": "tx-000001", "status": "rejected", "gas_used": 0, "submitted_at": 0.0,'
+        ' "confirmed_at": 14.0, "rejection_reason": "already-registered"}',
+    ]
+
+
 def test_snapshot_restore_preserves_pending(tmp_path):
     chain, clock = make_chain()
     chain.submit_register(ALICE, "repo", "03aa")
