@@ -238,13 +238,13 @@ def make_world(
     fetch_profile: LatencyProfile,
     chain_config: ChainConfig,
     seed: int | None = 0,
-    workdir: str | Path | None = None,
+    *,
+    workdir: str | Path,
     clock: Clock | None = None,
 ) -> BenchWorld:
     clock = clock if clock is not None else VirtualClock()
     rng = random.Random(seed)
-    root = Path(workdir) if workdir is not None else Path(tempfile.mkdtemp(prefix="shardvcs-bench-"))
-    cas = BlobStore(root, store_profile, fetch_profile, clock)
+    cas = BlobStore(workdir, store_profile, fetch_profile, clock)
     cache = ShareCache(clock=clock)
     chain = SimulatedChain(chain_config, clock=clock, rng=rng)
     client = Client(cas, chain, cache, clock=clock, rng=rng)
@@ -263,7 +263,7 @@ def _sweep(op, sample, sizes, repeats, store_profile, fetch_profile, chain_confi
         raise ValueError("repeats must be >= 1")
     with tempfile.TemporaryDirectory(prefix="shardvcs-bench-") as scratch:
         root = scratch if workdir is None else workdir
-        world = make_world(store_profile, fetch_profile, chain_config, seed, root, clock)
+        world = make_world(store_profile, fetch_profile, chain_config, seed, workdir=root, clock=clock)
         samples = []
         for size in sizes:
             for rep in range(repeats):

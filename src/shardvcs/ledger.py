@@ -7,15 +7,16 @@ submitted, so a submission always succeeds and invalid operations surface
 as rejected receipts after the confirmation delay, the way a real chain
 behaves. View calls are free, instant, and never see half-applied state.
 
-Confirmations are applied lazily: whenever the chain is consulted it first
-settles every pending transaction whose due time has passed, in due-time
-order (submission order breaks ties). On a virtual clock this makes the
-whole lifecycle deterministic and instantaneous to test.
+Confirmations are applied lazily: pending transactions wait in a heap
+ordered by (due time, submission order), and whenever the chain is consulted
+it first pops and settles every one whose due time has passed. On a virtual
+clock this makes the whole lifecycle deterministic and instantaneous to test.
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import threading
 from dataclasses import asdict, dataclass, field
@@ -127,8 +128,6 @@ class _PendingTx:
     repo: str
     share_text: Optional[str]
     collaborator: Optional[Address]
-    due_at: float
-    seq: int
 
 
 class SimulatedChain:
@@ -153,7 +152,8 @@ class SimulatedChain:
         # repo would be most of the memory a registration keeps.
         self._collaborators: dict[str, set[Address]] = {}
         self._shares: dict[str, str] = {}
-        self._pending: list[_PendingTx] = []
+        # Min-heap of (due_at, seq, tx): seq is unique, so tx is never compared.
+        self._pending: list[tuple[float, int, _PendingTx]] = []
         self._next_seq = 0
 
     # -- settlement core ---------------------------------------------------
@@ -169,9 +169,9 @@ class SimulatedChain:
             with self._receipt_log.open("a") as fh:
                 fh.write(receipt.to_json() + "\n")
 
-    def _apply(self, tx: _PendingTx) -> None:
+    def _apply(self, tx: _PendingTx, due_at: float) -> None:
         r = tx.receipt
-        r.confirmed_at = tx.due_at
+        r.confirmed_at = due_at
         if tx.kind == "register":
             if tx.repo in self._owners:
                 r.status = REJECTED
@@ -199,32 +199,19 @@ class SimulatedChain:
     def _sync(self) -> list[TxReceipt]:
         """Settle every pending transaction whose due time has passed."""
         now = self.clock.now()
-        due = [tx for tx in self._pending if tx.due_at <= now]
-        if not due:
-            return []
-        due.sort(key=lambda tx: (tx.due_at, tx.seq))
-        for tx in due:
-            self._apply(tx)
-        settled = {tx.seq for tx in due}
-        self._pending = [tx for tx in self._pending if tx.seq not in settled]
-        return [tx.receipt for tx in due]
+        settled = []
+        while self._pending and self._pending[0][0] <= now:
+            due_at, _, tx = heapq.heappop(self._pending)
+            self._apply(tx, due_at)
+            settled.append(tx.receipt)
+        return settled
 
     def _enqueue(self, kind: str, sender: Address, repo: str,
                  share_text: str | None = None, collaborator: Address | None = None) -> TxReceipt:
         now = self.clock.now()
         receipt = TxReceipt(tx_id=f"tx-{self._next_seq:06d}", submitted_at=now)
-        self._pending.append(
-            _PendingTx(
-                receipt=receipt,
-                kind=kind,
-                sender=sender,
-                repo=repo,
-                share_text=share_text,
-                collaborator=collaborator,
-                due_at=now + self._sample_delay(),
-                seq=self._next_seq,
-            )
-        )
+        tx = _PendingTx(receipt, kind, sender, repo, share_text, collaborator)
+        heapq.heappush(self._pending, (now + self._sample_delay(), self._next_seq, tx))
         self._next_seq += 1
         return receipt
 
@@ -276,9 +263,9 @@ class SimulatedChain:
         confirmation instant without guessing the sampled delay.
         """
         with self._lock:
-            for tx in self._pending:
+            for due_at, _, tx in self._pending:
                 if tx.receipt.tx_id == tx_id:
-                    return tx.due_at
+                    return due_at
             return None
 
     # -- time driver ----------------------------------------------------------
@@ -314,10 +301,10 @@ class SimulatedChain:
                         "share_text": tx.share_text,
                         "collaborator": tx.collaborator.text if tx.collaborator else None,
                         "submitted_at": tx.receipt.submitted_at,
-                        "due_at": tx.due_at,
-                        "seq": tx.seq,
+                        "due_at": due_at,
+                        "seq": seq,
                     }
-                    for tx in self._pending
+                    for due_at, seq, tx in sorted(self._pending, key=lambda entry: entry[1])
                 ],
             }
 
@@ -332,15 +319,14 @@ class SimulatedChain:
                     self._collaborators[repo] = extra
             self._shares = dict(state["shares"])
             self._pending = [
-                _PendingTx(
+                (p["due_at"], p["seq"], _PendingTx(
                     receipt=TxReceipt(tx_id=p["tx_id"], submitted_at=p["submitted_at"]),
                     kind=p["kind"],
                     sender=Address.from_text(p["sender"]),
                     repo=p["repo"],
                     share_text=p["share_text"],
                     collaborator=Address.from_text(p["collaborator"]) if p["collaborator"] else None,
-                    due_at=p["due_at"],
-                    seq=p["seq"],
-                )
+                ))
                 for p in state["pending"]
             ]
+            heapq.heapify(self._pending)

@@ -28,7 +28,8 @@ request starts. Other methods get 501. A connection that sends nothing for
 `IDLE_TIMEOUT_S` is closed. A call that fails on a reused connection before
 any reply byte arrives (the server closed it while idle) is sent once more
 on a fresh connection; every call is idempotent, so the retry is safe. Any
-other failure, a timeout or a malformed reply raises
+other failure, a timeout or a malformed reply (a body that is not a JSON
+object, or a 200 fetch reply without a string ``share``) raises
 `MiddlemanUnavailableError`. `MiddlemanServer.stop` also shuts every open
 connection, so no client keeps talking to a stopped server's cache.
 """
@@ -184,8 +185,6 @@ _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found", 413: "Content Too L
 
 
 class _Handler(socketserver.StreamRequestHandler):
-    cache: ShareCache  # set by MiddlemanServer
-
     # Without this, Nagle's algorithm can hold a small reply until the
     # client's delayed ACK, about 40 ms later.
     disable_nagle_algorithm = True
@@ -244,9 +243,9 @@ class _Handler(socketserver.StreamRequestHandler):
             return 404, {"error": "unknown endpoint"}
         repo = urllib.parse.unquote(target[len("/share/"):])
         if method == "DELETE":
-            self.cache.evict(repo)
+            self.server.cache.evict(repo)
             return 200, {"ok": True}
-        share_text = self.cache.fetch_share(repo)
+        share_text = self.server.cache.fetch_share(repo)
         return (404, {"error": "absent"}) if share_text is None else (200, {"share": share_text})
 
     def _store(self, body: bytes) -> tuple[int, dict]:
@@ -257,22 +256,33 @@ class _Handler(socketserver.StreamRequestHandler):
             repo, share_text = doc.get("cid"), doc.get("share")
             if not isinstance(repo, str) or not isinstance(share_text, str):
                 raise ValueError("cid and share must be strings")
-            self.cache.store_share(repo, share_text)
+            self.server.cache.store_share(repo, share_text)
         except (ValueError, RecursionError) as exc:  # RecursionError: deeply nested JSON
             return 400, {"error": str(exc)}
         return 200, {"ok": True}
 
 
-class _Server(socketserver.ThreadingTCPServer):
-    """Tracks accepted connections so `close_connections` can end them."""
+class MiddlemanServer(socketserver.ThreadingTCPServer):
+    """HTTP front end over a ShareCache; `port=0` picks a free port.
+
+    Each request handler serves `self.server.cache`. Open connections are
+    tracked so that `stop` can end them.
+    """
 
     allow_reuse_address = True  # a restarted server takes its port back at once
     daemon_threads = True
 
-    def __init__(self, address, handler):
-        super().__init__(address, handler)
+    def __init__(self, cache: ShareCache | None = None, host: str = "127.0.0.1", port: int = 0):
+        self.cache = cache if cache is not None else ShareCache()
+        super().__init__((host, port), _Handler)
         self._open: set[socket.socket] = set()
         self._open_lock = threading.Lock()
+        self._thread: threading.Thread | None = None
+
+    @property
+    def url(self) -> str:
+        host, port = self.server_address[:2]
+        return f"http://{host}:{port}"
 
     def process_request(self, request, client_address):
         with self._open_lock:
@@ -284,45 +294,23 @@ class _Server(socketserver.ThreadingTCPServer):
             self._open.discard(request)
         super().shutdown_request(request)
 
-    def close_connections(self) -> None:
-        """Shut every open connection; its handler thread then sees EOF."""
+    def start(self) -> "MiddlemanServer":
+        self._thread = threading.Thread(target=self.serve_forever, args=(_STOP_POLL_S,), daemon=True)
+        self._thread.start()
+        return self
+
+    def stop(self) -> None:
+        """Stop accepting, then shut every open connection; its handler thread then sees EOF."""
+        if self._thread is not None:  # shutdown() would wait forever for a loop never started
+            self.shutdown()
+            self._thread.join()
         with self._open_lock:
             for request in self._open:
                 try:
                     request.shutdown(socket.SHUT_RDWR)
                 except OSError:
                     pass  # the peer already closed it
-
-
-class MiddlemanServer:
-    """HTTP front end over a ShareCache; `port=0` picks a free port."""
-
-    def __init__(self, cache: ShareCache | None = None, host: str = "127.0.0.1", port: int = 0):
-        self.cache = cache if cache is not None else ShareCache()
-        handler = type("BoundHandler", (_Handler,), {"cache": self.cache})
-        self._httpd = _Server((host, port), handler)
-        self._thread: threading.Thread | None = None
-
-    @property
-    def url(self) -> str:
-        host, port = self._httpd.server_address[:2]
-        return f"http://{host}:{port}"
-
-    def start(self) -> "MiddlemanServer":
-        self._thread = threading.Thread(target=self._httpd.serve_forever, args=(_STOP_POLL_S,), daemon=True)
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        """Stop accepting, then end every open connection."""
-        if self._thread is not None:  # shutdown() would wait forever for a loop never started
-            self._httpd.shutdown()
-            self._thread.join()
-        self._httpd.close_connections()
-        self._httpd.server_close()
-
-    def serve_forever(self) -> None:
-        self._httpd.serve_forever()
+        self.server_close()
 
 
 class HttpShareCache:
@@ -396,7 +384,9 @@ class HttpShareCache:
                 if len(raw) < length:
                     raise ValueError("reply body cut short")
                 doc = json.loads(raw or b"{}")
-            except (OSError, ValueError) as exc:
+                if not isinstance(doc, dict):
+                    raise ValueError("reply body is not a JSON object")
+            except (OSError, ValueError, RecursionError) as exc:  # RecursionError: deeply nested JSON
                 self._drop()
                 raise MiddlemanUnavailableError(f"middleman at {self.base_url}: {exc}") from exc
             if not _keep_alive(status_line[1], fields):
@@ -413,6 +403,8 @@ class HttpShareCache:
     def fetch_share(self, repo: str) -> str | None:
         status, doc = self._request("GET", "/share/" + urllib.parse.quote(repo, safe=""))
         if status == 200:
+            if not isinstance(doc.get("share"), str):
+                raise MiddlemanUnavailableError(f"middleman at {self.base_url}: reply has no share string")
             return doc["share"]
         if status == 404:
             return None

@@ -148,10 +148,9 @@ class Client:
             if remote_text is None:
                 raise SharesUnavailableError(f"no counterpart share reachable for {repo}")
             path_used = MIDDLEMAN
-        remote_share = Share.from_text(remote_text)
         try:
-            secret = combine([held_share, remote_share], threshold=2)
-        except ValueError as exc:  # ReconstructionError, duplicate indices, mismatched lengths
+            secret = combine([held_share, Share.from_text(remote_text)], threshold=2)
+        except ValueError as exc:  # a malformed share, ReconstructionError, duplicate indices, mismatched lengths
             raise IntegrityError(f"share reconstruction failed: {exc}") from exc
         stamps.append(self.clock.now())
 

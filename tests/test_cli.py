@@ -14,6 +14,8 @@ import shardvcs
 from shardvcs.cli import main
 from shardvcs.middleman import HttpShareCache, MiddlemanServer, ShareCache
 
+from scripted_middleman import http_reply, scripted_middleman
+
 
 @pytest.fixture
 def run(capsys):
@@ -310,6 +312,16 @@ def test_remote_middleman_down_fails_push(run, tmp_path):
     )
     assert rc == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("body", [b"{}", b'{"share": 5}', b'{"share": "zz"}'])
+def test_pull_from_a_middleman_with_a_malformed_reply_exits_2(run, tmp_path, body):
+    state = tmp_path / "state"
+    cid, share = push_file(run, tmp_path, state)  # still pending: the pull asks the middleman
+    with scripted_middleman([http_reply(body)]) as (url, _):
+        rc, _, err = run("pull", cid, "--as", "alice", "--share", share, "--state-dir", str(state), "--middleman-url", url)
+    assert rc == 2
+    assert err.startswith("error: ")
 
 
 def test_remote_middleman_commands_close_their_connection(run, tmp_path, monkeypatch):

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from shardvcs.clock import RealClock, VirtualClock
 from shardvcs.ledger import (
@@ -14,6 +15,7 @@ from shardvcs.ledger import (
     ChainConfig,
     ClockModeError,
     SimulatedChain,
+    TxReceipt,
 )
 
 from contract_oracle import ACCESS_DENIED, ContractOracle
@@ -313,3 +315,99 @@ def test_property_oracle_equivalence(data):
                     chain.get_on_chain_share(addr, repo)
             else:
                 assert chain.get_on_chain_share(addr, repo) == expected_share
+
+
+_ADDRS = [ALICE, BOB, CAROL]
+_REPOS = ["repo-a", "repo-b", "repo-c"]
+_REASONS = {"register": "already-registered", "add_collaborator": "not-owner"}
+_GAS = {"register": REGISTER_GAS, "add_collaborator": ADD_COLLABORATOR_GAS}
+
+
+class LedgerModel(RuleBasedStateMachine):
+    """The chain beside a model: the oracle plus its own queue of pending operations.
+
+    Unlike the tests above, the clock does not move between submissions, so
+    many transactions are pending at once. The model settles its queue in
+    (due time, submission index) order and predicts every delay with a twin
+    rng that draws `uniform(lo, hi)` once per submission, as the chain does.
+    """
+
+    @initialize(seed=st.integers(0, 2**32 - 1), delays=st.sampled_from([(10.0, 10.0), (5.0, 15.0), (0.5, 3.0)]))
+    def start(self, seed, delays):
+        self.config = ChainConfig(*delays)
+        self.clock = VirtualClock()
+        self.chain_rng, self.twin = random.Random(seed), random.Random(seed)
+        self.chain = SimulatedChain(self.config, self.clock, rng=self.chain_rng)
+        self.oracle = ContractOracle()
+        self.queue: list[tuple[float, int, str, tuple]] = []  # (due, index, kind, oracle args)
+        self.expected: dict[str, str] = {}  # tx_id -> predicted status
+        self.handles: dict[str, TxReceipt] = {}  # tx_id -> live receipt from the current chain
+
+    def _submitted(self, receipt, kind: str, args: tuple) -> None:
+        index = len(self.expected)
+        assert receipt.tx_id == f"tx-{index:06d}"
+        due = self.clock.now() + self.twin.uniform(self.config.confirmation_delay_min_s,
+                                                   self.config.confirmation_delay_max_s)
+        self.queue.append((due, index, kind, args))
+        self.expected[receipt.tx_id] = "pending"
+        self.handles[receipt.tx_id] = receipt
+
+    @rule(sender=st.sampled_from(_ADDRS), repo=st.sampled_from(_REPOS), share=st.sampled_from(["02aa", "03bb"]))
+    def register(self, sender, repo, share):
+        self._submitted(self.chain.submit_register(sender, repo, share), "register", (sender.text, repo, share))
+
+    @rule(repo=st.sampled_from(_REPOS), first=st.sampled_from(_ADDRS), second=st.sampled_from(_ADDRS))
+    def conflicting_registers(self, repo, first, second):
+        self.register(first, repo, "02aa")
+        self.register(second, repo, "03bb")
+
+    @rule(sender=st.sampled_from(_ADDRS), repo=st.sampled_from(_REPOS), collaborator=st.sampled_from(_ADDRS))
+    def add_collaborator(self, sender, repo, collaborator):
+        receipt = self.chain.submit_add_collaborator(sender, repo, collaborator)
+        self._submitted(receipt, "add_collaborator", (sender.text, repo, collaborator.text))
+
+    @rule(dt=st.sampled_from([0.5, 1.0, 2.5, 5.0, 10.0, 16.0]))
+    def advance(self, dt):
+        settled = self.chain.advance_clock(dt)
+        now = self.clock.now()
+        self.queue.sort(key=lambda entry: entry[:2])
+        predicted = []
+        while self.queue and self.queue[0][0] <= now:
+            due, index, kind, args = self.queue.pop(0)
+            status = getattr(self.oracle, kind)(*args)
+            tx_id = f"tx-{index:06d}"
+            self.expected[tx_id] = status
+            confirmed = status == "confirmed"
+            predicted.append((tx_id, status, None if confirmed else _REASONS[kind], _GAS[kind] if confirmed else 0, due))
+        assert [(r.tx_id, r.status, r.rejection_reason, r.gas_used, r.confirmed_at) for r in settled] == predicted
+
+    @rule()
+    def snapshot_and_restore(self):
+        """Reload into a fresh chain and clock, as each CLI command does."""
+        state = json.loads(json.dumps(self.chain.snapshot()))
+        self.clock = VirtualClock(start=self.clock.now())
+        self.chain = SimulatedChain(self.config, self.clock, rng=self.chain_rng)
+        self.chain.restore(state)
+        assert self.chain.snapshot() == state
+        self.handles = {}  # the old chain's receipts no longer settle
+
+    @invariant()
+    def agrees_with_the_oracle(self):
+        assert self.chain.pending_count() == len(self.queue)
+        for tx_id, receipt in self.handles.items():
+            assert receipt.status == self.expected[tx_id], tx_id
+        for repo in _REPOS:
+            owner = self.chain.registered_owner(repo)
+            assert (owner.text if owner else None) == self.oracle.owners.get(repo)
+            for addr in _ADDRS:
+                assert self.chain.check_access(repo, addr) == self.oracle.check_access(repo, addr.text)
+                expected_share = self.oracle.get_share(addr.text, repo)
+                if expected_share is ACCESS_DENIED:
+                    with pytest.raises(AccessDeniedError):
+                        self.chain.get_on_chain_share(addr, repo)
+                else:
+                    assert self.chain.get_on_chain_share(addr, repo) == expected_share
+
+
+LedgerModel.TestCase.settings = settings(max_examples=150, stateful_step_count=30, deadline=None)
+TestLedgerModel = LedgerModel.TestCase

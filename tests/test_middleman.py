@@ -1,4 +1,3 @@
-import contextlib
 import http.client
 import json
 import random
@@ -26,6 +25,8 @@ from shardvcs.middleman import (
     ShareCache,
 )
 from shardvcs.sss import ReconstructionError, Share, ThresholdParams, combine, split
+
+from scripted_middleman import http_reply, scripted_middleman
 
 
 def test_store_fetch_roundtrip():
@@ -443,33 +444,6 @@ def test_pipelined_requests_get_replies_in_order(server, byte_by_byte):
     assert second.startswith(b"200 ") and second.endswith(b'{"share": "02aa"}')
 
 
-@contextlib.contextmanager
-def _scripted_middleman(replies: list[bytes]):
-    """Answer the first request of the i-th connection with replies[i], then close it."""
-    accepted = []
-    with socket.create_server(("127.0.0.1", 0)) as listener:
-
-        def serve() -> None:
-            for reply in replies:
-                conn, _ = listener.accept()
-                with conn:
-                    accepted.append(conn)
-                    head = b""
-                    while b"\r\n\r\n" not in head:
-                        head += conn.recv(65536)
-                    conn.sendall(reply)
-
-        thread = threading.Thread(target=serve, daemon=True)
-        thread.start()
-        yield "http://127.0.0.1:%d" % listener.getsockname()[1], accepted
-        thread.join(timeout=5)
-        assert not thread.is_alive()
-
-
-def _http_reply(body: bytes) -> bytes:
-    return b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
-
-
 @pytest.mark.parametrize(
     "bad_reply",
     [
@@ -478,10 +452,14 @@ def _http_reply(body: bytes) -> bytes:
         pytest.param(b'HTTP/1.1 OK\r\nContent-Length: 17\r\n\r\n{"share": "02aa"}', id="bad-status-line"),
         pytest.param(b"garbage\r\n\r\n", id="not-http"),
         pytest.param(b'HTTP/1.1 200 OK\r\nContent-Length: 40\r\n\r\n{"share": "02aa"}', id="body-cut-short"),
+        pytest.param(http_reply(b"{}"), id="no-share"),
+        pytest.param(http_reply(b"[1]"), id="not-an-object"),
+        pytest.param(http_reply(b'{"share": 5}'), id="share-not-a-string"),
+        pytest.param(http_reply(b"[" * 60000), id="deeply-nested"),
     ],
 )
 def test_malformed_reply_raises_and_the_next_call_reconnects(bad_reply):
-    with _scripted_middleman([bad_reply, _http_reply(b'{"share": "02aa"}')]) as (url, accepted):
+    with scripted_middleman([bad_reply, http_reply(b'{"share": "02aa"}')]) as (url, accepted):
         client = HttpShareCache(url, timeout_s=2)
         try:
             with pytest.raises(MiddlemanUnavailableError):
@@ -490,6 +468,17 @@ def test_malformed_reply_raises_and_the_next_call_reconnects(bad_reply):
         finally:
             client.close()
     assert len(accepted) == 2
+
+
+@pytest.mark.parametrize("body", [b"[1]", b'"no"', b"null"])
+def test_refused_store_with_a_non_object_reply_raises_unavailable(body):
+    with scripted_middleman([http_reply(body, b"400 Bad Request")]) as (url, _):
+        client = HttpShareCache(url, timeout_s=2)
+        try:
+            with pytest.raises(MiddlemanUnavailableError):
+                client.store_share("repo", "02aa")
+        finally:
+            client.close()
 
 
 # -- idle connections and stop() ---------------------------------------------------
