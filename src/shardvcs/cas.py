@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import itertools
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -75,8 +76,8 @@ class LatencyProfile:
     per_mb_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.fixed_overhead_s < 0 or self.per_mb_s < 0:
-            raise ValueError("latency profile components must be >= 0")
+        if not all(math.isfinite(v) and v >= 0 for v in (self.fixed_overhead_s, self.per_mb_s)):
+            raise ValueError("latency profile components must be finite and >= 0")
 
     def delay_for(self, nbytes: int) -> float:
         return self.fixed_overhead_s + self.per_mb_s * (nbytes / BYTES_PER_MB)

@@ -7,24 +7,19 @@ simulated deployment. On a virtual clock, `advance` drives settlement; on a
 real clock, confirmations settle as wall time passes.
 
 Exit codes: 0 success, 1 usage error, 2 protocol error, 3 access denied.
+
+Each command imports the layers it uses, so `serve-middleman` starts without
+the envelope's cryptography, the store, the ledger or the benchmark, and the
+exception types that pick an exit code are imported only once one is raised.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import fcntl
-import json
-import random
 import sys
-import zipfile
-from io import BytesIO
 from pathlib import Path
 
-from . import bench as bench_mod
-from .cas import BlobStore, CapacityError, Cid, NotFoundError, write_atomic
-from .config import HarnessConfig
-from .ledger import AccessDeniedError, Address, ClockModeError, SimulatedChain
 from .middleman import (
     DEFAULT_PORT,
     DEFAULT_TTL_S,
@@ -33,24 +28,27 @@ from .middleman import (
     MiddlemanUnavailableError,
     ShareCache,
 )
-from .protocol import Client, ProtocolError
-from .sss import Share
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PROTOCOL = 2
 EXIT_ACCESS = 3
 
-_PROTOCOL_ERRORS = (
-    ProtocolError,
-    NotFoundError,
-    CapacityError,
-    MiddlemanUnavailableError,
-    ClockModeError,
-    bench_mod.BenchError,
-    bench_mod.CalibrationError,
-    bench_mod.CsvParseError,
-)
+
+def _access_errors() -> type[Exception]:
+    from .ledger import AccessDeniedError
+
+    return AccessDeniedError
+
+
+def _protocol_errors() -> tuple[type[Exception], ...]:
+    from . import bench
+    from .cas import CapacityError, NotFoundError
+    from .ledger import ClockModeError
+    from .protocol import ProtocolError
+
+    return (ProtocolError, NotFoundError, CapacityError, MiddlemanUnavailableError, ClockModeError,
+            bench.BenchError, bench.CalibrationError, bench.CsvParseError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,8 +57,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _parse_address(text: str) -> Address:
+def _parse_address(text: str):
     """Accept `0x` + 40 hex strictly; any other string is hashed as a label."""
+    from .ledger import Address
+
     if text.lower().startswith("0x"):
         return Address.from_text(text.lower())
     return Address.from_label(text)
@@ -68,6 +68,9 @@ def _parse_address(text: str) -> Address:
 
 def _archive_directory(root: Path) -> bytes:
     """Deterministic uncompressed zip of a directory tree."""
+    import zipfile
+    from io import BytesIO
+
     buf = BytesIO()
     with zipfile.ZipFile(buf, "w", compression=zipfile.ZIP_STORED) as zf:
         for path in sorted(p for p in root.rglob("*") if p.is_file()):
@@ -96,6 +99,15 @@ def _world(args):
     transactions. The world is saved on failure too, keeping snapshot and receipt log consistent.
     A remote cache holds its own state; its connection is closed instead.
     """
+    import fcntl
+    import json
+    import random
+
+    from .cas import BlobStore, write_atomic
+    from .config import HarnessConfig
+    from .ledger import SimulatedChain
+    from .protocol import Client
+
     state_dir = Path(args.state_dir)
     state_dir.mkdir(parents=True, exist_ok=True)
     with open(state_dir / ".lock", "ab") as lock:
@@ -150,6 +162,9 @@ def _cmd_push(args) -> int:
 
 
 def _cmd_pull(args) -> int:
+    from .cas import Cid
+    from .sss import Share
+
     with _world(args) as client:
         cid = Cid.from_text(args.cid)
         caller = _parse_address(getattr(args, "as"))
@@ -169,6 +184,8 @@ def _cmd_pull(args) -> int:
 
 
 def _cmd_grant(args) -> int:
+    from .cas import Cid
+
     with _world(args) as client:
         receipt = client.add_collaborator(
             _parse_address(args.owner), Cid.from_text(args.cid), _parse_address(args.to)
@@ -194,10 +211,15 @@ def _cmd_serve_middleman(args) -> int:
         server.serve_forever()
     except KeyboardInterrupt:
         pass
+    finally:
+        server.stop()
     return EXIT_OK
 
 
 def _cmd_bench(args) -> int:
+    from . import bench as bench_mod
+    from .config import HarnessConfig
+
     cfg = HarnessConfig.from_file(args.config) if args.config else HarnessConfig()
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     clock = cfg.make_clock()
@@ -224,6 +246,9 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    from . import bench as bench_mod
+    from .config import HarnessConfig
+
     reference = (
         bench_mod.ReferenceTable.from_file(args.reference)
         if args.reference
@@ -254,6 +279,8 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from . import bench as bench_mod
+
     text = sys.stdin.read() if args.csv_file == "-" else Path(args.csv_file).read_text()
     samples = bench_mod.parse_csv(text)
     sys.stdout.write(bench_mod.render_report(samples))
@@ -334,10 +361,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except AccessDeniedError as exc:
+    except _access_errors() as exc:
         print(f"access denied: {exc}", file=sys.stderr)
         return EXIT_ACCESS
-    except _PROTOCOL_ERRORS as exc:
+    except _protocol_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PROTOCOL
     except (ValueError, OSError) as exc:

@@ -6,6 +6,7 @@ latency models run in microseconds of wall time.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from typing import Protocol
@@ -33,8 +34,8 @@ class VirtualClock:
             return self._now
 
     def sleep(self, seconds: float) -> None:
-        if seconds < 0:
-            raise ValueError("cannot sleep a negative duration")
+        if not (math.isfinite(seconds) and seconds >= 0):
+            raise ValueError(f"cannot sleep a negative or non-finite duration: {seconds}")
         with self._lock:
             self._now += seconds
 
@@ -42,6 +43,8 @@ class VirtualClock:
         self.sleep(seconds)
 
     def advance_to(self, timestamp: float) -> None:
+        if not math.isfinite(timestamp):
+            raise ValueError(f"cannot go to a non-finite time: {timestamp}")
         with self._lock:
             if timestamp < self._now:
                 raise ValueError(

@@ -13,6 +13,7 @@ is `ledger.ADD_COLLABORATOR_GAS`.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,8 +36,8 @@ class HarnessConfig:
 
     def __post_init__(self) -> None:
         self.make_clock()  # rejects an unknown clock kind
-        if self.middleman_ttl_s <= 0:
-            raise ValueError("middleman_ttl_s must be positive")
+        if not (math.isfinite(self.middleman_ttl_s) and self.middleman_ttl_s > 0):
+            raise ValueError("middleman_ttl_s must be positive and finite")
 
     # -- parsing -------------------------------------------------------------
 
@@ -56,6 +57,8 @@ class HarnessConfig:
                 raise ValueError(f"config line {lineno}: unknown key {key!r}")
             try:
                 values[key] = float(val) if kinds[key] == "float" else val
+                if kinds[key] == "float" and not math.isfinite(values[key]):
+                    raise ValueError  # nan and inf parse as floats
             except ValueError:
                 raise ValueError(f"config line {lineno}: bad value for {key!r}: {val!r}") from None
         return cls(**values)

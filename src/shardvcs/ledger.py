@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+import math
 import threading
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -88,8 +89,9 @@ class ChainConfig:
     confirmation_delay_max_s: float = 16.0
 
     def __post_init__(self) -> None:
-        if self.confirmation_delay_min_s < 0 or self.confirmation_delay_max_s < 0:
-            raise ValueError("confirmation delay bounds must be >= 0")
+        bounds = (self.confirmation_delay_min_s, self.confirmation_delay_max_s)
+        if not all(math.isfinite(v) and v >= 0 for v in bounds):
+            raise ValueError("confirmation delay bounds must be finite and >= 0")
         if self.confirmation_delay_min_s > self.confirmation_delay_max_s:
             raise ValueError("confirmation delay min must not exceed max")
 

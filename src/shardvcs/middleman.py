@@ -37,6 +37,7 @@ connection, so no client keeps talking to a stopped server's cache.
 from __future__ import annotations
 
 import json
+import math
 import re
 import socket
 import socketserver
@@ -76,8 +77,8 @@ class ShareCache:
     """In-process share cache with TTL expiry and last-writer-wins stores."""
 
     def __init__(self, ttl_s: float = DEFAULT_TTL_S, clock: Clock | None = None):
-        if ttl_s <= 0:
-            raise ValueError("ttl must be positive")
+        if not (math.isfinite(ttl_s) and ttl_s > 0):
+            raise ValueError("ttl must be positive and finite")
         self.ttl_s = ttl_s
         self.clock = clock if clock is not None else RealClock()
         self._entries: dict[str, CacheEntry] = {}

@@ -48,6 +48,14 @@ def test_cid_from_text_rejects_bad_forms():
             Cid.from_text(bad)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_latency_profile_rejects_non_finite_components(value):
+    with pytest.raises(ValueError, match="finite"):
+        LatencyProfile(value, 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        LatencyProfile(0.0, value)
+
+
 def test_latency_profile_validation_and_arithmetic():
     with pytest.raises(ValueError):
         LatencyProfile(-0.1, 0.0)

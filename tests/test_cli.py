@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import zipfile
 from pathlib import Path
 
@@ -195,6 +196,53 @@ def test_advance_requires_virtual_clock(run, tmp_path):
     rc, _, err = run("advance", "5", "--config", str(cfg), "--state-dir", str(tmp_path / "s"))
     assert rc == 2
     assert "error:" in err
+
+
+def test_non_finite_config_value_exits_1_at_its_line(run, tmp_path):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("clock = virtual\nconfirmation_delay_min_s = nan\n")
+    src = tmp_path / "f.bin"
+    src.write_bytes(b"x")
+    state = tmp_path / "s"
+    rc, _, err = run("push", str(src), "--owner", "alice", "--config", str(cfg), "--state-dir", str(state))
+    assert rc == 1
+    assert "config line 2: bad value for 'confirmation_delay_min_s'" in err
+    assert not (state / "chain.json").exists()
+
+
+def test_pull_falls_back_to_the_middleman_until_a_real_clock_confirms(run, tmp_path):
+    cfg = tmp_path / "real.cfg"
+    cfg.write_text("clock = real\nconfirmation_delay_min_s = 1.0\nconfirmation_delay_max_s = 1.0\n")
+    state = tmp_path / "state"
+    src = tmp_path / "f.bin"
+    payload = b"confirmed in real time\n"
+    src.write_bytes(payload)
+    world = ("--config", str(cfg), "--state-dir", str(state))
+    pushed_at = time.monotonic()
+    rc, out, _ = run("push", str(src), "--owner", "alice", *world)
+    assert rc == 0
+    pull = ("pull", _field(out, "cid"), "--as", "alice", "--share", _field(out, "owner-share"), *world)
+
+    rc, out, err = run(*pull)
+    assert time.monotonic() - pushed_at < 1.0  # the registration was still pending
+    assert (rc, out.encode()) == (0, payload)
+    assert "path: middleman" in err
+
+    time.sleep(max(0.0, pushed_at + 1.1 - time.monotonic()))
+    rc, out, err = run(*pull)
+    assert (rc, out.encode()) == (0, payload)
+    assert "path: on-chain  access-checked: True" in err
+
+
+def test_serve_middleman_closes_its_socket_on_ctrl_c(run, monkeypatch):
+    def interrupted(self, poll_interval=0.5):
+        raise KeyboardInterrupt
+
+    # a listening socket left open fails this test through conftest's strict ResourceWarning
+    monkeypatch.setattr(MiddlemanServer, "serve_forever", interrupted)
+    rc, out, _ = run("serve-middleman", "--port", "0")
+    assert rc == 0
+    assert "middleman listening on http://127.0.0.1:" in out
 
 
 def test_calibrate_bench_report_pipeline(run, tmp_path):

@@ -23,6 +23,16 @@ def test_virtual_negative_sleep_rejected():
         VirtualClock().sleep(-1.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_virtual_clock_rejects_non_finite_times(value):
+    clock = VirtualClock()
+    with pytest.raises(ValueError):
+        clock.sleep(value)
+    with pytest.raises(ValueError):
+        clock.advance_to(value)
+    assert clock.now() == 0.0
+
+
 def test_virtual_advance_to():
     clock = VirtualClock()
     clock.advance_to(10.0)

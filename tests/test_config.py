@@ -1,6 +1,10 @@
+import dataclasses
+
 import pytest
 
 from shardvcs.config import HarnessConfig
+
+FLOAT_KEYS = [f.name for f in dataclasses.fields(HarnessConfig) if f.type == "float"]
 
 
 def test_defaults():
@@ -46,6 +50,21 @@ def test_unknown_key_is_an_error():
 def test_bad_value_reports_line():
     with pytest.raises(ValueError, match="line 2: bad value for 'middleman_ttl_s'"):
         HarnessConfig.from_text("clock = virtual\nmiddleman_ttl_s = two")
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_value_reports_line(key, value):
+    with pytest.raises(ValueError, match=f"line 2: bad value for '{key}'"):
+        HarnessConfig.from_text(f"clock = virtual\n{key} = {value}")
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_value_is_rejected_by_what_it_configures(key):
+    with pytest.raises(ValueError, match="finite"):
+        cfg = HarnessConfig(**{key: float("nan")})
+        for derive in (cfg.store_profile, cfg.fetch_profile, cfg.chain_config):
+            derive()
 
 
 def test_missing_equals_sign():

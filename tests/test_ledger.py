@@ -51,6 +51,14 @@ def test_chain_config_validation():
         ChainConfig(confirmation_delay_min_s=10.0, confirmation_delay_max_s=5.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_chain_config_rejects_non_finite_bounds(value):
+    with pytest.raises(ValueError, match="finite"):
+        ChainConfig(confirmation_delay_min_s=value, confirmation_delay_max_s=16.0)
+    with pytest.raises(ValueError, match="finite"):
+        ChainConfig(confirmation_delay_min_s=12.0, confirmation_delay_max_s=value)
+
+
 def test_register_lifecycle():
     chain, _ = make_chain(delay=14.0)
     receipt = chain.submit_register(ALICE, "repo-1", "03ab")

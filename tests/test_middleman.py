@@ -57,6 +57,12 @@ def test_malformed_share_rejected():
     assert cache.fetch_share("repo") is None
 
 
+@pytest.mark.parametrize("ttl_s", [0.0, -1.0, float("nan"), float("inf")])
+def test_share_cache_rejects_a_ttl_that_is_not_positive_and_finite(ttl_s):
+    with pytest.raises(ValueError, match="ttl"):
+        ShareCache(ttl_s=ttl_s)
+
+
 def test_ttl_expiry_boundary_is_strict():
     clock = VirtualClock()
     cache = ShareCache(ttl_s=10.0, clock=clock)
