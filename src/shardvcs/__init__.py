@@ -21,7 +21,7 @@ _EXPORTS = {
     "cas": ("BlobStore", "CapacityError", "Cid", "CorruptBlobError", "LatencyProfile", "NotFoundError"),
     "clock": ("Clock", "RealClock", "VirtualClock", "make_clock"),
     "config": ("HarnessConfig",),
-    "envelope": ("DecryptionError", "generate_secret", "seal", "unseal"),
+    "envelope": ("DecryptionError", "SealedPieces", "generate_secret", "seal", "unseal"),
     "ledger": ("AccessDeniedError", "Address", "ChainConfig", "ClockModeError", "REGISTER_GAS", "SimulatedChain",
                "TxReceipt"),
     "middleman": ("HttpShareCache", "MiddlemanServer", "MiddlemanUnavailableError", "ShareCache"),

@@ -2,7 +2,10 @@
 
 Blobs live on disk under their SHA-256 digest (`<root>/<first 2 hex>/<digest>`),
 so identical content is stored once, and every fetched blob is re-hashed
-against its address before it is returned. Store and fetch each carry an
+against its address before it is returned. A store hashes and writes the blob
+in one pass into a `.tmp-<pid>-<n>` file in the store root, because its
+address, and so its prefix directory, is known only at the end; the temp file
+is then renamed into place. Store and fetch each carry an
 independent linear delay (fixed overhead plus a per-megabyte term) charged to
 the configured clock, so a benchmark can model remote-gateway transfer times
 on a virtual clock.
@@ -16,6 +19,7 @@ import itertools
 import math
 import os
 import threading
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -89,22 +93,30 @@ ZERO_LATENCY = LatencyProfile(0.0, 0.0)
 _TMP_COUNTER = itertools.count()
 
 
-def write_atomic(path: Path, data: bytes) -> None:
-    """Write the whole file or leave the old one: a mode-0600 `.tmp-<pid>-<n>` file, then a rename.
+def _create_temp(directory: Path) -> tuple[int, str]:
+    """Open a fresh mode-0600 `.tmp-<pid>-<n>` file in `directory`, skipping names already taken.
 
-    A temp name already taken (say, left by a crash) is skipped. A missing directory raises
+    A name can be taken by a temp file a crash left behind. A missing directory raises
     FileNotFoundError before anything is created.
     """
-    for n in _TMP_COUNTER:
-        tmp = f"{path.parent}/.tmp-{os.getpid()}-{n}"
+    while True:
+        tmp = f"{directory}/.tmp-{os.getpid()}-{next(_TMP_COUNTER)}"
         with contextlib.suppress(FileExistsError):
-            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
-            break
+            return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600), tmp
+
+
+def _write_all(fd: int, data) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view) :]
+
+
+def write_atomic(path: Path, data: bytes) -> None:
+    """Write the whole file or leave the old one: a temp file beside it, then a rename."""
+    fd, tmp = _create_temp(path.parent)
     try:
         try:
-            view = memoryview(data)
-            while view:
-                view = view[os.write(fd, view) :]
+            _write_all(fd, data)
         finally:
             os.close(fd)
         os.replace(tmp, path)
@@ -140,23 +152,47 @@ class BlobStore:
         hexd = cid.digest.hex()
         return self.root / hexd[:2] / hexd
 
-    def store(self, blob: bytes) -> Cid:
-        """Write the blob (idempotent) and charge the modeled upload delay."""
-        cid = Cid.of(blob)
-        path = self._path(cid)
-        with self._lock:
-            if not path.exists():
-                if self.capacity_bytes is not None and self._used_bytes + len(blob) > self.capacity_bytes:
-                    raise CapacityError(
-                        f"store capacity {self.capacity_bytes} B exceeded by blob of {len(blob)} B"
-                    )
-                try:
-                    write_atomic(path, blob)  # concurrent stores of the same blob converge
-                except FileNotFoundError:  # first blob under this prefix
-                    path.parent.mkdir(exist_ok=True)
-                    write_atomic(path, blob)
-                self._used_bytes += len(blob)
-        self.clock.sleep(self.store_profile.delay_for(len(blob)))
+    def store(self, blob: bytes | Iterable) -> Cid:
+        """Write the blob (idempotent) in one pass and charge the modeled upload delay.
+
+        `blob` is bytes or an iterable of bytes-like pieces, such as
+        `envelope.SealedPieces`. Each piece is hashed and written to a temp
+        file in the store root before the next is drawn, so a piece may reuse
+        its predecessor's buffer. Only then is the address known: the temp
+        file is renamed to it, or unlinked when the blob is already stored or
+        would exceed the capacity. A failure part-way leaves no temp file.
+        """
+        pieces = (blob,) if isinstance(blob, (bytes, bytearray, memoryview)) else blob
+        hasher = hashlib.sha256()
+        size = 0
+        fd, tmp = _create_temp(self.root)
+        try:
+            try:
+                for piece in pieces:
+                    hasher.update(piece)
+                    _write_all(fd, piece)
+                    size += len(piece)
+            finally:
+                os.close(fd)
+            cid = Cid(hasher.digest())
+            path = self._path(cid)
+            with self._lock:
+                if not path.exists():
+                    if self.capacity_bytes is not None and self._used_bytes + size > self.capacity_bytes:
+                        raise CapacityError(
+                            f"store capacity {self.capacity_bytes} B exceeded by blob of {size} B"
+                        )
+                    try:
+                        os.replace(tmp, path)  # concurrent stores of the same blob converge
+                    except FileNotFoundError:  # first blob under this prefix
+                        path.parent.mkdir(exist_ok=True)
+                        os.replace(tmp, path)
+                    tmp = None
+                    self._used_bytes += size
+        finally:
+            if tmp is not None:
+                os.unlink(tmp)
+        self.clock.sleep(self.store_profile.delay_for(size))
         return cid
 
     def fetch(self, cid: Cid) -> bytes:

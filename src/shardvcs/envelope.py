@@ -5,18 +5,26 @@ a 12-byte IV. That secret is what the threshold-sharing layer splits; only
 this module knows its key||IV layout. GCM's 16-byte tag is the integrity
 backstop for the whole pipeline: plain secret sharing cannot detect a forged
 share, but a wrong reconstructed secret fails authentication here.
+
+A push seals through `SealedPieces`, which produces the sealed form a piece
+at a time while its consumer hashes and writes it, so no second full-size
+copy of a snapshot is ever built. `seal` gives the same bytes in one call.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 
 from cryptography.exceptions import InvalidTag
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 KEY_LEN = 32
 IV_LEN = 12
 SECRET_LEN = KEY_LEN + IV_LEN
+TAG_LEN = 16
+CHUNK = 1 << 20  # plaintext bytes sealed per piece
 
 _SYSTEM_RNG = random.SystemRandom()
 
@@ -44,6 +52,39 @@ def seal(plaintext: bytes, secret: bytes) -> bytes:
     """Sealed wire form: ciphertext followed by the 16-byte tag (RFC 5116 §5.1)."""
     key, iv = _key_iv(secret, ValueError)
     return AESGCM(key).encrypt(iv, plaintext, None)
+
+
+class SealedPieces:
+    """The sealed form of `plaintext`, made piece by piece as it is iterated.
+
+    `len()` is the sealed length. Iterating yields the ciphertext in pieces of
+    at most CHUNK bytes from one incremental AES-GCM context, then the 16-byte
+    tag; joined, the pieces equal `seal(plaintext, secret)`. Each ciphertext
+    piece is a view of one buffer that the next piece overwrites, so a
+    consumer must be done with a piece, or have copied it, before it draws
+    the next. A plaintext of at most CHUNK bytes is sealed in one call and
+    yielded whole, because the incremental context costs more to set up than
+    one piece saves.
+    """
+
+    def __init__(self, plaintext: bytes, secret: bytes):
+        self._key, self._iv = _key_iv(secret, ValueError)
+        self._plaintext = plaintext
+
+    def __len__(self) -> int:
+        return len(self._plaintext) + TAG_LEN
+
+    def __iter__(self) -> Iterator[bytes | memoryview]:
+        if len(self._plaintext) <= CHUNK:
+            yield AESGCM(self._key).encrypt(self._iv, self._plaintext, None)
+            return
+        encryptor = Cipher(algorithms.AES(self._key), modes.GCM(self._iv)).encryptor()
+        buf = memoryview(bytearray(CHUNK + 15))  # update_into asks for a block less one beyond the input
+        plaintext = memoryview(self._plaintext)
+        for start in range(0, len(plaintext), CHUNK):
+            yield buf[: encryptor.update_into(plaintext[start : start + CHUNK], buf)]
+        encryptor.finalize()
+        yield encryptor.tag
 
 
 def unseal(sealed: bytes, secret: bytes) -> bytes:

@@ -274,6 +274,8 @@ class MiddlemanServer(socketserver.ThreadingTCPServer):
     daemon_threads = True
 
     def __init__(self, cache: ShareCache | None = None, host: str = "127.0.0.1", port: int = 0):
+        if not 0 <= port <= 65535:  # bind() would raise OverflowError
+            raise ValueError(f"port must be 0-65535, got {port}")
         self.cache = cache if cache is not None else ShareCache()
         super().__init__((host, port), _Handler)
         self._open: set[socket.socket] = set()

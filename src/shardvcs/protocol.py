@@ -1,10 +1,13 @@
 """Push/pull orchestration across sealing, sharding, storage, cache, and chain.
 
-Push seals the repository bytes under a fresh secret, stores the sealed blob
-content-addressed, splits the secret into threshold shares, parks one share
-at the middleman cache, escrows one on-chain via a registration transaction,
-and hands the last share back to the owner. It returns without waiting for
-the registration to confirm; the receipt handle settles later.
+Push seals the repository bytes under a fresh secret and stores the sealed
+blob content-addressed in one pass: the store hashes and writes each sealed
+piece as the envelope produces it, so a push holds at most one piece (1 MiB)
+beyond the plaintext, and the sealing time falls in the store phase. It then
+splits the secret into threshold shares, parks one share at the middleman
+cache, escrows one on-chain via a registration transaction, and hands the
+last share back to the owner. It returns without waiting for the
+registration to confirm; the receipt handle settles later.
 
 Pull asks the chain once: a confirmed registration returns the on-chain share
 or denies the caller, and a pending or unknown one returns nothing, so the
@@ -100,7 +103,7 @@ class Client:
 
         stamps = [self.clock.now()]
         secret = envelope.generate_secret(self.rng)
-        sealed = envelope.seal(repo_bytes, secret)
+        sealed = envelope.SealedPieces(repo_bytes, secret)  # sealed as the store draws it
         stamps.append(self.clock.now())
 
         cid = self.cas.store(sealed)

@@ -1,14 +1,16 @@
 import hashlib
 import itertools
 import os
+import random
 import stat
 import threading
 
 import pytest
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shardvcs import cas
+from shardvcs import cas, envelope
 from shardvcs.cas import (
     BlobStore,
     CapacityError,
@@ -149,6 +151,16 @@ def test_capacity_cap(tmp_path):
     store.store(b"12345")
 
 
+def test_capacity_applies_to_piece_sources(tmp_path):
+    store = BlobStore(tmp_path, capacity_bytes=5)
+    store.store(iter([b"123", b"45"]))  # fills the cap
+    with pytest.raises(CapacityError):
+        store.store(iter([b"12345", b"6"]))
+    assert not store.contains(Cid.of(b"123456"))
+    assert list(tmp_path.rglob(".tmp-*")) == []
+    assert store.store(iter([b"1", b"2345"])) == Cid.of(b"12345")  # a duplicate needs no capacity
+
+
 def test_capacity_counts_blobs_already_on_disk(tmp_path):
     BlobStore(tmp_path).store(b"x" * 8)  # written by an uncapped store
     reopened = BlobStore(tmp_path, capacity_bytes=10)
@@ -217,16 +229,39 @@ def test_new_blobs_and_state_files_are_private(tmp_path):
 
 def test_stale_temp_file_from_a_crash_never_fails_a_store(tmp_path, monkeypatch):
     blob = b"after the crash"
-    hexd = Cid.of(blob).digest.hex()
-    prefix = tmp_path / hexd[:2]
-    prefix.mkdir()
-    stale = [prefix / f".tmp-{os.getpid()}-{n}" for n in range(2)]
+    stale = [tmp_path / f".tmp-{os.getpid()}-{n}" for n in range(2)]  # a store's temps live in its root
     for path in stale:
         path.write_bytes(b"torn write")
     monkeypatch.setattr(cas, "_TMP_COUNTER", itertools.count())  # next names are the stale ones
     cid = BlobStore(tmp_path).store(blob)
     assert BlobStore(tmp_path).fetch(cid) == blob
     assert all(path.read_bytes() == b"torn write" for path in stale)
+
+
+def test_sealed_pieces_are_stored_under_the_sha256_of_the_file(tmp_path):
+    rng = random.Random(5)
+    key, iv, plaintext = rng.randbytes(32), rng.randbytes(12), rng.randbytes(3 * envelope.CHUNK + 5)
+    cid = BlobStore(tmp_path).store(envelope.SealedPieces(plaintext, key + iv))
+    on_disk = (tmp_path / cid.digest.hex()[:2] / cid.digest.hex()).read_bytes()
+    assert hashlib.sha256(on_disk).digest() == cid.digest
+    assert on_disk == AESGCM(key).encrypt(iv, plaintext, None)
+
+
+def test_a_piece_source_failing_part_way_leaves_nothing(tmp_path):
+    store = BlobStore(tmp_path, capacity_bytes=100)
+    kept = store.store(b"k" * 40)
+
+    def pieces():
+        yield b"a" * 30
+        yield b"b" * 30
+        raise OSError("source failed")
+
+    with pytest.raises(OSError, match="source failed"):
+        store.store(pieces())
+    assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == [kept.digest.hex()]
+    store.store(b"y" * 60)  # the byte count is unchanged: 40 + 60 fills the cap exactly
+    with pytest.raises(CapacityError):
+        store.store(b"z")
 
 
 @given(blob=st.binary(min_size=1, max_size=4096))

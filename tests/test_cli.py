@@ -168,6 +168,9 @@ def test_usage_errors_exit_1(run, tmp_path):
     assert run("report", str(tmp_path / "missing.csv"))[0] == 1
     assert run("calibrate", "--reference", str(tmp_path / "missing.csv"))[0] == 1
     assert run("calibrate", "--pull-overhead", "0.3")[0] == 1  # a modeling constant, not a flag
+    for port in ("70000", "-1"):
+        rc, _, err = run("serve-middleman", "--port", port)
+        assert (rc, err) == (1, f"usage error: port must be 0-65535, got {port}\n")
 
 
 def test_protocol_errors_exit_2(run, tmp_path):

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shardvcs.envelope import DecryptionError, generate_secret, seal, unseal
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+
+from shardvcs.envelope import CHUNK, DecryptionError, SealedPieces, generate_secret, seal, unseal
 
 import aes_gcm_oracle
 
@@ -22,6 +24,8 @@ def test_bundle_length_validation():
         wrong = b"\x00" * key_len + b"\x00" * iv_len
         with pytest.raises(ValueError):
             seal(b"payload", wrong)
+        with pytest.raises(ValueError):
+            SealedPieces(b"payload", wrong)
         with pytest.raises(DecryptionError):
             unseal(b"\x00" * 16, wrong)
 
@@ -133,6 +137,23 @@ def test_roundtrip_at_benchmark_size():
     b = _secret(7)
     plaintext = random.Random(8).randbytes(32 * 1024 * 1024)
     assert unseal(seal(plaintext, b), b) == plaintext
+
+
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+def test_sealed_pieces_join_to_the_one_shot_seal(n):
+    rng = random.Random(n)
+    key, iv, plaintext = rng.randbytes(32), rng.randbytes(12), rng.randbytes(n)
+    pieces = SealedPieces(plaintext, key + iv)
+    # A ciphertext piece is a view of a buffer the next piece overwrites: copy before collecting.
+    copies = [bytes(piece) for piece in pieces]
+    assert b"".join(copies) == AESGCM(key).encrypt(iv, plaintext, None)
+    assert len(pieces) == n + 16
+    if n <= CHUNK:  # sealed in one call, yielded whole
+        assert [len(c) for c in copies] == [n + 16]
+    else:  # at most one piece beyond the plaintext is held at a time, then the tag
+        assert max(len(c) for c in copies[:-1]) == CHUNK
+        assert len(copies[-1]) == 16
+    assert [bytes(piece) for piece in pieces] == copies  # each iteration seals afresh
 
 
 def test_unseal_shorter_than_tag_fails():

@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shardvcs.cas import CapacityError, Cid, NotFoundError
+from shardvcs.envelope import KEY_LEN
 from shardvcs.ledger import AccessDeniedError, Address
 from shardvcs.protocol import (
     MIDDLEMAN,
@@ -12,7 +14,7 @@ from shardvcs.protocol import (
     IntegrityError,
     SharesUnavailableError,
 )
-from shardvcs.sss import Share
+from shardvcs.sss import Share, combine
 
 BOB = Address.from_label("bob")
 MALLORY = Address.from_label("mallory")
@@ -206,6 +208,22 @@ def test_pull_detects_corrupted_blob(make_world, tmp_path):
     raw = bytearray(path.read_bytes())
     raw[len(raw) // 2] ^= 0x04
     path.write_bytes(bytes(raw))
+    with pytest.raises(IntegrityError):
+        world.client.pull(result.cid, world.owner, result.owner_share)
+
+
+def test_pull_rejects_a_validly_tagged_forgery_by_a_key_holder(make_world):
+    # The middleman copy is unauthenticated, so anyone holding a share (any
+    # granted collaborator) can rebuild key and IV with it. GCM does not
+    # commit to one plaintext: new bytes sealed under that key and IV carry a
+    # valid tag. Only the re-hash against the owner-registered CID binds them.
+    world = make_world()
+    result = world.client.push(b"the owner's repository", world.owner)
+    cached = Share.from_text(world.cache.fetch_share(result.cid.text))
+    secret = combine([result.owner_share, cached], threshold=2)
+    forged = AESGCM(secret[:KEY_LEN]).encrypt(secret[KEY_LEN:], b"forged", None)
+    hexd = result.cid.digest.hex()
+    (world.cas.root / hexd[:2] / hexd).write_bytes(forged)
     with pytest.raises(IntegrityError):
         world.client.pull(result.cid, world.owner, result.owner_share)
 
