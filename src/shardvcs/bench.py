@@ -277,6 +277,17 @@ def _sweep(op, sample, sizes, repeats, store_profile, fetch_profile, chain_confi
         return samples
 
 
+def _sleep_until_due(world: BenchWorld, tx_id: str, offset_s: float) -> float:
+    """Sleep on the world's clock (a virtual one advances, a real one waits) to `offset_s` past the
+    transaction's due time. Returns the time that was left, negative if that instant had passed."""
+    due = world.chain.due_at(tx_id)
+    if due is None:
+        raise BenchError(f"{tx_id} settled before the sample could wait for it")
+    left = due + offset_s - world.clock.now()
+    world.clock.sleep(max(left, 0.0))
+    return left
+
+
 def run_push_bench(
     sizes: list[int],
     repeats: int,
@@ -292,12 +303,8 @@ def run_push_bench(
     def sample(world: BenchWorld, size: int, rep: int, blob: bytes) -> BenchSample:
         result = world.client.push(blob, world.owner)
         receipt = result.registration
-        if world.clock.is_virtual:
-            world.chain.advance_clock(chain_config.confirmation_delay_max_s)
-        else:
-            while not receipt.settled:
-                world.clock.sleep(0.01)
-                world.chain.pending_count()  # lazy settlement trigger
+        _sleep_until_due(world, receipt.tx_id, 0.0)
+        world.chain.pending_count()  # settles what is due
         if receipt.status != "confirmed":
             raise BenchError(f"registration {receipt.status}")
         return BenchSample(
@@ -330,14 +337,8 @@ def run_pull_bench(
 
     def sample(world: BenchWorld, size: int, rep: int, blob: bytes) -> BenchSample:
         result = world.client.push(blob, world.owner)
-        due = world.chain.due_at(result.registration.tx_id)
-        if due is None:
-            raise BenchError("registration settled before the pull could be scheduled")
-        target = due + start_offset_s
-        now = world.clock.now()
-        if target < now:
+        if _sleep_until_due(world, result.registration.tx_id, start_offset_s) < 0:
             raise BenchError(f"offset {start_offset_s} reaches back before the push returned")
-        world.clock.sleep(target - now)  # virtual clocks advance, real ones wait
         plaintext, report = world.client.pull(result.cid, world.owner, result.owner_share)
         if plaintext != blob:
             raise BenchError("pulled plaintext does not match the pushed bytes")

@@ -96,11 +96,14 @@ def _world(args):
     """A client on the persisted world, held under an exclusive lock on the state dir and saved on exit.
 
     Concurrent commands on one state dir run one after another, so none loses another's
-    transactions. The world is saved on failure too, keeping snapshot and receipt log consistent.
+    transactions. The world is saved on failure too: receipts settled here are appended to
+    `receipts.jsonl`, then `chain.json` (clock, chain, cache, log length) is replaced atomically;
+    a load cuts off log lines a crash left past that length, and the chain settles them again.
     A remote cache holds its own state; its connection is closed instead.
     """
     import fcntl
     import json
+    import os
     import random
 
     from .cas import BlobStore, write_atomic
@@ -113,34 +116,41 @@ def _world(args):
     with open(state_dir / ".lock", "ab") as lock:
         fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
         cfg = HarnessConfig.from_file(args.config) if args.config else HarnessConfig()
-        chain_path, cache_path = state_dir / "chain.json", state_dir / "middleman.json"
-        saved = json.loads(chain_path.read_text()) if chain_path.exists() else None
+        state_path, log_path = state_dir / "chain.json", state_dir / "receipts.jsonl"
+        saved = json.loads(state_path.read_text()) if state_path.exists() else {}
+        if "log_bytes" in saved and log_path.exists() and log_path.stat().st_size > saved["log_bytes"]:
+            os.truncate(log_path, saved["log_bytes"])
+        if "cache" not in saved:  # an older state dir keeps its cache in middleman.json
+            old = state_dir / "middleman.json"
+            saved["cache"] = json.loads(old.read_text()) if old.exists() else {}
 
         clock = cfg.make_clock()
-        if clock.is_virtual and saved and saved.get("clock_time") is not None:
+        if clock.is_virtual and saved.get("clock_time") is not None:
             clock.advance_to(saved["clock_time"])
 
         rng = random.Random(args.seed) if args.seed is not None else None
         cas = BlobStore(state_dir / "cas", cfg.store_profile(), cfg.fetch_profile(), clock)
-        chain = SimulatedChain(cfg.chain_config(), clock, rng=rng, receipt_log=state_dir / "receipts.jsonl")
-        if saved:
+        chain = SimulatedChain(cfg.chain_config(), clock, rng=rng)
+        if "chain" in saved:
             chain.restore(saved["chain"])
 
         if args.middleman_url:
             middleman = HttpShareCache(args.middleman_url)
         else:
             middleman = ShareCache(ttl_s=cfg.middleman_ttl_s, clock=clock)
-            if cache_path.exists():
-                middleman.restore(json.loads(cache_path.read_text()))
+            middleman.restore(saved["cache"])
 
         try:
             yield Client(cas, chain, middleman, clock=clock, rng=rng)
         finally:
             try:
-                snap = {"clock_time": clock.now() if clock.is_virtual else None, "chain": chain.snapshot()}
-                write_atomic(chain_path, json.dumps(snap).encode())
-                if not args.middleman_url:
-                    write_atomic(cache_path, json.dumps(middleman.snapshot()).encode())
+                # chain.snapshot() settles what is due, so the state is taken before the log is written
+                state = {"clock_time": clock.now() if clock.is_virtual else None, "chain": chain.snapshot(),
+                         "cache": saved["cache"] if args.middleman_url else middleman.snapshot()}
+                with open(log_path, "ab") as log:
+                    log.write("".join(r.to_json() + "\n" for r in chain.settled).encode())
+                    state["log_bytes"] = log.tell()
+                write_atomic(state_path, json.dumps(state).encode())
             finally:
                 if args.middleman_url:
                     middleman.close()

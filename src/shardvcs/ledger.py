@@ -6,6 +6,7 @@ key share. Transactions are validated when they confirm, not when they are
 submitted, so a submission always succeeds and invalid operations surface
 as rejected receipts after the confirmation delay, the way a real chain
 behaves. View calls are free, instant, and never see half-applied state.
+Settled receipts collect in `settled`; the chain itself writes no files.
 
 Confirmations are applied lazily: pending transactions wait in a heap
 ordered by (due time, submission order), and whenever the chain is consulted
@@ -21,7 +22,6 @@ import json
 import math
 import threading
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 from typing import Optional
 
 from .clock import Clock, RealClock, VirtualClock
@@ -140,14 +140,12 @@ class SimulatedChain:
         config: ChainConfig | None = None,
         clock: Clock | None = None,
         rng=None,
-        receipt_log: str | Path | None = None,
     ):
         import random
 
         self.config = config if config is not None else ChainConfig()
         self.clock = clock if clock is not None else RealClock()
         self._rng = rng if rng is not None else random.Random()
-        self._receipt_log = Path(receipt_log) if receipt_log is not None else None
         self._lock = threading.RLock()
         self._owners: dict[str, Address] = {}
         # Access beyond the owner's, which is implied: a set per registered
@@ -157,6 +155,7 @@ class SimulatedChain:
         # Min-heap of (due_at, seq, tx): seq is unique, so tx is never compared.
         self._pending: list[tuple[float, int, _PendingTx]] = []
         self._next_seq = 0
+        self.settled: list[TxReceipt] = []
 
     # -- settlement core ---------------------------------------------------
 
@@ -165,11 +164,6 @@ class SimulatedChain:
         if lo == hi:
             return lo
         return self._rng.uniform(lo, hi)
-
-    def _log(self, receipt: TxReceipt) -> None:
-        if self._receipt_log is not None:
-            with self._receipt_log.open("a") as fh:
-                fh.write(receipt.to_json() + "\n")
 
     def _apply(self, tx: _PendingTx, due_at: float) -> None:
         r = tx.receipt
@@ -193,7 +187,7 @@ class SimulatedChain:
                 r.gas_used = ADD_COLLABORATOR_GAS
         else:  # pragma: no cover - enqueue is the only producer
             raise AssertionError(f"unknown tx kind {tx.kind!r}")
-        self._log(r)
+        self.settled.append(r)
 
     def _can_access(self, repo: str, user: Address) -> bool:
         return self._owners.get(repo) == user or user in self._collaborators.get(repo, ())

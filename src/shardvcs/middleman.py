@@ -43,7 +43,7 @@ import socket
 import socketserver
 import threading
 import urllib.parse
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .clock import Clock, RealClock
 from .sss import Share
@@ -64,7 +64,6 @@ class MiddlemanUnavailableError(ConnectionError):
 
 @dataclass(frozen=True)
 class CacheEntry:
-    repo: str
     share_text: str
     stored_at: float
     ttl_s: float
@@ -87,7 +86,7 @@ class ShareCache:
     def store_share(self, repo: str, share_text: str) -> None:
         Share.from_text(share_text)  # reject malformed encodings up front
         with self._lock:
-            self._entries[repo] = CacheEntry(repo, share_text, self.clock.now(), self.ttl_s)
+            self._entries[repo] = CacheEntry(share_text, self.clock.now(), self.ttl_s)
 
     def fetch_share(self, repo: str) -> str | None:
         with self._lock:
@@ -112,17 +111,11 @@ class ShareCache:
     # CLI persistence: entries survive process restarts via a JSON snapshot.
     def snapshot(self) -> dict:
         with self._lock:
-            return {
-                r: {"share_text": e.share_text, "stored_at": e.stored_at, "ttl_s": e.ttl_s}
-                for r, e in self._entries.items()
-            }
+            return {r: asdict(e) for r, e in self._entries.items()}
 
     def restore(self, state: dict) -> None:
         with self._lock:
-            self._entries = {
-                r: CacheEntry(r, d["share_text"], d["stored_at"], d["ttl_s"])
-                for r, d in state.items()
-            }
+            self._entries = {r: CacheEntry(**d) for r, d in state.items()}
 
 
 class _FramingError(ValueError):

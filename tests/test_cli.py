@@ -476,3 +476,113 @@ def test_concurrent_pushes_on_one_state_dir_both_keep_their_registration(run, tm
                          "--out", str(tmp_path / f"{owner}.out"), "--state-dir", str(state))
         assert rc == 0 and "path: on-chain" in err
         assert (tmp_path / f"{owner}.out").read_bytes() == f"{owner}'s repository\n".encode()
+
+
+# A child that dies with os._exit(9), as a kill would, right after its chain settles
+# or right before the state file's rename; each patch is run before the CLI starts.
+KILL_AFTER_SETTLEMENT = (
+    "real = ledger.SimulatedChain.advance_clock\n"
+    "def advance(self, seconds):\n"
+    "    real(self, seconds)\n"
+    "    os._exit(9)\n"
+    "ledger.SimulatedChain.advance_clock = advance\n"
+)
+KILL_BEFORE_STATE_REPLACE = (
+    "real = os.replace\n"
+    "def replace(src, dst):\n"
+    "    if str(dst).endswith('chain.json'):\n"
+    "        os._exit(9)\n"
+    "    real(src, dst)\n"
+    "os.replace = replace\n"
+)
+
+
+def _run_killed(patch, *argv):
+    child = "import os, sys\nfrom shardvcs import cli, ledger\n" + patch + "sys.exit(cli.main(sys.argv[1:]))\n"
+    src = os.path.dirname(os.path.dirname(shardvcs.__file__))
+    proc = subprocess.run([sys.executable, "-c", child, *argv], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 9, proc.stderr
+
+
+def _logged_tx_ids(state):
+    return [json.loads(line)["tx_id"] for line in (state / "receipts.jsonl").read_text().splitlines()]
+
+
+def test_kill_after_settlement_before_save_logs_each_receipt_once(run, tmp_path):
+    state = tmp_path / "state"
+    push_file(run, tmp_path, state)
+    _run_killed(KILL_AFTER_SETTLEMENT, "advance", "20", "--state-dir", str(state))
+    rc, out, _ = run("advance", "20", "--state-dir", str(state))
+    assert rc == 0 and "settled 1 transaction(s)" in out  # the killed settlement was never saved
+    assert _logged_tx_ids(state) == ["tx-000000"]
+
+
+def test_kill_between_log_append_and_state_replace_keeps_log_and_state_in_step(run, tmp_path):
+    state = tmp_path / "state"
+    push_file(run, tmp_path, state)
+    _run_killed(KILL_BEFORE_STATE_REPLACE, "advance", "20", "--state-dir", str(state))
+    assert _logged_tx_ids(state) == ["tx-000000"]  # appended, but the state does not account for it
+
+    assert run("advance", "0", "--state-dir", str(state))[0] == 0
+    saved = json.loads((state / "chain.json").read_text())
+    assert [p["tx_id"] for p in saved["chain"]["pending"]] == ["tx-000000"]
+    assert (state / "receipts.jsonl").read_bytes() == b""  # cut back, not padded
+    assert saved["log_bytes"] == 0
+
+    rc, out, _ = run("advance", "20", "--state-dir", str(state))
+    assert rc == 0 and "settled 1 transaction(s)" in out
+    assert _logged_tx_ids(state) == ["tx-000000"]
+    saved = json.loads((state / "chain.json").read_text())
+    assert saved["chain"]["pending"] == [] and saved["log_bytes"] == (state / "receipts.jsonl").stat().st_size
+
+
+def test_local_cache_entry_survives_a_remote_middleman_command(run, tmp_path):
+    state = tmp_path / "state"
+    cid, share = push_file(run, tmp_path, state)
+    other = tmp_path / "other.bin"
+    other.write_bytes(b"pushed through the service\n")
+    server = MiddlemanServer(ShareCache(ttl_s=3600)).start()
+    try:
+        assert run("push", str(other), "--owner", "bob", "--state-dir", str(state), "--middleman-url", server.url)[0] == 0
+    finally:
+        server.stop()
+    assert list(json.loads((state / "chain.json").read_text())["cache"]) == [cid]
+    rc, out, err = run("pull", cid, "--as", "alice", "--share", share, "--state-dir", str(state))
+    assert (rc, out) == (0, "hello shard world\n")
+    assert "path: middleman" in err
+
+
+def test_state_dir_with_a_separate_middleman_json_keeps_its_cache(run, tmp_path):
+    # Older versions kept the cache in middleman.json and wrote chain.json without
+    # "cache" or "log_bytes"; rewrite a state dir into that shape and load it.
+    state = tmp_path / "state"
+    push_file(run, tmp_path, state, b"first\n")
+    assert run("advance", "20", "--state-dir", str(state))[0] == 0
+    cid, share = push_file(run, tmp_path, state, b"second\n", seed=8)
+    saved = json.loads((state / "chain.json").read_text())
+    (state / "middleman.json").write_text(json.dumps(saved.pop("cache")))
+    del saved["log_bytes"]
+    (state / "chain.json").write_text(json.dumps(saved))
+    log = (state / "receipts.jsonl").read_bytes()
+    assert log
+
+    rc, out, err = run("pull", cid, "--as", "alice", "--share", share, "--state-dir", str(state))
+    assert (rc, out) == (0, "second\n")
+    assert "path: middleman" in err
+    assert (state / "receipts.jsonl").read_bytes() == log  # with no recorded length nothing is cut
+    saved = json.loads((state / "chain.json").read_text())
+    assert cid in saved["cache"] and saved["log_bytes"] == len(log)
+
+
+def test_seeded_walkthrough_receipt_log_bytes_are_pinned(run, tmp_path):
+    state = tmp_path / "state"
+    world = ("--state-dir", str(state), "--seed", "7")
+    src = tmp_path / "p.bin"
+    src.write_bytes(b"walkthrough payload\n")
+    rc, out, _ = run("push", str(src), "--owner", "alice", *world)
+    assert rc == 0
+    assert run("grant", _field(out, "cid"), "--owner", "carol", "--to", "dave", *world)[0] == 0
+    assert run("advance", "20", *world)[0] == 0
+    log = (state / "receipts.jsonl").read_bytes()
+    assert hashlib.sha256(log).hexdigest() == "af14d0a5226d29284151057ebae0b4c8db49a1cc3238b9e1782f306eff22dae8"

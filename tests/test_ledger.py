@@ -183,13 +183,12 @@ def test_uniform_delay_fidelity():
     assert max(delays) - min(delays) > 0.5  # actually sampling, not constant
 
 
-def test_receipt_log_jsonl(tmp_path):
-    log = tmp_path / "receipts.jsonl"
-    chain, _ = make_chain(receipt_log=log)
+def test_receipt_log_jsonl():
+    chain, _ = make_chain()
     chain.submit_register(ALICE, "repo", "03aa")
     chain.submit_register(BOB, "repo", "03bb")
     chain.advance_clock(14.0)
-    lines = log.read_text().splitlines()
+    lines = [r.to_json() for r in chain.settled]
     assert len(lines) == 2
     for line in lines:
         doc = json.loads(line)
@@ -201,17 +200,15 @@ def test_receipt_log_jsonl(tmp_path):
             "confirmed_at",
             "rejection_reason",
         }
-    assert json.loads(lines[0])["status"] == "confirmed"
-    assert json.loads(lines[1])["status"] == "rejected"
+    assert [r.status for r in chain.settled] == ["confirmed", "rejected"]
 
 
-def test_receipt_log_line_is_pinned(tmp_path):
-    log = tmp_path / "receipts.jsonl"
-    chain, _ = make_chain(receipt_log=log)
+def test_receipt_log_line_is_pinned():
+    chain, _ = make_chain()
     chain.submit_register(ALICE, "repo", "03aa")
     chain.submit_register(BOB, "repo", "03bb")
     chain.advance_clock(14.0)
-    assert log.read_text().splitlines() == [
+    assert [r.to_json() for r in chain.settled] == [
         '{"tx_id": "tx-000000", "status": "confirmed", "gas_used": 206886, "submitted_at": 0.0,'
         ' "confirmed_at": 14.0, "rejection_reason": null}',
         '{"tx_id": "tx-000001", "status": "rejected", "gas_used": 0, "submitted_at": 0.0,'
