@@ -5,7 +5,8 @@ so identical content is stored once, and every fetched blob is re-hashed
 against its address before it is returned. A store hashes and writes the blob
 in one pass into a `.tmp-<pid>-<n>` file in the store root, because its
 address, and so its prefix directory, is known only at the end; the temp file
-is then renamed into place. Store and fetch each carry an
+is then renamed into place. A fetch reads the blob through one file
+descriptor, normally in one `os.read`. Store and fetch each carry an
 independent linear delay (fixed overhead plus a per-megabyte term) charged to
 the configured clock, so a benchmark can model remote-gateway transfer times
 on a virtual clock.
@@ -111,6 +112,23 @@ def _write_all(fd: int, data) -> None:
         view = view[os.write(fd, view) :]
 
 
+def _read_all(fd: int) -> bytes:
+    """Read a file up to its size at open, or to EOF if it has shrunk since.
+
+    One `os.read` normally returns it all, and joining a single piece returns
+    that piece without a copy; a short read is followed by more reads.
+    """
+    remaining = os.fstat(fd).st_size
+    pieces = []
+    while remaining:
+        piece = os.read(fd, remaining)
+        if not piece:
+            break
+        pieces.append(piece)
+        remaining -= len(piece)
+    return b"".join(pieces)
+
+
 def write_atomic(path: Path, data: bytes) -> None:
     """Write the whole file or leave the old one: a temp file beside it, then a rename."""
     fd, tmp = _create_temp(path.parent)
@@ -148,9 +166,9 @@ class BlobStore:
             sum(p.stat().st_size for p in self.root.glob("??/*")) if capacity_bytes is not None else 0
         )
 
-    def _path(self, cid: Cid) -> Path:
+    def _path(self, cid: Cid) -> str:
         hexd = cid.digest.hex()
-        return self.root / hexd[:2] / hexd
+        return f"{self.root}/{hexd[:2]}/{hexd}"
 
     def store(self, blob: bytes | Iterable) -> Cid:
         """Write the blob (idempotent) in one pass and charge the modeled upload delay.
@@ -177,7 +195,7 @@ class BlobStore:
             cid = Cid(hasher.digest())
             path = self._path(cid)
             with self._lock:
-                if not path.exists():
+                if not os.path.exists(path):
                     if self.capacity_bytes is not None and self._used_bytes + size > self.capacity_bytes:
                         raise CapacityError(
                             f"store capacity {self.capacity_bytes} B exceeded by blob of {size} B"
@@ -185,7 +203,7 @@ class BlobStore:
                     try:
                         os.replace(tmp, path)  # concurrent stores of the same blob converge
                     except FileNotFoundError:  # first blob under this prefix
-                        path.parent.mkdir(exist_ok=True)
+                        os.makedirs(os.path.dirname(path), exist_ok=True)
                         os.replace(tmp, path)
                     tmp = None
                     self._used_bytes += size
@@ -197,15 +215,18 @@ class BlobStore:
 
     def fetch(self, cid: Cid) -> bytes:
         """Return the stored bytes after the modeled download delay and a re-hash."""
-        path = self._path(cid)
         try:
-            blob = path.read_bytes()
+            fd = os.open(self._path(cid), os.O_RDONLY)
         except FileNotFoundError:
             raise NotFoundError(f"no blob stored under {cid.text}") from None
+        try:
+            blob = _read_all(fd)
+        finally:
+            os.close(fd)
         self.clock.sleep(self.fetch_profile.delay_for(len(blob)))
         if Cid.of(blob) != cid:
             raise CorruptBlobError(f"stored blob does not hash to {cid.text}")
         return blob
 
     def contains(self, cid: Cid) -> bool:
-        return self._path(cid).exists()
+        return os.path.exists(self._path(cid))

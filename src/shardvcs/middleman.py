@@ -108,10 +108,11 @@ class ShareCache:
         with self._lock:
             return {r: e.share_text for r, e in self._entries.items() if e.live_at(now)}
 
-    # CLI persistence: entries survive process restarts via a JSON snapshot.
+    # CLI persistence: live entries survive process restarts via a JSON snapshot.
     def snapshot(self) -> dict:
+        now = self.clock.now()
         with self._lock:
-            return {r: asdict(e) for r, e in self._entries.items()}
+            return {r: asdict(e) for r, e in self._entries.items() if e.live_at(now)}
 
     def restore(self, state: dict) -> None:
         with self._lock:

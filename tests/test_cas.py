@@ -238,6 +238,42 @@ def test_stale_temp_file_from_a_crash_never_fails_a_store(tmp_path, monkeypatch)
     assert all(path.read_bytes() == b"torn write" for path in stale)
 
 
+def test_stale_temp_file_from_a_crash_uses_no_capacity(tmp_path):
+    (tmp_path / f".tmp-{os.getpid()}-0").write_bytes(bytes(100))  # a store's temps live in its root
+    store = BlobStore(tmp_path, capacity_bytes=10)
+    cid = store.store(b"ten bytes!")
+    assert store.fetch(cid) == b"ten bytes!"
+
+
+def test_fetch_closes_its_descriptor_on_every_outcome(tmp_path):
+    fd_dir = "/proc/self/fd"
+    if not os.path.isdir(fd_dir):
+        pytest.skip("needs /proc/self/fd to count open descriptors")
+    store = BlobStore(tmp_path)
+    good = store.store(b"kept intact")
+    bad = store.store(b"flipped on disk")
+    bad_path = tmp_path / bad.digest.hex()[:2] / bad.digest.hex()
+    bad_path.write_bytes(b"Flipped on disk")
+    missing = Cid.of(b"never stored")
+    before = len(os.listdir(fd_dir))
+    for _ in range(200):
+        assert store.fetch(good) == b"kept intact"
+        with pytest.raises(NotFoundError):
+            store.fetch(missing)
+        with pytest.raises(CorruptBlobError):
+            store.fetch(bad)
+    assert len(os.listdir(fd_dir)) == before
+
+
+def test_fetch_reads_the_whole_blob_through_short_reads(tmp_path, monkeypatch):
+    store = BlobStore(tmp_path)
+    blob = random.Random(3).randbytes(1000)
+    cid = store.store(blob)
+    real_read = os.read
+    monkeypatch.setattr(cas.os, "read", lambda fd, n: real_read(fd, min(n, 7)))
+    assert store.fetch(cid) == blob
+
+
 def test_sealed_pieces_are_stored_under_the_sha256_of_the_file(tmp_path):
     rng = random.Random(5)
     key, iv, plaintext = rng.randbytes(32), rng.randbytes(12), rng.randbytes(3 * envelope.CHUNK + 5)

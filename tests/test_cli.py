@@ -553,6 +553,14 @@ def test_local_cache_entry_survives_a_remote_middleman_command(run, tmp_path):
     assert "path: middleman" in err
 
 
+def test_expired_cache_entry_is_not_saved(run, tmp_path):
+    state = tmp_path / "state"
+    push_file(run, tmp_path, state)
+    assert json.loads((state / "chain.json").read_text())["cache"] != {}
+    assert run("advance", "90000", "--state-dir", str(state))[0] == 0  # past the 86,400 s TTL
+    assert json.loads((state / "chain.json").read_text())["cache"] == {}
+
+
 def test_state_dir_with_a_separate_middleman_json_keeps_its_cache(run, tmp_path):
     # Older versions kept the cache in middleman.json and wrote chain.json without
     # "cache" or "log_bytes"; rewrite a state dir into that shape and load it.
