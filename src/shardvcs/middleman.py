@@ -18,11 +18,13 @@ same three-method contract either way:
 
 Both ends share one small HTTP/1.1 framer (`_read_head`, `_body_length`).
 Each `HttpShareCache` holds one keep-alive connection, and each request and
-each reply leaves in one write. A message body is framed only by
-``Content-Length``. The server answers a request line over `MAX_LINE_BYTES`
-with 414, a longer header line or more than `MAX_HEADER_FIELDS` fields with
-431, any other malformed head or a missing, non-integer or negative length
-with 400, and a body over `MAX_BODY_BYTES` with 413 unread; each of these
+each reply leaves in one write. A repo id travels percent-encoded in the
+path, except `:`, which RFC 3986 allows there, so a CID goes as
+``sha256:<hex>``. A message body is framed only by ``Content-Length``. The
+server answers a request line over `MAX_LINE_BYTES` with 414, a longer
+header line or more than `MAX_HEADER_FIELDS` fields with 431, any other
+malformed head or a missing, non-integer or negative length with 400, and a
+body over `MAX_BODY_BYTES` with 413 unread; each of these
 closes the connection, since the server can no longer tell where the next
 request starts. Other methods get 501. A connection that sends nothing for
 `IDLE_TIMEOUT_S` is closed. A call that fails on a reused connection before
@@ -310,6 +312,15 @@ class MiddlemanServer(socketserver.ThreadingTCPServer):
         self.server_close()
 
 
+def _share_path(repo: str) -> str:
+    """`/share/<repo>` with the id percent-encoded except `:`.
+
+    A CID needs no escaping then, so `quote` returns it early instead of
+    mapping it character by character, and the server's `unquote` finds no `%`.
+    """
+    return "/share/" + urllib.parse.quote(repo, safe=":")
+
+
 class HttpShareCache:
     """Client-side adapter giving the HTTP service the in-process interface.
 
@@ -398,7 +409,7 @@ class HttpShareCache:
             raise MiddlemanUnavailableError(f"unexpected status {status}")
 
     def fetch_share(self, repo: str) -> str | None:
-        status, doc = self._request("GET", "/share/" + urllib.parse.quote(repo, safe=""))
+        status, doc = self._request("GET", _share_path(repo))
         if status == 200:
             if not isinstance(doc.get("share"), str):
                 raise MiddlemanUnavailableError(f"middleman at {self.base_url}: reply has no share string")
@@ -408,6 +419,6 @@ class HttpShareCache:
         raise MiddlemanUnavailableError(f"unexpected status {status}")
 
     def evict(self, repo: str) -> None:
-        status, _ = self._request("DELETE", "/share/" + urllib.parse.quote(repo, safe=""))
+        status, _ = self._request("DELETE", _share_path(repo))
         if status != 200:
             raise MiddlemanUnavailableError(f"unexpected status {status}")

@@ -8,10 +8,11 @@ import threading
 
 
 @contextlib.contextmanager
-def scripted_middleman(replies: list[bytes]):
+def scripted_middleman(replies: list[bytes], heads: list[bytes] | None = None):
     """Answer the first request of the i-th connection with replies[i], then close it.
 
-    Yields the server's URL and the list of accepted connections.
+    Yields the server's URL and the list of accepted connections. Each
+    request's head, its blank line included, is appended to `heads` if given.
     """
     accepted = []
     with socket.create_server(("127.0.0.1", 0)) as listener:
@@ -24,6 +25,8 @@ def scripted_middleman(replies: list[bytes]):
                     head = b""
                     while b"\r\n\r\n" not in head:
                         head += conn.recv(65536)
+                    if heads is not None:
+                        heads.append(head[: head.index(b"\r\n\r\n") + 4])
                     conn.sendall(reply)
 
         thread = threading.Thread(target=serve, daemon=True)

@@ -13,6 +13,8 @@ import urllib.request
 from socketserver import ThreadingMixIn
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import shardvcs
 from shardvcs import middleman
@@ -542,3 +544,56 @@ def test_importing_shardvcs_loads_no_stdlib_http_or_email():
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60
     )
     assert (out.returncode, out.stdout.strip()) == (0, "[]"), out.stderr
+
+
+# -- repo ids on the wire ----------------------------------------------------------
+
+ODD_IDS = ["a/b", "a b", "100%", "a%2Fb", "q?x=1", "frag#1", "grün", ":", "a:b/c", "", "sha256:" + "ab" * 32]
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    ops=st.lists(
+        st.tuples(st.sampled_from(["store", "fetch", "evict"]),
+                  st.sampled_from(ODD_IDS) | st.text(alphabet="/ %?#ü:a", max_size=6)),
+        max_size=20,
+    )
+)
+def test_ids_round_trip_over_http_as_in_process(server, ops):
+    server.cache.restore({})
+    reference = ShareCache(ttl_s=60.0)
+    client = HttpShareCache(server.url)
+    try:
+        for i, (op, repo) in enumerate(ops):
+            if op == "store":
+                share = f"{i % 255 + 1:02x}{i:04x}"
+                client.store_share(repo, share)
+                reference.store_share(repo, share)
+            elif op == "fetch":
+                assert client.fetch_share(repo) == reference.fetch_share(repo), repo
+            else:
+                client.evict(repo)
+                reference.evict(repo)
+        assert server.cache.live_shares() == reference.live_shares()
+    finally:
+        client.close()
+
+
+def test_a_cid_travels_unescaped_and_other_ids_escaped():
+    cid = "sha256:" + "0f" * 32
+    heads = []
+    replies = [http_reply(b'{"share": "02aa"}'), http_reply(b'{"ok": true}'),
+               http_reply(b'{"error": "absent"}', b"404 Not Found")]
+    with scripted_middleman(replies, heads) as (url, _):
+        client = HttpShareCache(url, timeout_s=2)
+        try:
+            assert client.fetch_share(cid) == "02aa"
+            client.evict(cid)
+            assert client.fetch_share("a/b c%?#ü:") is None
+        finally:
+            client.close()
+    assert [head.split(b"\r\n", 1)[0] for head in heads] == [
+        b"GET /share/" + cid.encode() + b" HTTP/1.1",
+        b"DELETE /share/" + cid.encode() + b" HTTP/1.1",
+        b"GET /share/a%2Fb%20c%25%3F%23%C3%BC: HTTP/1.1",
+    ]
