@@ -6,8 +6,8 @@
 Run it with the same REV for `--change` and `--parent` to see how far two
 identical trees drift apart.
 
-Both trees are unpacked with `git archive`, as `bench_pairs.py` unpacks its
-parent, into two fresh sibling directories, so neither runs from the
+Both trees are unpacked with `git archive`, as `bench_pairs.py` unpacks
+them, into two fresh sibling directories, so neither runs from the
 checkout. The change is `--change REV`, by default the tracked files of the
 working tree as they stand (`git stash create`; untracked files are left
 out). Each tree gets one long-lived worker process that sets its workload
@@ -38,7 +38,7 @@ import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_pairs import git, spread, unpack  # noqa: E402
+from bench_pairs import change_commit, git, spread, unpack  # noqa: E402
 
 OPS = ("push", "pull")
 TREES = ("change", "parent")
@@ -86,13 +86,6 @@ def report_runs(summaries: list[dict]) -> str:
                      f" lower in {sum(r < 0 for r in ratios)}/{len(ratios)} runs"
                      f" ({' '.join(f'{r:+.1%}' for r in ratios)})")
     return "\n".join(lines)
-
-
-def change_commit(rev: str) -> str:
-    """The commit to unpack as the change; "worktree" means the tracked files as they stand."""
-    if rev != "worktree":
-        return git("rev-parse", rev)
-    return git("stash", "create") or git("rev-parse", "HEAD")  # stash create prints nothing on a clean tree
 
 
 # -- the worker, run inside one tree ---------------------------------------------------

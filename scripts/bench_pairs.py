@@ -4,17 +4,20 @@
     python3 scripts/bench_pairs.py --workload fresh-pull-http --seeds 1-10 --seconds 30
     python3 scripts/bench_pairs.py --workload fresh-pull-http --seeds 7 --seconds 10 --trace
 
-The parent commit (default HEAD, so the working tree is the change) is
-unpacked with `git archive` into a temporary directory. For each seed, the
-script runs `perfbench/run.py` once in each tree, alternating which tree goes
-first, and parses each run's provenance header and its JSON last line.
+Both trees are unpacked with `git archive` into two sibling directories of
+one temporary directory, so neither runs from the checkout: the change is the
+tracked files of the working tree as they stand (`git stash create`;
+untracked files are left out), the parent is `--parent` (default HEAD). For
+each seed, the script runs `perfbench/run.py` once in each tree, alternating
+which tree goes first, both with `PYTHONHASHSEED` set to the seed, and parses
+each run's provenance header and its JSON last line.
 
 It writes `BENCH_<workload>.json` at the repo root: the machine line, both
-commits, the seeds, every run's `correct` and metrics, and per metric the
-median and quartiles of each tree, how many pairs the change won, and the
-bound from `BENCHMARK.json`. `--trace` runs traced and fills the file's
-`per_layer` section instead of its `end_to_end` one; the other section is
-kept. `--parent none` records a single-tree baseline. Stdlib only.
+commits, the seeds, every run's `correct`, `PYTHONHASHSEED` and metrics, and
+per metric the median and quartiles of each tree, how many pairs the change
+won, and the bound from `BENCHMARK.json`. `--trace` runs traced and fills the
+file's `per_layer` section instead of its `end_to_end` one; the other section
+is kept. `--parent none` records a single-tree baseline. Stdlib only.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import shlex
 import statistics
 import subprocess
@@ -103,6 +107,13 @@ def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
 
 
+def change_commit(rev: str) -> str:
+    """The commit to unpack as the change; "worktree" means the tracked files as they stand."""
+    if rev != "worktree":
+        return git("rev-parse", rev)
+    return git("stash", "create") or git("rev-parse", "HEAD")  # stash create prints nothing on a clean tree
+
+
 def unpack(rev: str, dest: Path) -> None:
     archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
@@ -112,7 +123,8 @@ def unpack(rev: str, dest: Path) -> None:
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: bool) -> tuple[dict, dict]:
     cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(int(trace))]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    env = {**os.environ, "PYTHONHASHSEED": str(seed)}
+    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
     try:
         return parse_run(proc.stdout)
     except ValueError as exc:
@@ -136,17 +148,19 @@ def main(argv=None) -> int:
     parent = None if args.parent == "none" else {"commit": git("rev-parse", args.parent)}
 
     runs, provenance = [], {}
+    commits = {"change": change_commit("worktree")}
+    if parent:
+        commits["parent"] = parent["commit"]
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        trees = {"change": ROOT}
-        if parent:
-            unpack(parent["commit"], Path(tmp))
-            trees["parent"] = Path(tmp)
+        trees = {tree: Path(tmp) / tree for tree in commits}
+        for tree, commit in commits.items():
+            unpack(commit, trees[tree])
         for i, seed in enumerate(args.seeds):
             for tree in sorted(trees, reverse=i % 2 == 1):  # change first, then parent first, ...
                 prov, result = run_once(trees[tree], args.workload, seed, args.seconds, args.trace)
                 provenance = provenance or prov
                 metrics = {name: m["value"] for name, m in result["metrics"].items()}
-                runs.append({"tree": tree, "seed": seed, "correct": result["correct"],
+                runs.append({"tree": tree, "seed": seed, "pythonhashseed": seed, "correct": result["correct"],
                              "attempted": result["attempted"], "failed": result["failed"], "metrics": metrics})
                 print(f"{tree:<6} seed {seed}: correct={result['correct']} failed={result['failed']}", flush=True)
 

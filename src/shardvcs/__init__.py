@@ -18,7 +18,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "cas": ("BlobStore", "CapacityError", "Cid", "CorruptBlobError", "LatencyProfile", "NotFoundError"),
+    "cas": ("BlobStore", "Cid", "CorruptBlobError", "LatencyProfile", "NotFoundError"),
     "clock": ("Clock", "RealClock", "VirtualClock", "make_clock"),
     "config": ("HarnessConfig",),
     "envelope": ("DecryptionError", "SealedPieces", "generate_secret", "seal", "unseal"),

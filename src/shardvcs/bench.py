@@ -413,12 +413,12 @@ def summarize(samples: list[BenchSample]) -> list[SizeSummary]:
     return out
 
 
-def render_report(samples: list[BenchSample], reference: ReferenceTable = EMBEDDED_REFERENCE) -> str:
-    """Deterministic text report: summary, literature comparison, breakdown."""
+def render_report(samples: list[BenchSample]) -> str:
+    """Deterministic text report: summary, comparison with `EMBEDDED_REFERENCE`, breakdown."""
     if not samples:
         raise CsvParseError(1, "no samples to report")
     summaries = summarize(samples)
-    ref_by_size = {r.size_mb: r for r in reference.rows}
+    ref_by_size = {r.size_mb: r for r in EMBEDDED_REFERENCE.rows}
     lines = []
 
     lines.append("== Per-size summary ==")
@@ -441,8 +441,8 @@ def render_report(samples: list[BenchSample], reference: ReferenceTable = EMBEDD
         lines.append(
             f"{s.operation:<9}  {s.size_mb:>7}  {s.mean_s:<15.4f}  {ref_val:<12.2f}  {dev:+.2%}"
         )
-    git_rows = [f"  git push: {r.size_mb} MB = {r.git_push_s:.2f} s" for r in reference.rows]
-    git_rows += [f"  git pull: {r.size_mb} MB = {r.git_pull_s:.2f} s" for r in reference.rows]
+    git_rows = [f"  git push: {r.size_mb} MB = {r.git_push_s:.2f} s" for r in EMBEDDED_REFERENCE.rows]
+    git_rows += [f"  git pull: {r.size_mb} MB = {r.git_pull_s:.2f} s" for r in EMBEDDED_REFERENCE.rows]
     lines.append("centralized git baselines (literature values):")
     lines.extend(git_rows)
 

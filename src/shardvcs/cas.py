@@ -19,7 +19,6 @@ import hashlib
 import itertools
 import math
 import os
-import threading
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,10 +31,6 @@ CID_PREFIX = "sha256:"
 
 class NotFoundError(KeyError):
     """No blob stored under the requested content identifier."""
-
-
-class CapacityError(Exception):
-    """The store's configured byte capacity would be exceeded."""
 
 
 class CorruptBlobError(Exception):
@@ -152,19 +147,12 @@ class BlobStore:
         store_profile: LatencyProfile = ZERO_LATENCY,
         fetch_profile: LatencyProfile = ZERO_LATENCY,
         clock: Clock | None = None,
-        capacity_bytes: int | None = None,
     ):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.store_profile = store_profile
         self.fetch_profile = fetch_profile
         self.clock = clock if clock is not None else RealClock()
-        self.capacity_bytes = capacity_bytes
-        self._lock = threading.Lock()
-        # Only the capacity check reads the byte count, so only a capped store stats its tree.
-        self._used_bytes = (
-            sum(p.stat().st_size for p in self.root.glob("??/*")) if capacity_bytes is not None else 0
-        )
 
     def _path(self, cid: Cid) -> str:
         hexd = cid.digest.hex()
@@ -176,9 +164,10 @@ class BlobStore:
         `blob` is bytes or an iterable of bytes-like pieces, such as
         `envelope.SealedPieces`. Each piece is hashed and written to a temp
         file in the store root before the next is drawn, so a piece may reuse
-        its predecessor's buffer. Only then is the address known: the temp
-        file is renamed to it, or unlinked when the blob is already stored or
-        would exceed the capacity. A failure part-way leaves no temp file.
+        its predecessor's buffer. Only then is the address known, and the temp
+        file is renamed onto it. A blob already stored there has the same
+        bytes, so renaming over it keeps one copy per address (and replaces a
+        copy damaged on disk). A failure part-way leaves no temp file.
         """
         pieces = (blob,) if isinstance(blob, (bytes, bytearray, memoryview)) else blob
         hasher = hashlib.sha256()
@@ -194,22 +183,14 @@ class BlobStore:
                 os.close(fd)
             cid = Cid(hasher.digest())
             path = self._path(cid)
-            with self._lock:
-                if not os.path.exists(path):
-                    if self.capacity_bytes is not None and self._used_bytes + size > self.capacity_bytes:
-                        raise CapacityError(
-                            f"store capacity {self.capacity_bytes} B exceeded by blob of {size} B"
-                        )
-                    try:
-                        os.replace(tmp, path)  # concurrent stores of the same blob converge
-                    except FileNotFoundError:  # first blob under this prefix
-                        os.makedirs(os.path.dirname(path), exist_ok=True)
-                        os.replace(tmp, path)
-                    tmp = None
-                    self._used_bytes += size
-        finally:
-            if tmp is not None:
-                os.unlink(tmp)
+            try:
+                os.replace(tmp, path)  # concurrent stores of the same blob converge
+            except FileNotFoundError:  # first blob under this prefix
+                os.makedirs(os.path.dirname(path), exist_ok=True)
+                os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
         self.clock.sleep(self.store_profile.delay_for(size))
         return cid
 

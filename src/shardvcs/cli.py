@@ -43,11 +43,11 @@ def _access_errors() -> type[Exception]:
 
 def _protocol_errors() -> tuple[type[Exception], ...]:
     from . import bench
-    from .cas import CapacityError, NotFoundError
+    from .cas import NotFoundError
     from .ledger import ClockModeError
     from .protocol import ProtocolError
 
-    return (ProtocolError, NotFoundError, CapacityError, MiddlemanUnavailableError, ClockModeError,
+    return (ProtocolError, NotFoundError, MiddlemanUnavailableError, ClockModeError,
             bench.BenchError, bench.CalibrationError, bench.CsvParseError)
 
 

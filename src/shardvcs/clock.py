@@ -21,12 +21,12 @@ class Clock(Protocol):
 
 
 class VirtualClock:
-    """Simulation time in seconds, starting at 0.0 unless told otherwise."""
+    """Simulation time in seconds, starting at 0.0."""
 
     is_virtual = True
 
-    def __init__(self, start: float = 0.0):
-        self._now = start
+    def __init__(self):
+        self._now = 0.0
         self._lock = threading.Lock()
 
     def now(self) -> float:

@@ -10,7 +10,10 @@ to the secret itself and is never issued.
 
 Table-driven: `bytes.translate` with a multiply-by-c table scales a whole string
 at once, and XOR of the strings as integers adds them. The draws are k-1
-`rng.randrange(256)` per secret byte in byte order, so a seed fixes the shares.
+bytes per secret byte in byte order, so a seed fixes the shares. Each byte is
+drawn as CPython's `rng.randrange(256)` draws it, 9 bits redrawn while >= 256,
+but without its call frames; the values and the rng state after a split are
+those of `randrange(256)`.
 
 `combine` interpolates with exactly the shares it is given. It cannot detect a
 forged payload at a valid index; integrity is the job of the authenticated
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import islice, repeat
 from typing import Sequence
 
 _SYSTEM_RNG = random.SystemRandom()
@@ -115,7 +119,7 @@ def split(secret: bytes, params: ThresholdParams, rng: random.Random | None = No
         rng = _SYSTEM_RNG
 
     degree = params.k - 1
-    draws = bytes([rng.randrange(256) for _ in range(degree * len(secret))])
+    draws = bytes(islice(filter((256).__gt__, map(rng.getrandbits, repeat(9))), degree * len(secret)))
     # strings[d] holds every byte's degree-d coefficient; the draws are byte-major.
     strings = [secret] + [draws[d::degree] for d in range(degree)]
     lower = [int.from_bytes(s, "big") for s in reversed(strings[:-1])]

@@ -1,9 +1,13 @@
+import contextlib
+import errno
+import os
 import random
 from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
+import shardvcs.cas
 from shardvcs import (
     Address,
     BlobStore,
@@ -66,3 +70,23 @@ def make_world(tmp_path):
         return World(clock, cas, cache, chain, client, rng, Address.from_label("owner"))
 
     return build
+
+
+@pytest.fixture
+def full_disk(monkeypatch):
+    """`with full_disk(room):` a blob write that would take its file past `room` bytes fails with ENOSPC."""
+
+    @contextlib.contextmanager
+    def filled(room: int = 0):
+        real_write_all = shardvcs.cas._write_all
+
+        def write_all(fd, data):
+            if os.fstat(fd).st_size + len(data) > room:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            real_write_all(fd, data)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(shardvcs.cas, "_write_all", write_all)
+            yield
+
+    return filled

@@ -29,7 +29,7 @@ from shardvcs.bench import (
     run_pull_bench,
     run_push_bench,
 )
-from shardvcs.cas import BlobStore, CapacityError, LatencyProfile
+from shardvcs.cas import BlobStore, LatencyProfile
 from shardvcs.clock import VirtualClock
 from shardvcs.ledger import (
     REGISTER_GAS,
@@ -318,26 +318,26 @@ def test_acceptance_8_end_to_end_fidelity(tmp_path):
     shutil.rmtree(tmp_path, ignore_errors=True)
 
 
-def test_acceptance_9_failure_atomicity(tmp_path):
+def test_acceptance_9_failure_atomicity(tmp_path, full_disk):
     # a failed push leaves storage consistent with the failure point, no live
     # middleman entry, and no confirmed registration
     outcomes = []
 
-    def fresh(cas_dir, capacity=None, cache=None, chain_cls=SimulatedChain):
+    def fresh(cas_dir, cache=None, chain_cls=SimulatedChain):
         clock = VirtualClock()
         rng = random.Random(7)
-        cas = BlobStore(tmp_path / cas_dir, LatencyProfile(), LatencyProfile(), clock, capacity_bytes=capacity)
+        cas = BlobStore(tmp_path / cas_dir, LatencyProfile(), LatencyProfile(), clock)
         cache = cache if cache is not None else ShareCache(clock=clock)
         chain = chain_cls(ChainConfig.constant(1.0), clock=clock, rng=rng)
         return cas, cache, chain, Client(cas, chain, cache, clock=clock, rng=rng)
 
-    # fault: blob store refuses the write -> nothing anywhere
-    cas, cache, chain, client = fresh("a", capacity=16)
-    with pytest.raises(CapacityError):
+    # fault: the disk is full when the blob is written -> nothing anywhere
+    cas, cache, chain, client = fresh("a")
+    with full_disk(), pytest.raises(OSError):
         client.push(b"x" * 4096, Address.from_label("o"))
     chain.advance_clock(5.0)
-    stored = list((tmp_path / "a").glob("??/*"))
-    outcomes.append(("cas-refusal", not stored and not cache.live_shares() and chain.pending_count() == 0))
+    stored = [p for p in (tmp_path / "a").rglob("*") if p.is_file()]
+    outcomes.append(("disk-full", not stored and not cache.live_shares() and chain.pending_count() == 0))
 
     # fault: middleman down -> blob stored, nothing cached, never registered
     class _DownCache(ShareCache):

@@ -1,6 +1,7 @@
 """The interleaved A/B runner's aggregation, on canned worker replies."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,10 +46,10 @@ def test_report_names_each_tree_and_the_change():
     assert "push change -50.0%, won 1/1 blocks" in text
 
 
-
 def test_change_commit_falls_back_to_head_on_a_clean_tree(monkeypatch):
     answers = {("stash", "create"): "", ("rev-parse", "HEAD"): "abc123", ("rev-parse", "v1"): "def456"}
-    monkeypatch.setattr(bench_interleaved, "git", lambda *args: answers[args])
+    # change_commit is shared with bench_pairs.py and runs git from there
+    monkeypatch.setattr(sys.modules[bench_interleaved.change_commit.__module__], "git", lambda *args: answers[args])
     assert bench_interleaved.change_commit("worktree") == "abc123"
     assert bench_interleaved.change_commit("v1") == "def456"
     answers[("stash", "create")] = "f00d"

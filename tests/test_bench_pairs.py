@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -98,3 +99,53 @@ def test_summarize_skips_runs_without_metrics_and_single_tree_baselines():
 
     single = bench_pairs.summarize(_runs("change", [(4.0, 40.0)]), SPECS)
     assert single["push_wall_p50_ms"]["change"] == {"median": 4.0, "q1": 4.0, "q3": 4.0}
+
+
+def test_a_clean_tree_runs_head_as_the_only_tree_without_a_parent(tmp_path, monkeypatch):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": SPECS}))
+    answers = {("rev-parse", "HEAD"): "c0ffee", ("status", "--porcelain"): "", ("stash", "create"): ""}
+    unpacked, cwds = {}, []
+
+    def run(cmd, cwd, env, **kwargs):
+        cwds.append(Path(cwd))
+        return subprocess.CompletedProcess(cmd, 0, stdout=canned_output(0.7, 1500.0), stderr="")
+
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: answers[args])
+    monkeypatch.setattr(bench_pairs, "unpack", lambda rev, dest: unpacked.setdefault(rev, dest).mkdir())
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    assert bench_pairs.main(["--workload", "fresh-pull-http", "--seeds", "1-2", "--parent", "none"]) == 0
+
+    assert list(unpacked) == ["c0ffee"] and cwds == [unpacked["c0ffee"]] * 2
+    report = json.loads((tmp_path / "BENCH_fresh-pull-http.json").read_text())["end_to_end"]
+    assert report["parent"] is None
+    assert report["change"] == {"commit": "c0ffee", "working_tree_changes": False}
+    assert [r["tree"] for r in report["runs"]] == ["change", "change"]
+
+
+def test_both_trees_are_unpacked_side_by_side_and_share_each_hash_seed(tmp_path, monkeypatch):
+    checkout = bench_pairs.ROOT
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": SPECS}))
+    answers = {("rev-parse", "HEAD"): "c0ffee", ("status", "--porcelain"): " M src/x.py",
+               ("stash", "create"): "5ta5h", ("rev-parse", "p4rent"): "b4se"}
+    unpacked, runs = {}, []
+
+    def run(cmd, cwd, env, **kwargs):
+        runs.append((Path(cwd), env["PYTHONHASHSEED"]))
+        return subprocess.CompletedProcess(cmd, 0, stdout=canned_output(0.7, 1500.0), stderr="")
+
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: answers[args])
+    monkeypatch.setattr(bench_pairs, "unpack", lambda rev, dest: unpacked.setdefault(rev, dest).mkdir())
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    assert bench_pairs.main(["--workload", "fresh-pull-http", "--seeds", "3-4", "--parent", "p4rent"]) == 0
+
+    trees = {unpacked["5ta5h"], unpacked["b4se"]}  # the working tree as stashed, and the parent
+    assert len(trees) == 2 and len({tree.parent for tree in trees}) == 1
+    assert all(checkout != tree and checkout not in tree.parents for tree in trees)
+    assert [cwd for cwd, _ in runs] == [unpacked["5ta5h"], unpacked["b4se"], unpacked["b4se"], unpacked["5ta5h"]]
+    assert [seed for _, seed in runs] == ["3", "3", "4", "4"]
+    report = json.loads((tmp_path / "BENCH_fresh-pull-http.json").read_text())["end_to_end"]
+    assert [(r["tree"], r["seed"], r["pythonhashseed"]) for r in report["runs"]] == [
+        ("change", 3, 3), ("parent", 3, 3), ("parent", 4, 4), ("change", 4, 4)
+    ]

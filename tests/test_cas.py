@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import itertools
 import os
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 from shardvcs import cas, envelope
 from shardvcs.cas import (
     BlobStore,
-    CapacityError,
     Cid,
     CorruptBlobError,
     LatencyProfile,
@@ -140,33 +140,31 @@ def test_contains_has_no_delay(tmp_path):
     assert clock.now() == mark
 
 
-def test_capacity_cap(tmp_path):
-    store = BlobStore(tmp_path, capacity_bytes=10)
-    store.store(b"12345")
-    with pytest.raises(CapacityError):
-        store.store(b"123456789")
-    # refused blob is not stored
-    assert not store.contains(Cid.of(b"123456789"))
-    # duplicate of an existing blob does not consume new capacity
-    store.store(b"12345")
+def test_storing_a_blob_again_repairs_a_damaged_copy(tmp_path):
+    store = BlobStore(tmp_path)
+    cid = store.store(b"repairable")
+    path = tmp_path / cid.digest.hex()[:2] / cid.digest.hex()
+    damaged = bytearray(path.read_bytes())
+    damaged[0] ^= 1
+    path.write_bytes(damaged)
+    with pytest.raises(CorruptBlobError):
+        store.fetch(cid)
+    assert store.store(b"repairable") == cid
+    assert store.fetch(cid) == b"repairable"
 
 
-def test_capacity_applies_to_piece_sources(tmp_path):
-    store = BlobStore(tmp_path, capacity_bytes=5)
-    store.store(iter([b"123", b"45"]))  # fills the cap
-    with pytest.raises(CapacityError):
-        store.store(iter([b"12345", b"6"]))
-    assert not store.contains(Cid.of(b"123456"))
-    assert list(tmp_path.rglob(".tmp-*")) == []
-    assert store.store(iter([b"1", b"2345"])) == Cid.of(b"12345")  # a duplicate needs no capacity
-
-
-def test_capacity_counts_blobs_already_on_disk(tmp_path):
-    BlobStore(tmp_path).store(b"x" * 8)  # written by an uncapped store
-    reopened = BlobStore(tmp_path, capacity_bytes=10)
-    with pytest.raises(CapacityError):
-        reopened.store(b"123")
-    reopened.store(b"12")  # 8 + 2 fills the cap exactly
+def test_a_full_disk_keeps_the_stored_copy_and_stores_nothing_new(tmp_path, full_disk):
+    store = BlobStore(tmp_path)
+    kept = store.store(b"kept")
+    with full_disk(), pytest.raises(OSError) as failure:
+        store.store(b"kept")  # the rewrite fails in its temp file, before the stored copy is touched
+    assert failure.value.errno == errno.ENOSPC
+    assert store.fetch(kept) == b"kept"
+    with full_disk(), pytest.raises(OSError):
+        store.store(b"new")
+    assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == [kept.digest.hex()]
+    assert store.store(b"new") == Cid.of(b"new")  # once there is room
+    assert store.fetch(Cid.of(b"new")) == b"new"
 
 
 def test_disk_layout(tmp_path):
@@ -238,13 +236,6 @@ def test_stale_temp_file_from_a_crash_never_fails_a_store(tmp_path, monkeypatch)
     assert all(path.read_bytes() == b"torn write" for path in stale)
 
 
-def test_stale_temp_file_from_a_crash_uses_no_capacity(tmp_path):
-    (tmp_path / f".tmp-{os.getpid()}-0").write_bytes(bytes(100))  # a store's temps live in its root
-    store = BlobStore(tmp_path, capacity_bytes=10)
-    cid = store.store(b"ten bytes!")
-    assert store.fetch(cid) == b"ten bytes!"
-
-
 def test_fetch_closes_its_descriptor_on_every_outcome(tmp_path):
     fd_dir = "/proc/self/fd"
     if not os.path.isdir(fd_dir):
@@ -283,8 +274,8 @@ def test_sealed_pieces_are_stored_under_the_sha256_of_the_file(tmp_path):
     assert on_disk == AESGCM(key).encrypt(iv, plaintext, None)
 
 
-def test_a_piece_source_failing_part_way_leaves_nothing(tmp_path):
-    store = BlobStore(tmp_path, capacity_bytes=100)
+def test_a_piece_source_failing_part_way_leaves_nothing(tmp_path, full_disk):
+    store = BlobStore(tmp_path)
     kept = store.store(b"k" * 40)
 
     def pieces():
@@ -295,9 +286,10 @@ def test_a_piece_source_failing_part_way_leaves_nothing(tmp_path):
     with pytest.raises(OSError, match="source failed"):
         store.store(pieces())
     assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == [kept.digest.hex()]
-    store.store(b"y" * 60)  # the byte count is unchanged: 40 + 60 fills the cap exactly
-    with pytest.raises(CapacityError):
-        store.store(b"z")
+    with full_disk(room=30), pytest.raises(OSError) as failure:  # the disk fills after the first piece
+        store.store(iter([b"c" * 30, b"d" * 30]))
+    assert failure.value.errno == errno.ENOSPC
+    assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == [kept.digest.hex()]
 
 
 @given(blob=st.binary(min_size=1, max_size=4096))

@@ -7,7 +7,6 @@ from shardvcs.clock import RealClock, VirtualClock, make_clock
 
 def test_virtual_clock_starts_at_zero():
     assert VirtualClock().now() == 0.0
-    assert VirtualClock(start=5.5).now() == 5.5
 
 
 def test_virtual_sleep_advances_without_waiting():

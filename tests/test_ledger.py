@@ -222,7 +222,8 @@ def test_snapshot_restore_preserves_pending(tmp_path):
     chain.advance_clock(5.0)
     state = chain.snapshot()
 
-    clock2 = VirtualClock(start=clock.now())
+    clock2 = VirtualClock()
+    clock2.advance_to(clock.now())
     chain2 = SimulatedChain(ChainConfig.constant(14.0), clock2)
     chain2.restore(state)
     assert chain2.registered_owner("repo") is None
@@ -243,7 +244,9 @@ def test_snapshot_lists_everyone_with_access_and_restores_it():
     state = chain.snapshot()
     assert state["access"] == {"repo": sorted([ALICE.text, CAROL.text]), "solo": [BOB.text]}
 
-    chain2 = SimulatedChain(ChainConfig.constant(1.0), VirtualClock(start=clock.now()))
+    clock2 = VirtualClock()
+    clock2.advance_to(clock.now())
+    chain2 = SimulatedChain(ChainConfig.constant(1.0), clock2)
     chain2.restore(json.loads(json.dumps(state)))
     assert chain2.snapshot() == state
     assert chain2.check_access("repo", CAROL) and chain2.check_access("repo", ALICE)
@@ -390,7 +393,8 @@ class LedgerModel(RuleBasedStateMachine):
     def snapshot_and_restore(self):
         """Reload into a fresh chain and clock, as each CLI command does."""
         state = json.loads(json.dumps(self.chain.snapshot()))
-        self.clock = VirtualClock(start=self.clock.now())
+        now, self.clock = self.clock.now(), VirtualClock()
+        self.clock.advance_to(now)
         self.chain = SimulatedChain(self.config, self.clock, rng=self.chain_rng)
         self.chain.restore(state)
         assert self.chain.snapshot() == state

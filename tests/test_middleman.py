@@ -116,7 +116,8 @@ def test_snapshot_restore():
     cache = ShareCache(ttl_s=50.0, clock=clock)
     cache.store_share("repo", "02aa")
     state = cache.snapshot()
-    clock2 = VirtualClock(start=clock.now())
+    clock2 = VirtualClock()
+    clock2.advance_to(clock.now())
     cache2 = ShareCache(ttl_s=50.0, clock=clock2)
     cache2.restore(state)
     assert cache2.fetch_share("repo") == "02aa"

@@ -1,3 +1,4 @@
+import errno
 import random
 
 import pytest
@@ -5,7 +6,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shardvcs.cas import CapacityError, Cid, NotFoundError
+from shardvcs.cas import Cid, NotFoundError
 from shardvcs.envelope import KEY_LEN
 from shardvcs.ledger import AccessDeniedError, Address
 from shardvcs.protocol import (
@@ -274,11 +275,11 @@ def test_pull_phase_durations_cover_total(make_world):
 # -- failure atomicity ------------------------------------------------------
 
 
-def test_failed_store_leaves_nothing_behind(make_world):
+def test_failed_store_leaves_nothing_behind(make_world, full_disk):
     world = make_world()
-    world.cas.capacity_bytes = 10
-    with pytest.raises(CapacityError):
+    with full_disk(), pytest.raises(OSError) as failure:
         world.client.push(b"\x00" * 1000, world.owner)
+    assert failure.value.errno == errno.ENOSPC
     assert not any(p.is_file() for p in world.cas.root.rglob("*"))
     assert world.cache.live_shares() == {}
     assert world.chain.pending_count() == 0
