@@ -45,7 +45,7 @@ import socket
 import socketserver
 import threading
 import urllib.parse
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 
 from .clock import Clock, RealClock
 from .sss import Share
@@ -64,11 +64,10 @@ class MiddlemanUnavailableError(ConnectionError):
     """The share-cache service could not be reached."""
 
 
-@dataclass(frozen=True)
-class CacheEntry:
-    share_text: str
-    stored_at: float
-    ttl_s: float
+# A named tuple, not a dataclass: `dataclasses` would load `inspect` into a
+# service that should start fast.
+class CacheEntry(namedtuple("CacheEntry", "share_text stored_at ttl_s")):
+    __slots__ = ()
 
     def live_at(self, now: float) -> bool:
         return now < self.stored_at + self.ttl_s
@@ -114,7 +113,7 @@ class ShareCache:
     def snapshot(self) -> dict:
         now = self.clock.now()
         with self._lock:
-            return {r: asdict(e) for r, e in self._entries.items() if e.live_at(now)}
+            return {r: e._asdict() for r, e in self._entries.items() if e.live_at(now)}
 
     def restore(self, state: dict) -> None:
         with self._lock:

@@ -23,7 +23,7 @@ encryption layer above.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import islice, repeat
 from typing import Sequence
 
@@ -63,33 +63,33 @@ class ReconstructionError(ValueError):
     """Too few shares to interpolate the secret uniquely."""
 
 
-@dataclass(frozen=True)
-class ThresholdParams:
+# The value types are validated named tuples, not dataclasses: `dataclasses`
+# loads `inspect`, which slows the middleman service's start-up.
+class ThresholdParams(namedtuple("ThresholdParams", "k n")):
     """(k, n): any k of the n issued shares reconstruct the secret."""
 
-    k: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (1 <= self.k <= self.n <= 255):
-            raise ValueError(f"invalid threshold params: need 1 <= k <= n <= 255, got ({self.k}, {self.n})")
+    def __new__(cls, k: int, n: int) -> "ThresholdParams":
+        if not (1 <= k <= n <= 255):
+            raise ValueError(f"invalid threshold params: need 1 <= k <= n <= 255, got ({k}, {n})")
+        return tuple.__new__(cls, (k, n))
 
 
 DEFAULT_PARAMS = ThresholdParams(k=2, n=3)
 
 
-@dataclass(frozen=True)
-class Share:
+class Share(namedtuple("Share", "index payload")):
     """One point set of the per-byte polynomials: x-coordinate plus y-bytes."""
 
-    index: int
-    payload: bytes
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (1 <= self.index <= 255):
-            raise ValueError(f"share index must be in 1..255, got {self.index}")
-        if len(self.payload) == 0:
+    def __new__(cls, index: int, payload: bytes) -> "Share":
+        if not (1 <= index <= 255):
+            raise ValueError(f"share index must be in 1..255, got {index}")
+        if len(payload) == 0:
             raise ValueError("share payload must not be empty")
+        return tuple.__new__(cls, (index, payload))
 
     def to_text(self) -> str:
         """Hex encoding: one index byte followed by the payload, no separators."""

@@ -21,6 +21,7 @@ from shardvcs import middleman
 from shardvcs.clock import VirtualClock
 from shardvcs.middleman import (
     MAX_BODY_BYTES,
+    CacheEntry,
     HttpShareCache,
     MiddlemanServer,
     MiddlemanUnavailableError,
@@ -123,6 +124,29 @@ def test_snapshot_restore():
     assert cache2.fetch_share("repo") == "02aa"
     clock2.advance(50.0)
     assert cache2.fetch_share("repo") is None
+
+
+def test_snapshot_layout_is_a_plain_dict_per_repo():
+    clock = VirtualClock()
+    clock.advance_to(7.5)
+    cache = ShareCache(ttl_s=50.0, clock=clock)
+    cache.store_share("repo", "02aa")
+    assert cache.snapshot() == {"repo": {"share_text": "02aa", "stored_at": 7.5, "ttl_s": 50.0}}
+    cache.restore({"other": {"share_text": "03bb", "stored_at": 1.0, "ttl_s": 10.0}})
+    assert cache.live_shares() == {"other": "03bb"}
+    clock.advance_to(11.0)
+    assert cache.snapshot() == {}
+
+
+def test_cache_entries_are_immutable_values():
+    entry = CacheEntry(share_text="02aa", stored_at=1.0, ttl_s=2.0)
+    with pytest.raises(AttributeError):
+        entry.stored_at = 5.0
+    assert entry == CacheEntry("02aa", 1.0, 2.0) and entry != CacheEntry("02aa", 1.0, 3.0)
+    assert hash(entry) == hash(CacheEntry("02aa", 1.0, 2.0))
+    assert repr(entry) == "CacheEntry(share_text='02aa', stored_at=1.0, ttl_s=2.0)"
+    with pytest.raises(TypeError):
+        CacheEntry(share_text="02aa", stored_at=1.0, ttl_s=2.0, extra=0)
 
 
 # -- HTTP wire interface -------------------------------------------------------

@@ -278,6 +278,25 @@ def test_spec_and_server_on_hand_picked_requests(address, request_bytes, expecte
         _check_server(address, request_bytes, mode)
 
 
+@pytest.mark.parametrize(
+    "head",
+    [
+        b"GET /share/x HTTP/1.1\r\n" + b"X: 1\r\n" * 100 + b"X: 1",  # a 101st line, cut short
+        b"GET /share/x HTTP/1.1\r\nHost: a",
+    ],
+    ids=["101st field cut short", "cut after Host"],
+)
+def test_a_head_cut_off_by_the_clients_eof_is_400(address, head):
+    """A last line with no line end is malformed, however many fields came before."""
+    with socket.create_connection(address, timeout=5) as sock:
+        sock.sendall(head)
+        sock.shutdown(socket.SHUT_WR)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    assert _replies(reply) == [(400, True)]
+
+
 # -- client side ---------------------------------------------------------------------
 
 REPLY_BODIES = [b'{"share": "02aa"}', b'{"error": "absent"}', b"{}", b'{"share": 5}', b"[1]", b"not json"]

@@ -57,17 +57,30 @@ def test_gf_inv_roundtrip():
 
 @pytest.mark.parametrize("k,n", [(0, 1), (2, 1), (1, 0), (3, 256), (256, 256)])
 def test_threshold_params_rejects_bad_bounds(k, n):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=rf"^invalid threshold params: need 1 <= k <= n <= 255, got \({k}, {n}\)$"):
         ThresholdParams(k=k, n=n)
 
 
 def test_share_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^share index must be in 1\.\.255, got 0$"):
         Share(index=0, payload=b"\x01")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^share index must be in 1\.\.255, got 256$"):
         Share(index=256, payload=b"\x01")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^share payload must not be empty$"):
         Share(index=1, payload=b"")
+
+
+def test_shares_and_params_are_immutable_values():
+    share = Share(index=3, payload=b"\x00\xff")
+    params = ThresholdParams(k=2, n=3)
+    for value, field in ((share, "index"), (share, "payload"), (params, "k"), (params, "n")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+    assert share == Share(3, b"\x00\xff") and share != Share(index=2, payload=b"\x00\xff")
+    assert params == ThresholdParams(2, 3) and params != ThresholdParams(k=2, n=4)
+    assert len({share, Share(index=3, payload=b"\x00\xff"), params, ThresholdParams(k=2, n=3)}) == 2
+    assert repr(share) == "Share(index=3, payload=b'\\x00\\xff')"
+    assert repr(params) == "ThresholdParams(k=2, n=3)"
 
 
 def test_share_text_roundtrip():

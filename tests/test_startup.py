@@ -30,6 +30,8 @@ NOT_AT_START = (
     "zipfile",
     "statistics",
     "tempfile",
+    "dataclasses",
+    "inspect",
 )
 
 
@@ -111,3 +113,15 @@ print(json.dumps({
     assert got["unresolved"] == []
     assert got["unknown"] == "module 'shardvcs' has no attribute 'no_such_name'"
     assert got["modules"] == ["shardvcs.cas", "shardvcs.envelope", "shardvcs.protocol"]
+
+
+def test_startup_time_script_reports_the_service_the_floor_and_the_machine():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "startup_time.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--spawns", "2", SRC], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split(": median ")[0] for line in lines[:2]] == [SRC, "python -c pass"]
+    assert all(line.endswith("(2 spawns)") for line in lines[:2])
+    assert lines[2].startswith("# machine: nproc=") and "bytecode_cache=" in lines[2]
