@@ -1,11 +1,12 @@
 """Benchmark harness: calibration, timed runs, CSV emission, and reports.
 
 The harness reproduces the published end-to-end latency experiment at desk
-scale. `calibrate` fits linear latency profiles to the embedded reference
-table (literature values, never measurements); the bench runners then drive
-the full protocol on a virtual clock under those profiles, recording one
-sample per (size, repeat) with a per-phase latency breakdown. A fixed seed
-plus the virtual clock makes every run bit-identical.
+scale. `calibrate` fits linear latency profiles to its only input, the
+embedded reference table `EMBEDDED_REFERENCE` (literature values, never
+measurements); the bench runners then drive the full protocol on a virtual
+clock under those profiles, recording one sample per (size, repeat) with a
+per-phase latency breakdown. A fixed seed plus the virtual clock makes every
+run bit-identical.
 
 Pull samples carry a modeled constant (`DEFAULT_PULL_OVERHEAD_S`, 0.2 s) for
 the access view call and share reconstruction; calibration subtracts the
@@ -15,6 +16,7 @@ choices cancel when comparing against the reference table.
 
 from __future__ import annotations
 
+import math
 import random
 import statistics
 import tempfile
@@ -43,10 +45,6 @@ class BenchError(Exception):
     """A benchmark sample failed; the message identifies it."""
 
 
-class CalibrationError(Exception):
-    """The reference data cannot support a usable linear fit."""
-
-
 class CsvParseError(Exception):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
@@ -70,36 +68,11 @@ class ReferenceTable:
 
     rows: tuple[ReferenceRow, ...]
 
-    def __post_init__(self) -> None:
-        sizes = [r.size_mb for r in self.rows]
-        if not sizes:
-            raise ValueError("reference table must have at least one row")
-        if any(b <= a for a, b in zip(sizes, sizes[1:])):
-            raise ValueError("reference rows must be strictly increasing in size")
-
     def sizes(self) -> list[int]:
         return [r.size_mb for r in self.rows]
 
     def column(self, name: str) -> list[float]:
         return [getattr(r, name) for r in self.rows]
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ReferenceTable":
-        rows = []
-        lines = Path(path).read_text().splitlines()
-        header = "size_mb,system_push_s,system_pull_s,git_push_s,git_pull_s"
-        if not lines or lines[0].strip() != header:
-            raise ValueError(f"reference file must start with header {header!r}")
-        for raw in lines[1:]:
-            if not raw.strip():
-                continue
-            cells = raw.split(",")
-            if len(cells) != 5:
-                raise ValueError(f"reference row needs 5 cells: {raw!r}")
-            rows.append(
-                ReferenceRow(int(cells[0]), float(cells[1]), float(cells[2]), float(cells[3]), float(cells[4]))
-            )
-        return cls(tuple(rows))
 
 
 # Published reference means (literature values): sizes 1, 5, 10, 20 MB.
@@ -132,22 +105,18 @@ class CalibrationResult:
 
 
 def _fit_line(sizes: list[int], times: list[float]) -> FitResult:
-    if len(sizes) < 2:
-        raise CalibrationError("need at least two rows for a linear fit")
     slope, intercept = statistics.linear_regression(sizes, times)
-    if slope <= 0:
-        raise CalibrationError(f"degenerate fit: non-positive slope {slope:.6f}")
-    if intercept < 0:
-        raise CalibrationError(f"degenerate fit: negative intercept {intercept:.6f}")
     residuals = tuple(t - (intercept + slope * s) for s, t in zip(sizes, times))
     return FitResult(slope=slope, intercept=intercept, residuals=residuals)
 
 
-def calibrate(reference: ReferenceTable = EMBEDDED_REFERENCE) -> CalibrationResult:
-    """Fit store/fetch latency profiles to the reference push/pull columns."""
-    sizes = reference.sizes()
-    push_fit = _fit_line(sizes, reference.column("system_push_s"))
-    pull_fit = _fit_line(sizes, [t - DEFAULT_PULL_OVERHEAD_S for t in reference.column("system_pull_s")])
+def calibrate() -> CalibrationResult:
+    """Fit store/fetch latency profiles to the push/pull columns of `EMBEDDED_REFERENCE`."""
+    sizes = EMBEDDED_REFERENCE.sizes()
+    push_fit = _fit_line(sizes, EMBEDDED_REFERENCE.column("system_push_s"))
+    pull_fit = _fit_line(
+        sizes, [t - DEFAULT_PULL_OVERHEAD_S for t in EMBEDDED_REFERENCE.column("system_pull_s")]
+    )
     return CalibrationResult(
         store_profile=LatencyProfile(push_fit.intercept, push_fit.slope),
         fetch_profile=LatencyProfile(pull_fit.intercept, pull_fit.slope),
@@ -259,6 +228,9 @@ def _sweep(op, sample, sizes, repeats, store_profile, fetch_profile, chain_confi
     """
     if not sizes:
         raise ValueError("sizes must be non-empty")
+    for size in sizes:
+        if size < 1:
+            raise ValueError(f"sizes must be >= 1 MB, got {size}")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     with tempfile.TemporaryDirectory(prefix="shardvcs-bench-") as scratch:
@@ -334,6 +306,8 @@ def run_pull_bench(
     (exercising the cache fallback); a positive one schedules it after
     (exercising the authoritative path).
     """
+    if not math.isfinite(start_offset_s):
+        raise ValueError(f"start offset must be finite, got {start_offset_s}")
 
     def sample(world: BenchWorld, size: int, rep: int, blob: bytes) -> BenchSample:
         result = world.client.push(blob, world.owner)

@@ -48,7 +48,7 @@ def _protocol_errors() -> tuple[type[Exception], ...]:
     from .protocol import ProtocolError
 
     return (ProtocolError, NotFoundError, MiddlemanUnavailableError, ClockModeError,
-            bench.BenchError, bench.CalibrationError, bench.CsvParseError)
+            bench.BenchError, bench.CsvParseError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -259,12 +259,7 @@ def _cmd_calibrate(args) -> int:
     from . import bench as bench_mod
     from .config import HarnessConfig
 
-    reference = (
-        bench_mod.ReferenceTable.from_file(args.reference)
-        if args.reference
-        else bench_mod.EMBEDDED_REFERENCE
-    )
-    result = bench_mod.calibrate(reference)
+    result = bench_mod.calibrate()
     print(
         f"store profile: fixed {result.store_profile.fixed_overhead_s:.6f} s"
         f" + {result.store_profile.per_mb_s:.6f} s/MB"
@@ -352,7 +347,6 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("calibrate", help="fit latency profiles to the reference table")
-    p.add_argument("--reference", default=None, help="CSV reference table file")
     p.add_argument("--write-config", default=None, help="write a config file with the fitted profiles")
     p.set_defaults(func=_cmd_calibrate)
 

@@ -38,6 +38,8 @@ connection, so no client keeps talking to a stopped server's cache.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import json
 import math
 import re
@@ -69,12 +71,18 @@ class MiddlemanUnavailableError(ConnectionError):
 class CacheEntry(namedtuple("CacheEntry", "share_text stored_at ttl_s")):
     __slots__ = ()
 
-    def live_at(self, now: float) -> bool:
-        return now < self.stored_at + self.ttl_s
+    @property
+    def expires_at(self) -> float:
+        """The first instant at which the entry is no longer served."""
+        return self.stored_at + self.ttl_s
 
 
 class ShareCache:
-    """In-process share cache with TTL expiry and last-writer-wins stores."""
+    """In-process share cache with TTL expiry and last-writer-wins stores.
+
+    Every call first drops the entries that have expired, so the cache holds
+    only live shares however few of them are ever fetched again.
+    """
 
     def __init__(self, ttl_s: float = DEFAULT_TTL_S, clock: Clock | None = None):
         if not (math.isfinite(ttl_s) and ttl_s > 0):
@@ -82,42 +90,56 @@ class ShareCache:
         self.ttl_s = ttl_s
         self.clock = clock if clock is not None else RealClock()
         self._entries: dict[str, CacheEntry] = {}
+        # Min-heap of (expires_at, seq, repo, entry); seq is unique, so repo and entry are
+        # never compared. An overwrite or an eviction leaves the old item behind, and
+        # popping it drops nothing.
+        self._expiry: list[tuple[float, int, str, CacheEntry]] = []
+        self._seq = itertools.count()
         self._lock = threading.Lock()
+
+    def _drop_expired(self) -> None:
+        """Drop every entry whose expiry has come; the caller holds the lock."""
+        now = self.clock.now()
+        while self._expiry and self._expiry[0][0] <= now:
+            _, _, repo, entry = heapq.heappop(self._expiry)
+            if self._entries.get(repo) is entry:
+                del self._entries[repo]
 
     def store_share(self, repo: str, share_text: str) -> None:
         Share.from_text(share_text)  # reject malformed encodings up front
         with self._lock:
-            self._entries[repo] = CacheEntry(share_text, self.clock.now(), self.ttl_s)
+            self._drop_expired()
+            entry = self._entries[repo] = CacheEntry(share_text, self.clock.now(), self.ttl_s)
+            heapq.heappush(self._expiry, (entry.expires_at, next(self._seq), repo, entry))
 
     def fetch_share(self, repo: str) -> str | None:
         with self._lock:
+            self._drop_expired()
             entry = self._entries.get(repo)
-            if entry is None:
-                return None
-            if not entry.live_at(self.clock.now()):
-                del self._entries[repo]
-                return None
-            return entry.share_text
+            return None if entry is None else entry.share_text
 
     def evict(self, repo: str) -> None:
         with self._lock:
+            self._drop_expired()
             self._entries.pop(repo, None)
 
     def live_shares(self) -> dict[str, str]:
         """Unexpired holdings, keyed by repo id."""
-        now = self.clock.now()
         with self._lock:
-            return {r: e.share_text for r, e in self._entries.items() if e.live_at(now)}
+            self._drop_expired()
+            return {r: e.share_text for r, e in self._entries.items()}
 
     # CLI persistence: live entries survive process restarts via a JSON snapshot.
     def snapshot(self) -> dict:
-        now = self.clock.now()
         with self._lock:
-            return {r: e._asdict() for r, e in self._entries.items() if e.live_at(now)}
+            self._drop_expired()
+            return {r: e._asdict() for r, e in self._entries.items()}
 
     def restore(self, state: dict) -> None:
         with self._lock:
             self._entries = {r: CacheEntry(**d) for r, d in state.items()}
+            self._expiry = [(e.expires_at, next(self._seq), r, e) for r, e in self._entries.items()]
+            heapq.heapify(self._expiry)
 
 
 class _FramingError(ValueError):

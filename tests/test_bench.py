@@ -7,10 +7,8 @@ from shardvcs.bench import (
     EMBEDDED_REFERENCE,
     BenchError,
     BenchSample,
-    CalibrationError,
     CsvParseError,
-    ReferenceRow,
-    ReferenceTable,
+    _fit_line,
     calibrate,
     largest_phase,
     parse_csv,
@@ -42,16 +40,8 @@ def test_embedded_reference_rows():
     assert EMBEDDED_REFERENCE.column("git_pull_s") == [1.06, 1.07, 1.06, 1.17]
 
 
-def test_reference_table_requires_increasing_sizes():
-    row = ReferenceRow(5, 1.0, 1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        ReferenceTable((row, ReferenceRow(5, 2.0, 2.0, 2.0, 2.0)))
-    with pytest.raises(ValueError):
-        ReferenceTable(())
-
-
 def test_calibrate_matches_independent_least_squares():
-    result = calibrate(EMBEDDED_REFERENCE)
+    result = calibrate()
     slope, intercept = normal_equations_fit([1, 5, 10, 20], [2.04, 4.19, 6.56, 11.47])
     assert result.push_fit.slope == pytest.approx(slope, abs=1e-9)
     assert result.push_fit.intercept == pytest.approx(intercept, abs=1e-9)
@@ -73,30 +63,20 @@ def test_calibrate_matches_independent_least_squares():
     assert result.fetch_profile.per_mb_s == result.pull_fit.slope
 
 
-def test_calibrate_exact_linear_table_has_zero_residuals():
-    rows = tuple(
-        ReferenceRow(s, 1.0 + 0.5 * s, 0.9 + 0.3 * s, 1.0, 1.0) for s in (1, 2, 4, 8)
-    )
-    result = calibrate(ReferenceTable(rows))
-    assert all(abs(r) < 1e-9 for r in result.push_fit.residuals)
-    assert all(abs(r) < 1e-9 for r in result.pull_fit.residuals)
-    assert result.push_fit.slope == pytest.approx(0.5)
-    assert result.push_fit.intercept == pytest.approx(1.0)
+def test_fit_of_an_exact_line_has_zero_residuals():
+    sizes = [1, 2, 4, 8]
+    fit = _fit_line(sizes, [1.0 + 0.5 * s for s in sizes])
+    assert all(abs(r) < 1e-9 for r in fit.residuals)
+    assert fit.slope == pytest.approx(0.5)
+    assert fit.intercept == pytest.approx(1.0)
 
 
-def test_calibrate_single_row_fails():
-    table = ReferenceTable((ReferenceRow(1, 2.0, 1.0, 1.0, 1.0),))
-    with pytest.raises(CalibrationError):
-        calibrate(table)
-
-
-def test_calibrate_non_positive_slope_fails():
-    rows = (
-        ReferenceRow(1, 5.0, 5.0, 1.0, 1.0),
-        ReferenceRow(10, 1.0, 1.0, 1.0, 1.0),
-    )
-    with pytest.raises(CalibrationError):
-        calibrate(ReferenceTable(rows))
+def test_embedded_fits_are_usable_latency_lines():
+    # a latency line must grow with size and cost nothing negative at size zero
+    result = calibrate()
+    for fit in (result.push_fit, result.pull_fit):
+        assert fit.slope > 0
+        assert fit.intercept >= 0
 
 
 def _bench_profiles():
@@ -144,6 +124,23 @@ def test_bench_rejects_bad_args(tmp_path):
         run_push_bench([1], 0, store, fetch, ChainConfig(), workdir=tmp_path)
     with pytest.raises(BenchError):
         run_pull_bench([1], 1, store, fetch, ChainConfig(), start_offset_s=-100.0, workdir=tmp_path)
+
+
+@pytest.mark.parametrize(
+    "sizes, offset, message",
+    [
+        ([1, 0], 2.0, "sizes must be >= 1 MB, got 0"),
+        ([-1], 2.0, "sizes must be >= 1 MB, got -1"),
+        ([1], float("nan"), "start offset must be finite, got nan"),
+        ([1], float("-inf"), "start offset must be finite, got -inf"),
+    ],
+)
+def test_bench_rejects_bad_sizes_and_offsets_before_any_sample(tmp_path, sizes, offset, message):
+    store, fetch = _bench_profiles()
+    workdir = tmp_path / "store"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_pull_bench(sizes, 1, store, fetch, ChainConfig(), start_offset_s=offset, workdir=workdir)
+    assert not workdir.exists()  # no world was built, so no sample ran
 
 
 def test_bench_reproducible_bit_identical(tmp_path):
@@ -276,20 +273,6 @@ def test_report_is_deterministic_and_marks_largest(tmp_path):
 def test_report_of_nothing_is_an_error():
     with pytest.raises(CsvParseError):
         render_report([])
-
-
-def test_reference_table_file_roundtrip(tmp_path):
-    path = tmp_path / "ref.csv"
-    path.write_text(
-        "size_mb,system_push_s,system_pull_s,git_push_s,git_pull_s\n"
-        "1,2.0,1.0,4.0,1.0\n"
-        "10,7.0,2.5,8.0,1.1\n"
-    )
-    table = ReferenceTable.from_file(path)
-    assert table.sizes() == [1, 10]
-    assert table.column("system_pull_s") == [1.0, 2.5]
-    with pytest.raises(OSError):
-        ReferenceTable.from_file(tmp_path / "ref2.csv")
 
 
 def test_zero_latency_crypto_baseline_is_subsecond_at_20mb(tmp_path):

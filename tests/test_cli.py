@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import shardvcs
-from shardvcs.cli import main
+from shardvcs.cli import _build_parser, main
 from shardvcs.middleman import HttpShareCache, MiddlemanServer, ShareCache
 
 from scripted_middleman import http_reply, scripted_middleman
@@ -165,12 +166,32 @@ def test_usage_errors_exit_1(run, tmp_path):
     bad_cfg.write_text("no_such_key = 1\n")
     assert run("push", str(src), "--owner", "a", "--config", str(bad_cfg), "--state-dir", state)[0] == 1
     assert run("bench", "push", "--sizes", "abc", "--repeats", "1")[0] == 1
+    for argv, value in ((("push", "--sizes", "1,0"), "0"), (("push", "--sizes", "-1"), "-1"),
+                        (("pull", "--offset", "nan"), "nan")):
+        rc, out, err = run("bench", *argv, "--repeats", "1")
+        assert (rc, out) == (1, "") and err.startswith("usage error: ") and err.endswith(f"got {value}\n")
     assert run("report", str(tmp_path / "missing.csv"))[0] == 1
-    assert run("calibrate", "--reference", str(tmp_path / "missing.csv"))[0] == 1
+    assert run("calibrate", "--reference", str(tmp_path / "missing.csv"))[0] == 1  # not a flag
     assert run("calibrate", "--pull-overhead", "0.3")[0] == 1  # a modeling constant, not a flag
     for port in ("70000", "-1"):
         rc, _, err = run("serve-middleman", "--port", port)
         assert (rc, err) == (1, f"usage error: port must be 0-65535, got {port}\n")
+
+
+def test_readme_commands_parse(capsys):
+    """Every `shardvcs ...` line of README's ```sh blocks, a trailing `&` dropped, still parses."""
+    commands, in_sh = [], False
+    for line in (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("shardvcs "):
+            commands.append(line.removesuffix("&").rstrip())
+    assert len(commands) >= 14
+    for command in commands:
+        try:
+            _build_parser().parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README command no longer parses: {command}\n{capsys.readouterr().err}")
 
 
 def test_protocol_errors_exit_2(run, tmp_path):
@@ -183,14 +204,6 @@ def test_protocol_errors_exit_2(run, tmp_path):
     bad_csv = tmp_path / "bad.csv"
     bad_csv.write_text("wrong,header\n")
     assert run("report", str(bad_csv))[0] == 2
-
-    ref = tmp_path / "flat.csv"
-    ref.write_text(
-        "size_mb,system_push_s,system_pull_s,git_push_s,git_pull_s\n"
-        "1,5.0,5.0,1.0,1.0\n"
-        "10,5.0,5.0,1.0,1.0\n"
-    )
-    assert run("calibrate", "--reference", str(ref))[0] == 2  # zero slope
 
 
 def test_advance_requires_virtual_clock(run, tmp_path):

@@ -15,6 +15,7 @@ from socketserver import ThreadingMixIn
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 import shardvcs
 from shardvcs import middleman
@@ -136,6 +137,128 @@ def test_snapshot_layout_is_a_plain_dict_per_repo():
     assert cache.live_shares() == {"other": "03bb"}
     clock.advance_to(11.0)
     assert cache.snapshot() == {}
+
+
+def test_expired_shares_are_dropped_without_being_fetched():
+    clock = VirtualClock()
+    cache = ShareCache(ttl_s=10.0, clock=clock)
+    for i in range(1000):
+        cache.store_share(f"old-{i}", "02aa")
+    clock.advance(10.0)
+    for i in range(10):
+        cache.store_share(f"new-{i}", "02bb")
+    assert len(cache._entries) == 10
+    assert len(cache._expiry) == 10
+
+
+def test_an_overwrite_before_expiry_keeps_the_newer_entry():
+    clock = VirtualClock()
+    cache = ShareCache(ttl_s=10.0, clock=clock)
+    cache.store_share("repo", "02aa")
+    clock.advance(5.0)
+    cache.store_share("repo", "02bb")
+    clock.advance(5.0)  # the first entry's expiry: its heap item pops and drops nothing
+    assert cache.fetch_share("repo") == "02bb"
+    clock.advance_to(14.999)
+    assert cache.live_shares() == {"repo": "02bb"}
+    clock.advance_to(15.0)
+    assert cache.fetch_share("repo") is None
+    assert cache._entries == {} and cache._expiry == []
+
+
+def test_entries_with_equal_expiry_times():
+    clock = VirtualClock()
+    cache = ShareCache(ttl_s=10.0, clock=clock)
+    cache.store_share("repo-a", "02aa")
+    cache.store_share("repo-b", "02bb")
+    cache.store_share("repo-a", "03cc")  # same instant: three heap items share one expiry
+    cache.evict("repo-b")
+    cache.store_share("repo-b", "03dd")
+    clock.advance_to(9.999)
+    assert cache.live_shares() == {"repo-a": "03cc", "repo-b": "03dd"}
+    clock.advance_to(10.0)
+    assert cache.snapshot() == {}
+    assert cache._entries == {} and cache._expiry == []
+
+
+def test_restored_entries_expire_in_expiry_order():
+    clock = VirtualClock()
+    cache = ShareCache(ttl_s=10.0, clock=clock)
+    late = {"share_text": "02aa", "stored_at": 5.0, "ttl_s": 10.0}
+    early = {"share_text": "03bb", "stored_at": 1.0, "ttl_s": 2.0}
+    cache.restore({"late": late, "early": early})
+    clock.advance_to(3.0)
+    cache.store_share("new", "02cc")
+    assert set(cache._entries) == {"late", "new"}
+
+
+_CACHE_REPOS = ["repo-a", "repo-b", "repo-c"]
+
+
+class ShareCacheModel(RuleBasedStateMachine):
+    """The cache beside a plain dict of repo -> (share, stored_at) and the same clock.
+
+    Steps of 0 s and whole multiples of 0.5 s against a 2 s TTL give overwrites,
+    entries that expire at the same instant, and calls at the exact expiry time.
+    After each cache call the entries the cache holds must be exactly the live ones.
+    """
+
+    TTL_S = 2.0
+
+    @initialize()
+    def start(self):
+        self.clock = VirtualClock()
+        self.cache = ShareCache(ttl_s=self.TTL_S, clock=self.clock)
+        self.model: dict[str, tuple[str, float]] = {}
+
+    def _live(self) -> dict[str, str]:
+        now = self.clock.now()
+        return {r: share for r, (share, at) in self.model.items() if now < at + self.TTL_S}
+
+    def _holds_only_live_entries(self) -> None:
+        assert {r: e.share_text for r, e in self.cache._entries.items()} == self._live()
+        assert all(item[0] > self.clock.now() for item in self.cache._expiry)
+
+    @rule(repo=st.sampled_from(_CACHE_REPOS), share=st.sampled_from(["02aa", "03bb"]))
+    def store(self, repo, share):
+        self.cache.store_share(repo, share)
+        self.model[repo] = (share, self.clock.now())
+        self._holds_only_live_entries()
+
+    @rule(repo=st.sampled_from(_CACHE_REPOS))
+    def fetch(self, repo):
+        assert self.cache.fetch_share(repo) == self._live().get(repo)
+        self._holds_only_live_entries()
+
+    @rule(repo=st.sampled_from(_CACHE_REPOS))
+    def evict(self, repo):
+        self.cache.evict(repo)
+        self.model.pop(repo, None)
+        self._holds_only_live_entries()
+
+    @rule(dt=st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]))
+    def advance(self, dt):
+        self.clock.advance(dt)
+
+    @rule()
+    def snapshot_and_restore(self):
+        """Reload into a fresh cache and clock, as each CLI command does."""
+        state = json.loads(json.dumps(self.cache.snapshot()))
+        self._holds_only_live_entries()
+        now, self.clock = self.clock.now(), VirtualClock()
+        self.clock.advance_to(now)
+        self.cache = ShareCache(ttl_s=self.TTL_S, clock=self.clock)
+        self.cache.restore(state)
+        assert self.cache.snapshot() == state
+
+    @invariant()
+    def serves_the_live_shares(self):
+        assert self.cache.live_shares() == self._live()
+        self._holds_only_live_entries()
+
+
+ShareCacheModel.TestCase.settings = settings(max_examples=150, stateful_step_count=30, deadline=None)
+TestShareCacheModel = ShareCacheModel.TestCase
 
 
 def test_cache_entries_are_immutable_values():
