@@ -188,43 +188,18 @@ def parse_csv(text: str) -> list[BenchSample]:
     return samples
 
 
-# -- bench worlds ------------------------------------------------------------------
+# -- bench runs ------------------------------------------------------------------
 
-
-@dataclass
-class BenchWorld:
-    clock: Clock
-    cas: BlobStore
-    cache: ShareCache
-    chain: SimulatedChain
-    client: Client
-    rng: random.Random
-    owner: Address
-
-
-def make_world(
-    store_profile: LatencyProfile,
-    fetch_profile: LatencyProfile,
-    chain_config: ChainConfig,
-    seed: int | None = 0,
-    *,
-    workdir: str | Path,
-    clock: Clock | None = None,
-) -> BenchWorld:
-    clock = clock if clock is not None else VirtualClock()
-    rng = random.Random(seed)
-    cas = BlobStore(workdir, store_profile, fetch_profile, clock)
-    cache = ShareCache(clock=clock)
-    chain = SimulatedChain(chain_config, clock=clock, rng=rng)
-    client = Client(cas, chain, cache, clock=clock, rng=rng)
-    return BenchWorld(clock, cas, cache, chain, client, rng, Address.from_label("bench-owner"))
+_OWNER = Address.from_label("bench-owner")
 
 
 def _sweep(op, sample, sizes, repeats, store_profile, fetch_profile, chain_config, seed, workdir, clock):
-    """Call `sample(world, size, repeat, blob)` once per (size, repeat) on one fresh world.
+    """Call `sample(client, size, repeat, blob)` once per (size, repeat) on one fresh client.
 
-    Each blob is drawn from the world's rng just before its sample runs. With no
-    workdir, the blob store lives in a temporary directory removed afterwards.
+    The client's store, chain and cache share one clock (virtual unless one is
+    given) and one rng seeded with `seed`; each blob is drawn from that rng just
+    before its sample runs. With no workdir, the blob store lives in a temporary
+    directory removed afterwards.
     """
     if not sizes:
         raise ValueError("sizes must be non-empty")
@@ -234,14 +209,17 @@ def _sweep(op, sample, sizes, repeats, store_profile, fetch_profile, chain_confi
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     with tempfile.TemporaryDirectory(prefix="shardvcs-bench-") as scratch:
-        root = scratch if workdir is None else workdir
-        world = make_world(store_profile, fetch_profile, chain_config, seed, workdir=root, clock=clock)
+        clock = clock if clock is not None else VirtualClock()
+        rng = random.Random(seed)
+        cas = BlobStore(scratch if workdir is None else workdir, store_profile, fetch_profile, clock)
+        chain = SimulatedChain(chain_config, clock=clock, rng=rng)
+        client = Client(cas, chain, ShareCache(clock=clock), clock=clock, rng=rng)
         samples = []
         for size in sizes:
             for rep in range(repeats):
-                blob = world.rng.randbytes(size * 1_000_000)
+                blob = rng.randbytes(size * 1_000_000)
                 try:
-                    samples.append(sample(world, size, rep, blob))
+                    samples.append(sample(client, size, rep, blob))
                 except BenchError:
                     raise
                 except Exception as exc:
@@ -249,14 +227,14 @@ def _sweep(op, sample, sizes, repeats, store_profile, fetch_profile, chain_confi
         return samples
 
 
-def _sleep_until_due(world: BenchWorld, tx_id: str, offset_s: float) -> float:
-    """Sleep on the world's clock (a virtual one advances, a real one waits) to `offset_s` past the
+def _sleep_until_due(client: Client, tx_id: str, offset_s: float) -> float:
+    """Sleep on the client's clock (a virtual one advances, a real one waits) to `offset_s` past the
     transaction's due time. Returns the time that was left, negative if that instant had passed."""
-    due = world.chain.due_at(tx_id)
+    due = client.chain.due_at(tx_id)
     if due is None:
         raise BenchError(f"{tx_id} settled before the sample could wait for it")
-    left = due + offset_s - world.clock.now()
-    world.clock.sleep(max(left, 0.0))
+    left = due + offset_s - client.clock.now()
+    client.clock.sleep(max(left, 0.0))
     return left
 
 
@@ -272,11 +250,11 @@ def run_push_bench(
 ) -> list[BenchSample]:
     """One push per (size, repeat); confirmation settles between samples."""
 
-    def sample(world: BenchWorld, size: int, rep: int, blob: bytes) -> BenchSample:
-        result = world.client.push(blob, world.owner)
+    def sample(client: Client, size: int, rep: int, blob: bytes) -> BenchSample:
+        result = client.push(blob, _OWNER)
         receipt = result.registration
-        _sleep_until_due(world, receipt.tx_id, 0.0)
-        world.chain.pending_count()  # settles what is due
+        _sleep_until_due(client, receipt.tx_id, 0.0)
+        client.chain.pending_count()  # settles what is due
         if receipt.status != "confirmed":
             raise BenchError(f"registration {receipt.status}")
         return BenchSample(
@@ -309,11 +287,11 @@ def run_pull_bench(
     if not math.isfinite(start_offset_s):
         raise ValueError(f"start offset must be finite, got {start_offset_s}")
 
-    def sample(world: BenchWorld, size: int, rep: int, blob: bytes) -> BenchSample:
-        result = world.client.push(blob, world.owner)
-        if _sleep_until_due(world, result.registration.tx_id, start_offset_s) < 0:
+    def sample(client: Client, size: int, rep: int, blob: bytes) -> BenchSample:
+        result = client.push(blob, _OWNER)
+        if _sleep_until_due(client, result.registration.tx_id, start_offset_s) < 0:
             raise BenchError(f"offset {start_offset_s} reaches back before the push returned")
-        plaintext, report = world.client.pull(result.cid, world.owner, result.owner_share)
+        plaintext, report = client.pull(result.cid, _OWNER, result.owner_share)
         if plaintext != blob:
             raise BenchError("pulled plaintext does not match the pushed bytes")
         phases = dict(report.phases)

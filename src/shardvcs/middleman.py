@@ -38,8 +38,6 @@ connection, so no client keeps talking to a stopped server's cache.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import json
 import math
 import re
@@ -47,7 +45,7 @@ import socket
 import socketserver
 import threading
 import urllib.parse
-from collections import namedtuple
+from collections import OrderedDict, namedtuple
 
 from .clock import Clock, RealClock
 from .sss import Share
@@ -66,10 +64,30 @@ class MiddlemanUnavailableError(ConnectionError):
     """The share-cache service could not be reached."""
 
 
+def _is_finite(x) -> bool:
+    """A finite number; False, not an error, for a non-number or an int past float range."""
+    try:
+        return math.isfinite(x)
+    except (TypeError, OverflowError):
+        return False
+
+
 # A named tuple, not a dataclass: `dataclasses` would load `inspect` into a
 # service that should start fast.
 class CacheEntry(namedtuple("CacheEntry", "share_text stored_at ttl_s")):
+    """One cached share; a restored snapshot is checked as strictly as a store."""
+
     __slots__ = ()
+
+    def __new__(cls, share_text: str, stored_at: float, ttl_s: float) -> "CacheEntry":
+        if not isinstance(share_text, str):
+            raise ValueError(f"share text must be a string, got {share_text!r}")
+        Share.from_text(share_text)  # reject malformed encodings
+        if not (_is_finite(ttl_s) and ttl_s > 0):
+            raise ValueError(f"ttl must be positive and finite, got {ttl_s!r}")
+        if not (_is_finite(stored_at) and math.isfinite(stored_at + ttl_s)):
+            raise ValueError(f"stored_at must be finite, with a finite expiry, got {stored_at!r}")
+        return tuple.__new__(cls, (share_text, stored_at, ttl_s))
 
     @property
     def expires_at(self) -> float:
@@ -80,8 +98,13 @@ class CacheEntry(namedtuple("CacheEntry", "share_text stored_at ttl_s")):
 class ShareCache:
     """In-process share cache with TTL expiry and last-writer-wins stores.
 
-    Every call first drops the entries that have expired, so the cache holds
-    only live shares however few of them are ever fetched again.
+    Entries are kept in store order. With one TTL and a clock that does not
+    step back, that is expiry order, so every call drops the expired entries
+    from the front: the cache holds only live shares however few of them are
+    ever fetched again, and an eviction or an overwrite frees its entry at
+    once. An entry that expires before one ahead of it (a restored entry with
+    another TTL, or a store after a real clock stepped back) waits behind it,
+    but reads check expiry, so it is never served.
     """
 
     def __init__(self, ttl_s: float = DEFAULT_TTL_S, clock: Clock | None = None):
@@ -89,34 +112,28 @@ class ShareCache:
             raise ValueError("ttl must be positive and finite")
         self.ttl_s = ttl_s
         self.clock = clock if clock is not None else RealClock()
-        self._entries: dict[str, CacheEntry] = {}
-        # Min-heap of (expires_at, seq, repo, entry); seq is unique, so repo and entry are
-        # never compared. An overwrite or an eviction leaves the old item behind, and
-        # popping it drops nothing.
-        self._expiry: list[tuple[float, int, str, CacheEntry]] = []
-        self._seq = itertools.count()
+        self._entries: OrderedDict[str, CacheEntry] = OrderedDict()
         self._lock = threading.Lock()
 
-    def _drop_expired(self) -> None:
-        """Drop every entry whose expiry has come; the caller holds the lock."""
+    def _drop_expired(self) -> float:
+        """Drop expired entries from the front and return now; the caller holds the lock."""
         now = self.clock.now()
-        while self._expiry and self._expiry[0][0] <= now:
-            _, _, repo, entry = heapq.heappop(self._expiry)
-            if self._entries.get(repo) is entry:
-                del self._entries[repo]
+        # OrderedDict, not dict: a dict's first key after deletions at the front is found by a scan
+        while self._entries and next(iter(self._entries.values())).expires_at <= now:
+            self._entries.popitem(last=False)
+        return now
 
     def store_share(self, repo: str, share_text: str) -> None:
-        Share.from_text(share_text)  # reject malformed encodings up front
         with self._lock:
-            self._drop_expired()
-            entry = self._entries[repo] = CacheEntry(share_text, self.clock.now(), self.ttl_s)
-            heapq.heappush(self._expiry, (entry.expires_at, next(self._seq), repo, entry))
+            entry = CacheEntry(share_text, self._drop_expired(), self.ttl_s)
+            self._entries.pop(repo, None)
+            self._entries[repo] = entry
 
     def fetch_share(self, repo: str) -> str | None:
         with self._lock:
-            self._drop_expired()
+            now = self._drop_expired()
             entry = self._entries.get(repo)
-            return None if entry is None else entry.share_text
+            return entry.share_text if entry is not None and now < entry.expires_at else None
 
     def evict(self, repo: str) -> None:
         with self._lock:
@@ -126,20 +143,19 @@ class ShareCache:
     def live_shares(self) -> dict[str, str]:
         """Unexpired holdings, keyed by repo id."""
         with self._lock:
-            self._drop_expired()
-            return {r: e.share_text for r, e in self._entries.items()}
+            now = self._drop_expired()
+            return {r: e.share_text for r, e in self._entries.items() if now < e.expires_at}
 
     # CLI persistence: live entries survive process restarts via a JSON snapshot.
     def snapshot(self) -> dict:
         with self._lock:
-            self._drop_expired()
-            return {r: e._asdict() for r, e in self._entries.items()}
+            now = self._drop_expired()
+            return {r: e._asdict() for r, e in self._entries.items() if now < e.expires_at}
 
     def restore(self, state: dict) -> None:
+        entries = sorted(((r, CacheEntry(**d)) for r, d in state.items()), key=lambda e: e[1].expires_at)
         with self._lock:
-            self._entries = {r: CacheEntry(**d) for r, d in state.items()}
-            self._expiry = [(e.expires_at, next(self._seq), r, e) for r, e in self._entries.items()]
-            heapq.heapify(self._expiry)
+            self._entries = OrderedDict(entries)
 
 
 class _FramingError(ValueError):

@@ -24,7 +24,6 @@ from shardvcs.bench import (
     EMBEDDED_REFERENCE,
     calibrate,
     largest_phase,
-    make_world,
     render_report,
     run_pull_bench,
     run_push_bench,
@@ -159,9 +158,9 @@ def test_acceptance_3_contract_matches_bruteforce_interpreter():
     assert elapsed < 30.0
 
 
-def test_acceptance_4_registration_gas_exact(tmp_path):
+def test_acceptance_4_registration_gas_exact(tmp_path, make_world):
     # every confirmed registration costs exactly 206,886 gas, 1 KB .. 20 MB
-    world = make_world(LatencyProfile(), LatencyProfile(), ChainConfig.constant(1.0), seed=9, workdir=tmp_path)
+    world = make_world(delay_s=1.0, seed=9)
     sizes = [1_000, 10_000, 250_000, 1_000_000, 5_000_000, 20_000_000]
     observed = []
     for nbytes in sizes:
@@ -179,17 +178,14 @@ def test_acceptance_4_registration_gas_exact(tmp_path):
     shutil.rmtree(tmp_path, ignore_errors=True)
 
 
-def test_acceptance_5_path_selection_straddles_confirmation(tmp_path):
+def test_acceptance_5_path_selection_straddles_confirmation(tmp_path, make_world):
     # 100 pull start times straddling a 14 s confirmation: pre -> middleman,
     # post -> on-chain, all plaintexts correct; runtime < 20 s
     t0 = time.perf_counter()
     offsets = [-5.0 + 10.0 * i / 99 for i in range(100)]
     failures = []
     for i, offset in enumerate(offsets):
-        world = make_world(
-            LatencyProfile(), LatencyProfile(), ChainConfig.constant(14.0),
-            seed=500 + i, workdir=tmp_path / str(i),
-        )
+        world = make_world(delay_s=14.0, seed=500 + i)
         blob = world.rng.randbytes(10_000)
         result = world.client.push(blob, world.owner)
         target = world.chain.due_at(result.registration.tx_id) + offset
@@ -283,12 +279,12 @@ def test_acceptance_7_confirmation_is_largest_phase(tmp_path):
     shutil.rmtree(tmp_path, ignore_errors=True)
 
 
-def test_acceptance_8_end_to_end_fidelity(tmp_path):
+def test_acceptance_8_end_to_end_fidelity(tmp_path, make_world):
     # 50 random repos up to 20 MB: push -> grant -> confirm -> collaborator
     # pull returns the exact bytes; a single bit flipped in the stored blob
     # turns the pull into an integrity error, never wrong plaintext
     rng = random.Random(88)
-    world = make_world(LatencyProfile(), LatencyProfile(), ChainConfig.constant(0.5), seed=88, workdir=tmp_path)
+    world = make_world(delay_s=0.5, seed=88)
     collaborator = Address.from_label("collaborator")
     corrupted_caught = 0
     for _ in range(50):
@@ -301,7 +297,7 @@ def test_acceptance_8_end_to_end_fidelity(tmp_path):
         assert report.path_used == "on-chain"
 
         digest = result.cid.text.split(":", 1)[1]
-        stored = tmp_path / digest[:2] / digest
+        stored = world.cas.root / digest[:2] / digest
         sealed = bytearray(stored.read_bytes())
         bit = rng.randrange(len(sealed) * 8)
         sealed[bit // 8] ^= 1 << (bit % 8)

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -90,6 +91,28 @@ def test_walkthrough_push_pull_advance_grant(run, tmp_path):
     assert rc == 0
     assert out3.read_bytes() == payload
     assert "path: on-chain" in err
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"stored_at": float("nan")}, {"stored_at": float("inf")}, {"share_text": "zz"}],
+    ids=["nan-stored-at", "infinite-stored-at", "non-hex-share"],
+)
+def test_pull_on_a_state_dir_with_a_bad_cache_entry_exits_1(run, tmp_path, bad):
+    """`json.loads` reads NaN and Infinity, so the saved cache is checked as it is restored."""
+    state = tmp_path / "state"
+    cid, share = push_file(run, tmp_path, state)
+    state_file = state / "chain.json"
+    saved = json.loads(state_file.read_text())
+    saved["cache"][cid].update(bad)
+    state_file.write_text(json.dumps(saved))
+    before = state_file.read_bytes()
+    out = tmp_path / "out.bin"
+    rc, stdout, err = run("pull", cid, "--as", "alice", "--share", share, "--out", str(out), "--state-dir", str(state))
+    assert (rc, stdout) == (1, "")
+    assert err.startswith("usage error: ")
+    assert not out.exists()
+    assert state_file.read_bytes() == before
 
 
 def test_pull_to_stdout(run, tmp_path):
@@ -192,6 +215,14 @@ def test_readme_commands_parse(capsys):
             _build_parser().parse_args(shlex.split(command)[1:])
         except SystemExit:
             pytest.fail(f"README command no longer parses: {command}\n{capsys.readouterr().err}")
+
+
+def test_readme_scripts_exist():
+    """Every `scripts/<name>.py` that README names is in the repo."""
+    root = Path(__file__).resolve().parents[1]
+    named = set(re.findall(r"\bscripts/[\w-]+\.py\b", (root / "README.md").read_text()))
+    assert named, "README names no script"
+    assert sorted(n for n in named if not (root / n).is_file()) == []
 
 
 def test_protocol_errors_exit_2(run, tmp_path):
@@ -306,24 +337,6 @@ def test_bench_removes_its_scratch_store(run, tmp_path, monkeypatch):
     rc, _, _ = run("bench", "push", "--sizes", "1", "--repeats", "1")
     assert rc == 0
     assert list(scratch.iterdir()) == []
-
-
-def test_reproduce_script_writes_the_cli_bench_csvs(run, tmp_path):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_reference_table.py"
-    out = tmp_path / "out"
-    proc = subprocess.run(
-        [sys.executable, str(script), "--repeats", "1", "--out", str(out)],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    cfg = tmp_path / "fitted.cfg"
-    assert run("calibrate", "--write-config", str(cfg))[0] == 0
-    for op in ("push", "pull"):
-        rc, csv_text, _ = run(
-            "bench", op, "--sizes", "1,5,10,20", "--repeats", "1", "--seed", "0", "--config", str(cfg)
-        )
-        assert rc == 0
-        assert (out / f"{op}.csv").read_text() == csv_text
 
 
 def test_report_from_stdin(run, tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -148,7 +149,6 @@ def test_expired_shares_are_dropped_without_being_fetched():
     for i in range(10):
         cache.store_share(f"new-{i}", "02bb")
     assert len(cache._entries) == 10
-    assert len(cache._expiry) == 10
 
 
 def test_an_overwrite_before_expiry_keeps_the_newer_entry():
@@ -157,13 +157,13 @@ def test_an_overwrite_before_expiry_keeps_the_newer_entry():
     cache.store_share("repo", "02aa")
     clock.advance(5.0)
     cache.store_share("repo", "02bb")
-    clock.advance(5.0)  # the first entry's expiry: its heap item pops and drops nothing
+    clock.advance(5.0)  # the first entry's expiry
     assert cache.fetch_share("repo") == "02bb"
     clock.advance_to(14.999)
     assert cache.live_shares() == {"repo": "02bb"}
     clock.advance_to(15.0)
     assert cache.fetch_share("repo") is None
-    assert cache._entries == {} and cache._expiry == []
+    assert cache._entries == {}
 
 
 def test_entries_with_equal_expiry_times():
@@ -171,14 +171,14 @@ def test_entries_with_equal_expiry_times():
     cache = ShareCache(ttl_s=10.0, clock=clock)
     cache.store_share("repo-a", "02aa")
     cache.store_share("repo-b", "02bb")
-    cache.store_share("repo-a", "03cc")  # same instant: three heap items share one expiry
+    cache.store_share("repo-a", "03cc")  # same instant: every entry shares one expiry
     cache.evict("repo-b")
     cache.store_share("repo-b", "03dd")
     clock.advance_to(9.999)
     assert cache.live_shares() == {"repo-a": "03cc", "repo-b": "03dd"}
     clock.advance_to(10.0)
     assert cache.snapshot() == {}
-    assert cache._entries == {} and cache._expiry == []
+    assert cache._entries == {}
 
 
 def test_restored_entries_expire_in_expiry_order():
@@ -190,6 +190,106 @@ def test_restored_entries_expire_in_expiry_order():
     clock.advance_to(3.0)
     cache.store_share("new", "02cc")
     assert set(cache._entries) == {"late", "new"}
+
+
+def test_an_entry_behind_a_later_expiry_is_not_served():
+    clock = VirtualClock()
+    cache = ShareCache(ttl_s=10.0, clock=clock)
+    cache.restore({"long": {"share_text": "02aa", "stored_at": 0.0, "ttl_s": 100.0}})
+    cache.store_share("short", "03bb")
+    clock.advance_to(9.999)
+    assert cache.fetch_share("short") == "03bb"
+    clock.advance_to(10.0)  # "short" expires, but waits behind "long"
+    assert cache.fetch_share("short") is None
+    assert cache.live_shares() == {"long": "02aa"}
+    assert cache.snapshot() == {"long": {"share_text": "02aa", "stored_at": 0.0, "ttl_s": 100.0}}
+    assert list(cache._entries) == ["long", "short"]
+    clock.advance_to(100.0)
+    assert cache.live_shares() == {} and cache._entries == {}
+
+
+def test_evictions_and_overwrites_free_their_entries_at_once():
+    clock = VirtualClock()
+    cache = ShareCache(clock=clock)
+    tracemalloc.start()
+    try:
+        for i in range(10_000):
+            cache.store_share(f"repo-{i}", "02aa")
+            cache.evict(f"repo-{i}")
+        for _ in range(10_000):
+            cache.store_share("repo", "03bb")
+        traced, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cache._entries) == 1
+    assert traced < 64 * 1024, f"{traced} bytes traced for one entry"
+
+
+def test_threads_sharing_one_cache_never_lose_a_live_entry():
+    """Drops from the front run under the lock: a pop racing another would take a live entry."""
+    clock = VirtualClock()
+    cache = ShareCache(ttl_s=1.0, clock=clock)
+    errors, done = [], threading.Event()
+
+    def work(t: int) -> None:
+        try:
+            for i in range(3000):
+                share = f"{t + 1:02x}{i:04x}"
+                before = clock.now()
+                cache.store_share(f"repo-{t}", share)
+                cache.store_share(f"tmp-{t}-{i}", share)  # expires soon, so every call has drops to make
+                got = cache.fetch_share(f"repo-{t}")
+                if got != share and clock.now() < before + 1.0:
+                    errors.append((t, i, got))
+        except Exception as exc:  # reported by the assertion below
+            errors.append((t, exc))
+
+    def tick() -> None:
+        while not done.is_set():
+            clock.advance(0.001)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        ticker = threading.Thread(target=tick)
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+        ticker.start()
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+        done.set()
+        ticker.join(timeout=10)
+        assert not any(th.is_alive() for th in threads + [ticker])
+    finally:
+        done.set()
+        sys.setswitchinterval(interval)
+    assert errors == []
+
+
+_MALFORMED_ENTRIES = {
+    "not hex": {"share_text": "zz", "stored_at": 1.0, "ttl_s": 10.0},
+    "no payload": {"share_text": "02", "stored_at": 1.0, "ttl_s": 10.0},
+    "not a string": {"share_text": 2, "stored_at": 1.0, "ttl_s": 10.0},
+    "NaN stored_at": {"share_text": "02aa", "stored_at": float("nan"), "ttl_s": 10.0},
+    "infinite stored_at": {"share_text": "02aa", "stored_at": float("inf"), "ttl_s": 10.0},
+    "string stored_at": {"share_text": "02aa", "stored_at": "1.0", "ttl_s": 10.0},
+    "expiry past float range": {"share_text": "02aa", "stored_at": 1.7e308, "ttl_s": 1.7e308},
+    "infinite ttl": {"share_text": "02aa", "stored_at": 1.0, "ttl_s": float("inf")},
+    "NaN ttl": {"share_text": "02aa", "stored_at": 1.0, "ttl_s": float("nan")},
+    "zero ttl": {"share_text": "02aa", "stored_at": 1.0, "ttl_s": 0.0},
+    "negative ttl": {"share_text": "02aa", "stored_at": 1.0, "ttl_s": -5.0},
+}
+
+
+@pytest.mark.parametrize("entry", _MALFORMED_ENTRIES.values(), ids=_MALFORMED_ENTRIES.keys())
+def test_restore_rejects_a_malformed_or_non_finite_entry(entry):
+    clock = VirtualClock()
+    cache = ShareCache(ttl_s=10.0, clock=clock)
+    cache.store_share("kept", "03bb")
+    with pytest.raises(ValueError):
+        cache.restore({"good": {"share_text": "02aa", "stored_at": 0.0, "ttl_s": 10.0}, "bad": entry})
+    assert cache.live_shares() == {"kept": "03bb"}  # a refused restore leaves the cache as it was
 
 
 _CACHE_REPOS = ["repo-a", "repo-b", "repo-c"]
@@ -217,7 +317,6 @@ class ShareCacheModel(RuleBasedStateMachine):
 
     def _holds_only_live_entries(self) -> None:
         assert {r: e.share_text for r, e in self.cache._entries.items()} == self._live()
-        assert all(item[0] > self.clock.now() for item in self.cache._expiry)
 
     @rule(repo=st.sampled_from(_CACHE_REPOS), share=st.sampled_from(["02aa", "03bb"]))
     def store(self, repo, share):
