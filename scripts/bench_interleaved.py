@@ -24,11 +24,16 @@ identical trees read anywhere from 9/40 to 29/40 pull block wins in a run. So `-
 (6 by default) repeats the whole run with fresh workers, and the last lines say in how many
 runs the change's median was lower: judge a change by those. Nothing is
 written to disk. Stdlib only.
+
+Each worker runs in its own session, and a run ends by killing what is left
+of each worker's process group. SIGTERM exits through the same cleanup, as in
+`bench_pairs.py`.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import statistics
@@ -38,7 +43,7 @@ import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_pairs import change_commit, git, spread, unpack  # noqa: E402
+from bench_pairs import change_commit, exit_on_sigterm, git, kill_group, spread, unpack  # noqa: E402
 
 OPS = ("push", "pull")
 TREES = ("change", "parent")
@@ -112,14 +117,22 @@ def worker(workload_name: str, seed: int) -> None:
 
 def start_worker(tree: Path, workload: str, seed: int) -> subprocess.Popen:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tree / "src"), str(tree / "perfbench")])}
-    proc = subprocess.Popen(
+    return subprocess.Popen(
         [sys.executable, str(Path(__file__).resolve()), "--worker", "--workload", workload, "--seed", str(seed)],
-        cwd=tree, env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+        cwd=tree, env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, start_new_session=True,
     )
-    if not json.loads(proc.stdout.readline() or "{}").get("ready"):
-        proc.kill()
-        raise RuntimeError(f"the {tree} worker did not set up")
-    return proc
+
+
+def stop_worker(proc: subprocess.Popen) -> None:
+    """Close the worker's stdin, give it a minute to tear its session down, then kill what is left of its group."""
+    try:
+        proc.stdin.close()
+        with contextlib.suppress(subprocess.TimeoutExpired):
+            proc.wait(timeout=60)
+    finally:
+        kill_group(proc)
+        proc.wait()
+        proc.stdout.close()
 
 
 def ask(proc: subprocess.Popen, ops: int) -> dict:
@@ -134,6 +147,8 @@ def run_blocks(trees: dict[str, Path], args: argparse.Namespace) -> list[dict]:
     try:
         for tree in TREES:
             procs[tree] = start_worker(trees[tree], args.workload, args.seed)
+            if not json.loads(procs[tree].stdout.readline() or "{}").get("ready"):
+                raise RuntimeError(f"the {tree} worker did not set up")
         for b in range(args.blocks):
             block = {tree: ask(procs[tree], args.ops) for tree in (TREES if b % 2 == 0 else TREES[::-1])}
             blocks.append(block)
@@ -142,9 +157,7 @@ def run_blocks(trees: dict[str, Path], args: argparse.Namespace) -> list[dict]:
                 print(f"block {b + 1}/{args.blocks}: {errors[:3]}", flush=True)
     finally:
         for proc in procs.values():
-            proc.stdin.close()
-            proc.wait(timeout=60)
-            proc.stdout.close()
+            stop_worker(proc)
     return blocks
 
 
@@ -179,4 +192,5 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    exit_on_sigterm()
     sys.exit(main())

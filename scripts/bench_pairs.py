@@ -18,15 +18,21 @@ per metric the median and quartiles of each tree, how many pairs the change
 won, and the bound from `BENCHMARK.json`. `--trace` runs traced and fills the
 file's `per_layer` section instead of its `end_to_end` one; the other section
 is kept. `--parent none` records a single-tree baseline. Stdlib only.
+
+Each run starts in its own session, and its whole process group is killed
+once it ends, so a middleman child it leaves behind goes too. SIGTERM exits
+through the same cleanup and removes the unpacked trees.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import os
 import shlex
+import signal
 import statistics
 import subprocess
 import sys
@@ -120,11 +126,33 @@ def unpack(rev: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
+def exit_on_sigterm() -> None:
+    """Make SIGTERM raise SystemExit, so `finally` blocks and context managers run on the way out."""
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+
+
+def kill_group(proc: subprocess.Popen) -> None:
+    """Kill what is left of the process group of a child started with `start_new_session=True`."""
+    with contextlib.suppress(ProcessLookupError):
+        os.killpg(proc.pid, signal.SIGKILL)
+
+
+def run_in_session(cmd: list[str], **kwargs) -> subprocess.CompletedProcess:
+    """`subprocess.run` capturing text output, with the child in its own session and its group killed at the end."""
+    with subprocess.Popen(cmd, start_new_session=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, **kwargs) as proc:
+        try:
+            stdout, stderr = proc.communicate()
+        finally:
+            kill_group(proc)
+    return subprocess.CompletedProcess(cmd, proc.returncode, stdout, stderr)
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: bool) -> tuple[dict, dict]:
     cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(int(trace))]
     env = {**os.environ, "PYTHONHASHSEED": str(seed)}
-    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+    proc = run_in_session(cmd, cwd=tree, env=env)
     try:
         return parse_run(proc.stdout)
     except ValueError as exc:
@@ -181,4 +209,5 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    exit_on_sigterm()
     sys.exit(main())

@@ -3,10 +3,11 @@
 The harness reproduces the published end-to-end latency experiment at desk
 scale. `calibrate` fits linear latency profiles to its only input, the
 embedded reference table `EMBEDDED_REFERENCE` (literature values, never
-measurements); the bench runners then drive the full protocol on a virtual
-clock under those profiles, recording one sample per (size, repeat) with a
-per-phase latency breakdown. A fixed seed plus the virtual clock makes every
-run bit-identical.
+measurements); the bench runners then drive the full protocol on the world a
+`HarnessConfig` describes (its clock, latency profiles, confirmation delays
+and cache TTL), recording one sample per (size, repeat) with a per-phase
+latency breakdown. A fixed seed plus the virtual clock makes every run
+bit-identical.
 
 Pull samples carry a modeled constant (`DEFAULT_PULL_OVERHEAD_S`, 0.2 s) for
 the access view call and share reconstruction; calibration subtracts the
@@ -21,13 +22,15 @@ import random
 import statistics
 import tempfile
 from dataclasses import dataclass, field
-from pathlib import Path
+from typing import TYPE_CHECKING, NamedTuple
 
 from .cas import BlobStore, LatencyProfile
-from .clock import Clock, VirtualClock
-from .ledger import Address, ChainConfig, SimulatedChain
+from .ledger import Address, SimulatedChain
 from .middleman import ShareCache
 from .protocol import PULL_PHASES, PUSH_PHASES, Client
+
+if TYPE_CHECKING:
+    from .config import HarnessConfig
 
 _PUSH_TIMINGS = PUSH_PHASES + ("confirmation_s",)
 _ZERO_PHASES = dict.fromkeys(PUSH_PHASES + PULL_PHASES, 0.0)
@@ -42,12 +45,7 @@ DEFAULT_PULL_OVERHEAD_S = 0.2
 
 
 class BenchError(Exception):
-    """A benchmark sample failed; the message identifies it."""
-
-
-class CsvParseError(Exception):
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    """A benchmark sample failed, or a CSV line could not be read; the message identifies it."""
 
 
 # -- reference data ----------------------------------------------------------
@@ -89,40 +87,27 @@ EMBEDDED_REFERENCE = ReferenceTable(
 # -- calibration ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FitResult:
-    slope: float
-    intercept: float
-    residuals: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class CalibrationResult:
+class CalibrationResult(NamedTuple):
     store_profile: LatencyProfile
     fetch_profile: LatencyProfile
-    push_fit: FitResult
-    pull_fit: FitResult
+    push_residuals: tuple[float, ...]
+    pull_residuals: tuple[float, ...]
 
 
-def _fit_line(sizes: list[int], times: list[float]) -> FitResult:
+def _fit_line(sizes: list[int], times: list[float]) -> tuple[LatencyProfile, tuple[float, ...]]:
+    """The least-squares line through (size, time) as a profile, and each time's residual from it."""
     slope, intercept = statistics.linear_regression(sizes, times)
-    residuals = tuple(t - (intercept + slope * s) for s, t in zip(sizes, times))
-    return FitResult(slope=slope, intercept=intercept, residuals=residuals)
+    return LatencyProfile(intercept, slope), tuple(t - (intercept + slope * s) for s, t in zip(sizes, times))
 
 
 def calibrate() -> CalibrationResult:
     """Fit store/fetch latency profiles to the push/pull columns of `EMBEDDED_REFERENCE`."""
     sizes = EMBEDDED_REFERENCE.sizes()
-    push_fit = _fit_line(sizes, EMBEDDED_REFERENCE.column("system_push_s"))
-    pull_fit = _fit_line(
+    store_profile, push_residuals = _fit_line(sizes, EMBEDDED_REFERENCE.column("system_push_s"))
+    fetch_profile, pull_residuals = _fit_line(
         sizes, [t - DEFAULT_PULL_OVERHEAD_S for t in EMBEDDED_REFERENCE.column("system_pull_s")]
     )
-    return CalibrationResult(
-        store_profile=LatencyProfile(push_fit.intercept, push_fit.slope),
-        fetch_profile=LatencyProfile(pull_fit.intercept, pull_fit.slope),
-        push_fit=push_fit,
-        pull_fit=pull_fit,
-    )
+    return CalibrationResult(store_profile, fetch_profile, push_residuals, pull_residuals)
 
 
 # -- samples and CSV -------------------------------------------------------------
@@ -130,20 +115,15 @@ def calibrate() -> CalibrationResult:
 
 @dataclass
 class BenchSample:
+    """One timed operation. `timings` holds its latency components by CSV column name:
+    a push's phases and then its `confirmation_s`, or a pull's phases."""
+
     operation: str
     size_mb: int
     repeat_index: int
     user_perceived_s: float
-    phases: dict[str, float] = field(default_factory=dict)
-    confirmation_s: float | None = None
+    timings: dict[str, float] = field(default_factory=dict)
     path_used: str | None = None
-
-
-def _timings(sample: BenchSample) -> dict[str, float]:
-    """The sample's latency components: its phases, then confirmation_s when set."""
-    if sample.confirmation_s is None:
-        return sample.phases
-    return {**sample.phases, "confirmation_s": sample.confirmation_s}
 
 
 def _cell(value: float | None) -> str:
@@ -153,9 +133,8 @@ def _cell(value: float | None) -> str:
 def samples_to_csv(samples: list[BenchSample]) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for s in samples:
-        timings = _timings(s)
         cells = [s.operation, str(s.size_mb), str(s.repeat_index), _cell(s.user_perceived_s)]
-        cells += [_cell(timings.get(name)) for name in CSV_COLUMNS[4:-1]]
+        cells += [_cell(s.timings.get(name)) for name in CSV_COLUMNS[4:-1]]
         cells.append(s.path_used or "")
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
@@ -164,27 +143,26 @@ def samples_to_csv(samples: list[BenchSample]) -> str:
 def parse_csv(text: str) -> list[BenchSample]:
     lines = text.splitlines()
     if not lines or not lines[0].strip():
-        raise CsvParseError(1, "missing header row")
+        raise BenchError("line 1: missing header row")
     if lines[0].strip() != ",".join(CSV_COLUMNS):
-        raise CsvParseError(1, f"unexpected header {lines[0]!r}")
+        raise BenchError(f"line 1: unexpected header {lines[0]!r}")
     samples = []
     for line_no, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
         cells = raw.split(",")
         if len(cells) != len(CSV_COLUMNS):
-            raise CsvParseError(line_no, f"expected {len(CSV_COLUMNS)} cells, got {len(cells)}")
+            raise BenchError(f"line {line_no}: expected {len(CSV_COLUMNS)} cells, got {len(cells)}")
         if cells[0] not in ("push", "pull"):
-            raise CsvParseError(line_no, f"unknown operation {cells[0]!r}")
+            raise BenchError(f"line {line_no}: unknown operation {cells[0]!r}")
         try:
             timings = {
                 name: float(cell) for name, cell in zip(CSV_COLUMNS[4:-1], cells[4:-1]) if cell != ""
             }
-            confirmation_s = timings.pop("confirmation_s", None)
             head = (cells[0], int(cells[1]), int(cells[2]), float(cells[3]))
-            samples.append(BenchSample(*head, timings, confirmation_s, cells[-1] or None))
+            samples.append(BenchSample(*head, timings, cells[-1] or None))
         except ValueError as exc:
-            raise CsvParseError(line_no, f"bad numeric cell: {exc}") from None
+            raise BenchError(f"line {line_no}: bad numeric cell: {exc}") from None
     return samples
 
 
@@ -193,13 +171,14 @@ def parse_csv(text: str) -> list[BenchSample]:
 _OWNER = Address.from_label("bench-owner")
 
 
-def _sweep(op, sample, sizes, repeats, store_profile, fetch_profile, chain_config, seed, workdir, clock):
+def _sweep(op, sample, sizes, repeats, cfg: HarnessConfig, seed: int):
     """Call `sample(client, size, repeat, blob)` once per (size, repeat) on one fresh client.
 
-    The client's store, chain and cache share one clock (virtual unless one is
-    given) and one rng seeded with `seed`; each blob is drawn from that rng just
-    before its sample runs. With no workdir, the blob store lives in a temporary
-    directory removed afterwards.
+    The client's world is the one `cfg` describes: its clock, store and fetch
+    profiles, chain config and cache TTL, with the blob store in a temporary
+    directory removed afterwards. Store, chain and cache share that clock and
+    one rng seeded with `seed`; each blob is drawn from that rng just before
+    its sample runs.
     """
     if not sizes:
         raise ValueError("sizes must be non-empty")
@@ -209,11 +188,11 @@ def _sweep(op, sample, sizes, repeats, store_profile, fetch_profile, chain_confi
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     with tempfile.TemporaryDirectory(prefix="shardvcs-bench-") as scratch:
-        clock = clock if clock is not None else VirtualClock()
+        clock = cfg.make_clock()
         rng = random.Random(seed)
-        cas = BlobStore(scratch if workdir is None else workdir, store_profile, fetch_profile, clock)
-        chain = SimulatedChain(chain_config, clock=clock, rng=rng)
-        client = Client(cas, chain, ShareCache(clock=clock), clock=clock, rng=rng)
+        cas = BlobStore(scratch, cfg.store_profile(), cfg.fetch_profile(), clock)
+        chain = SimulatedChain(cfg.chain_config(), clock=clock, rng=rng)
+        client = Client(cas, chain, ShareCache(ttl_s=cfg.middleman_ttl_s, clock=clock), clock=clock, rng=rng)
         samples = []
         for size in sizes:
             for rep in range(repeats):
@@ -238,16 +217,7 @@ def _sleep_until_due(client: Client, tx_id: str, offset_s: float) -> float:
     return left
 
 
-def run_push_bench(
-    sizes: list[int],
-    repeats: int,
-    store_profile: LatencyProfile,
-    fetch_profile: LatencyProfile,
-    chain_config: ChainConfig,
-    seed: int | None = 0,
-    workdir: str | Path | None = None,
-    clock: Clock | None = None,
-) -> list[BenchSample]:
+def run_push_bench(sizes: list[int], repeats: int, cfg: HarnessConfig, seed: int = 0) -> list[BenchSample]:
     """One push per (size, repeat); confirmation settles between samples."""
 
     def sample(client: Client, size: int, rep: int, blob: bytes) -> BenchSample:
@@ -257,32 +227,20 @@ def run_push_bench(
         client.chain.pending_count()  # settles what is due
         if receipt.status != "confirmed":
             raise BenchError(f"registration {receipt.status}")
-        return BenchSample(
-            "push", size, rep, result.user_perceived_duration, dict(result.phases),
-            confirmation_s=receipt.confirmed_at - receipt.submitted_at,
-        )
+        timings = {**result.phases, "confirmation_s": receipt.confirmed_at - receipt.submitted_at}
+        return BenchSample("push", size, rep, result.user_perceived_duration, timings)
 
-    return _sweep(
-        "push", sample, sizes, repeats, store_profile, fetch_profile, chain_config, seed, workdir, clock
-    )
+    return _sweep("push", sample, sizes, repeats, cfg, seed)
 
 
 def run_pull_bench(
-    sizes: list[int],
-    repeats: int,
-    store_profile: LatencyProfile,
-    fetch_profile: LatencyProfile,
-    chain_config: ChainConfig,
-    start_offset_s: float = 2.0,
-    seed: int | None = 0,
-    workdir: str | Path | None = None,
-    clock: Clock | None = None,
+    sizes: list[int], repeats: int, cfg: HarnessConfig, start_offset_s: float = 2.0, seed: int = 0
 ) -> list[BenchSample]:
     """Push then pull each sample at confirmation + start_offset_s.
 
     A negative offset schedules the pull before the registration confirms
-    (exercising the cache fallback); a positive one schedules it after
-    (exercising the authoritative path).
+    (exercising the cache fallback, which fails once the cache TTL has passed);
+    a positive one schedules it after (exercising the authoritative path).
     """
     if not math.isfinite(start_offset_s):
         raise ValueError(f"start offset must be finite, got {start_offset_s}")
@@ -294,15 +252,11 @@ def run_pull_bench(
         plaintext, report = client.pull(result.cid, _OWNER, result.owner_share)
         if plaintext != blob:
             raise BenchError("pulled plaintext does not match the pushed bytes")
-        phases = dict(report.phases)
-        phases["access_s"] += DEFAULT_PULL_OVERHEAD_S  # modeled view-call + reconstruction cost
-        return BenchSample(
-            "pull", size, rep, report.total_s + DEFAULT_PULL_OVERHEAD_S, phases, path_used=report.path_used
-        )
+        timings = dict(report.phases)
+        timings["access_s"] += DEFAULT_PULL_OVERHEAD_S  # modeled view-call + reconstruction cost
+        return BenchSample("pull", size, rep, report.total_s + DEFAULT_PULL_OVERHEAD_S, timings, report.path_used)
 
-    return _sweep(
-        "pull", sample, sizes, repeats, store_profile, fetch_profile, chain_config, seed, workdir, clock
-    )
+    return _sweep("pull", sample, sizes, repeats, cfg, seed)
 
 
 # -- reporting ------------------------------------------------------------------------
@@ -310,8 +264,7 @@ def run_pull_bench(
 
 def largest_phase(sample: BenchSample) -> str:
     """Name of the single largest latency component of one sample."""
-    parts = _timings(sample)
-    return max(parts, key=parts.get)
+    return max(sample.timings, key=sample.timings.get)
 
 
 def _q(value: float) -> float:
@@ -340,7 +293,7 @@ def summarize(samples: list[BenchSample]) -> list[SizeSummary]:
         rows = groups[(op, size)]
         totals = [_q(s.user_perceived_s) for s in rows]
         # A missing phase counts as zero; a sample without a confirmation is left out of that mean.
-        timings = [_ZERO_PHASES | _timings(s) for s in rows]
+        timings = [_ZERO_PHASES | s.timings for s in rows]
         phase_means = {}
         for name in _PUSH_TIMINGS if op == "push" else PULL_PHASES:
             vals = [_q(t[name]) for t in timings if name in t]
@@ -368,7 +321,7 @@ def summarize(samples: list[BenchSample]) -> list[SizeSummary]:
 def render_report(samples: list[BenchSample]) -> str:
     """Deterministic text report: summary, comparison with `EMBEDDED_REFERENCE`, breakdown."""
     if not samples:
-        raise CsvParseError(1, "no samples to report")
+        raise BenchError("line 1: no samples to report")
     summaries = summarize(samples)
     ref_by_size = {r.size_mb: r for r in EMBEDDED_REFERENCE.rows}
     lines = []

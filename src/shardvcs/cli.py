@@ -47,8 +47,7 @@ def _protocol_errors() -> tuple[type[Exception], ...]:
     from .ledger import ClockModeError
     from .protocol import ProtocolError
 
-    return (ProtocolError, NotFoundError, MiddlemanUnavailableError, ClockModeError,
-            bench.BenchError, bench.CsvParseError)
+    return ProtocolError, NotFoundError, MiddlemanUnavailableError, ClockModeError, bench.BenchError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -99,7 +98,9 @@ def _world(args):
     transactions. The world is saved on failure too: receipts settled here are appended to
     `receipts.jsonl`, then `chain.json` (clock, chain, cache, log length) is replaced atomically;
     a load cuts off log lines a crash left past that length, and the chain settles them again.
-    A remote cache holds its own state; its connection is closed instead.
+    A saved state that does not load is a ValueError naming `chain.json`, raised before
+    `chain.json` or `receipts.jsonl` changes. A remote cache holds its own state; its
+    connection is closed instead.
     """
     import fcntl
     import json
@@ -117,28 +118,28 @@ def _world(args):
         fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
         cfg = HarnessConfig.from_file(args.config) if args.config else HarnessConfig()
         state_path, log_path = state_dir / "chain.json", state_dir / "receipts.jsonl"
-        saved = json.loads(state_path.read_text()) if state_path.exists() else {}
-        if "log_bytes" in saved and log_path.exists() and log_path.stat().st_size > saved["log_bytes"]:
-            os.truncate(log_path, saved["log_bytes"])
-        if "cache" not in saved:  # an older state dir keeps its cache in middleman.json
-            old = state_dir / "middleman.json"
-            saved["cache"] = json.loads(old.read_text()) if old.exists() else {}
-
         clock = cfg.make_clock()
-        if clock.is_virtual and saved.get("clock_time") is not None:
-            clock.advance_to(saved["clock_time"])
-
         rng = random.Random(args.seed) if args.seed is not None else None
-        cas = BlobStore(state_dir / "cas", cfg.store_profile(), cfg.fetch_profile(), clock)
         chain = SimulatedChain(cfg.chain_config(), clock, rng=rng)
-        if "chain" in saved:
-            chain.restore(saved["chain"])
+        cache = ShareCache(ttl_s=cfg.middleman_ttl_s, clock=clock)
+        try:  # the log is cut only once the whole state has loaded
+            saved = json.loads(state_path.read_text()) if state_path.exists() else {}
+            if "cache" not in saved:  # an older state dir keeps its cache in middleman.json
+                old = state_dir / "middleman.json"
+                saved["cache"] = json.loads(old.read_text()) if old.exists() else {}
+            if clock.is_virtual and saved.get("clock_time") is not None:
+                clock.advance_to(saved["clock_time"])
+            if "chain" in saved:
+                chain.restore(saved["chain"])
+            if not args.middleman_url:
+                cache.restore(saved["cache"])
+            if "log_bytes" in saved and log_path.exists() and log_path.stat().st_size > saved["log_bytes"]:
+                os.truncate(log_path, saved["log_bytes"])
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise ValueError(f"{state_path}: unreadable state ({type(exc).__name__}: {exc})") from None
 
-        if args.middleman_url:
-            middleman = HttpShareCache(args.middleman_url)
-        else:
-            middleman = ShareCache(ttl_s=cfg.middleman_ttl_s, clock=clock)
-            middleman.restore(saved["cache"])
+        cas = BlobStore(state_dir / "cas", cfg.store_profile(), cfg.fetch_profile(), clock)
+        middleman = HttpShareCache(args.middleman_url) if args.middleman_url else cache
 
         try:
             yield Client(cas, chain, middleman, clock=clock, rng=rng)
@@ -232,20 +233,10 @@ def _cmd_bench(args) -> int:
 
     cfg = HarnessConfig.from_file(args.config) if args.config else HarnessConfig()
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    clock = cfg.make_clock()
-    common = dict(
-        sizes=sizes,
-        repeats=args.repeats,
-        store_profile=cfg.store_profile(),
-        fetch_profile=cfg.fetch_profile(),
-        chain_config=cfg.chain_config(),
-        seed=args.seed,
-        clock=clock,
-    )
     if args.operation == "push":
-        samples = bench_mod.run_push_bench(**common)
+        samples = bench_mod.run_push_bench(sizes, args.repeats, cfg, seed=args.seed)
     else:
-        samples = bench_mod.run_pull_bench(start_offset_s=args.offset, **common)
+        samples = bench_mod.run_pull_bench(sizes, args.repeats, cfg, start_offset_s=args.offset, seed=args.seed)
     csv_text = bench_mod.samples_to_csv(samples)
     if args.csv:
         Path(args.csv).write_text(csv_text)
@@ -264,13 +255,13 @@ def _cmd_calibrate(args) -> int:
         f"store profile: fixed {result.store_profile.fixed_overhead_s:.6f} s"
         f" + {result.store_profile.per_mb_s:.6f} s/MB"
     )
-    print(f"  push residuals: {['%.4f' % r for r in result.push_fit.residuals]}")
+    print(f"  push residuals: {['%.4f' % r for r in result.push_residuals]}")
     print(
         f"fetch profile: fixed {result.fetch_profile.fixed_overhead_s:.6f} s"
         f" + {result.fetch_profile.per_mb_s:.6f} s/MB"
         f" (after subtracting {bench_mod.DEFAULT_PULL_OVERHEAD_S} s pull overhead)"
     )
-    print(f"  pull residuals: {['%.4f' % r for r in result.pull_fit.residuals]}")
+    print(f"  pull residuals: {['%.4f' % r for r in result.pull_residuals]}")
     if args.write_config:
         cfg = HarnessConfig(
             store_fixed_s=result.store_profile.fixed_overhead_s,

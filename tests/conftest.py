@@ -13,6 +13,7 @@ from shardvcs import (
     BlobStore,
     ChainConfig,
     Client,
+    HarnessConfig,
     LatencyProfile,
     ShareCache,
     SimulatedChain,
@@ -70,6 +71,20 @@ def make_world(tmp_path):
         return World(clock, cas, cache, chain, client, rng, Address.from_label("owner"))
 
     return build
+
+
+@pytest.fixture
+def calibrated_config():
+    """The config `shardvcs calibrate --write-config` writes: the fitted profiles, every other key at its default."""
+    from shardvcs.bench import calibrate
+
+    cal = calibrate()
+    return HarnessConfig(
+        store_fixed_s=cal.store_profile.fixed_overhead_s,
+        store_per_mb_s=cal.store_profile.per_mb_s,
+        fetch_fixed_s=cal.fetch_profile.fixed_overhead_s,
+        fetch_per_mb_s=cal.fetch_profile.per_mb_s,
+    )
 
 
 @pytest.fixture

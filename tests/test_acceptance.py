@@ -22,7 +22,6 @@ import scipy.stats
 
 from shardvcs.bench import (
     EMBEDDED_REFERENCE,
-    calibrate,
     largest_phase,
     render_report,
     run_pull_bench,
@@ -208,20 +207,14 @@ def test_acceptance_5_path_selection_straddles_confirmation(tmp_path, make_world
     shutil.rmtree(tmp_path, ignore_errors=True)
 
 
-def test_acceptance_6_reference_table_reproduction(tmp_path):
+def test_acceptance_6_reference_table_reproduction(calibrated_config):
     # calibrated push means within ±10% and pull means within ±15% of the
     # reference table at 1/5/10/20 MB x 5 repeats; runtime < 60 s
     t0 = time.perf_counter()
-    cal = calibrate()
     sizes = [1, 5, 10, 20]
 
-    push_samples = run_push_bench(
-        sizes, 5, cal.store_profile, cal.fetch_profile, ChainConfig(), seed=0, workdir=tmp_path / "push"
-    )
-    pull_samples = run_pull_bench(
-        sizes, 5, cal.store_profile, cal.fetch_profile, ChainConfig(),
-        start_offset_s=2.0, seed=0, workdir=tmp_path / "pull",
-    )
+    push_samples = run_push_bench(sizes, 5, calibrated_config, seed=0)
+    pull_samples = run_pull_bench(sizes, 5, calibrated_config, start_offset_s=2.0, seed=0)
     assert all(s.path_used == "on-chain" for s in pull_samples)
 
     def mean_by_size(samples):
@@ -248,19 +241,15 @@ def test_acceptance_6_reference_table_reproduction(tmp_path):
         f"push within ±10%: {push_ok} ({fmt(push_dev)}); "
         f"pull within ±15%: {pull_ok} ({fmt(pull_dev)}); {elapsed:.1f}s (limit 60s)",
     )
-    shutil.rmtree(tmp_path, ignore_errors=True)
     assert elapsed < 60.0
     assert push_ok, f"push deviations beyond ±10%: {fmt(push_dev)}"
     assert pull_ok, f"pull deviations beyond ±15%: {fmt(pull_dev)}"
 
 
-def test_acceptance_7_confirmation_is_largest_phase(tmp_path):
+def test_acceptance_7_confirmation_is_largest_phase(calibrated_config):
     # with confirmation delay uniform in [12,16]s, confirmation_s is the
     # largest single phase of every push sample at all four sizes
-    cal = calibrate()
-    samples = run_push_bench(
-        [1, 5, 10, 20], 5, cal.store_profile, cal.fetch_profile, ChainConfig(), seed=1, workdir=tmp_path
-    )
+    samples = run_push_bench([1, 5, 10, 20], 5, calibrated_config, seed=1)
     wrong = [s for s in samples if largest_phase(s) != "confirmation_s"]
     report = render_report(samples)
     marked = [
@@ -276,7 +265,6 @@ def test_acceptance_7_confirmation_is_largest_phase(tmp_path):
     )
     assert not wrong
     assert len(marked) == 4
-    shutil.rmtree(tmp_path, ignore_errors=True)
 
 
 def test_acceptance_8_end_to_end_fidelity(tmp_path, make_world):

@@ -1,8 +1,11 @@
-"""The pairs runner's parsing and aggregation, on canned `perfbench/run.py` outputs."""
+"""The pairs runner's parsing and aggregation, on canned `perfbench/run.py` outputs, and its cleanup."""
 
 import importlib.util
 import json
+import signal
 import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -113,7 +116,7 @@ def test_a_clean_tree_runs_head_as_the_only_tree_without_a_parent(tmp_path, monk
     monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
     monkeypatch.setattr(bench_pairs, "git", lambda *args: answers[args])
     monkeypatch.setattr(bench_pairs, "unpack", lambda rev, dest: unpacked.setdefault(rev, dest).mkdir())
-    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    monkeypatch.setattr(bench_pairs, "run_in_session", run)
     assert bench_pairs.main(["--workload", "fresh-pull-http", "--seeds", "1-2", "--parent", "none"]) == 0
 
     assert list(unpacked) == ["c0ffee"] and cwds == [unpacked["c0ffee"]] * 2
@@ -137,7 +140,7 @@ def test_both_trees_are_unpacked_side_by_side_and_share_each_hash_seed(tmp_path,
     monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
     monkeypatch.setattr(bench_pairs, "git", lambda *args: answers[args])
     monkeypatch.setattr(bench_pairs, "unpack", lambda rev, dest: unpacked.setdefault(rev, dest).mkdir())
-    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    monkeypatch.setattr(bench_pairs, "run_in_session", run)
     assert bench_pairs.main(["--workload", "fresh-pull-http", "--seeds", "3-4", "--parent", "p4rent"]) == 0
 
     trees = {unpacked["5ta5h"], unpacked["b4se"]}  # the working tree as stashed, and the parent
@@ -149,3 +152,51 @@ def test_both_trees_are_unpacked_side_by_side_and_share_each_hash_seed(tmp_path,
     assert [(r["tree"], r["seed"], r["pythonhashseed"]) for r in report["runs"]] == [
         ("change", 3, 3), ("parent", 3, 3), ("parent", 4, 4), ("change", 4, 4)
     ]
+
+
+def _running(pid: int) -> bool:
+    """Whether `pid` is a live process; a zombie nobody has reaped yet counts as gone."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def test_sigterm_kills_the_child_its_grandchild_and_removes_the_temp_dir(tmp_path):
+    # A stand-in for the pairs runner: a temp tree, then a child (perfbench/run.py's place) that
+    # starts a grandchild (the middleman's place), both sleeping and both writing their pid.
+    pids = tmp_path / "pids"
+    child = (
+        "import os, subprocess, sys, time\n"
+        f"pids = {str(pids)!r}\n"
+        "sub = subprocess.Popen([sys.executable, '-c', 'import time; time.sleep(60)'])\n"
+        "open(pids, 'w').write(f'{os.getpid()} {sub.pid}')\n"
+        "time.sleep(60)\n"
+    )
+    runner = (
+        "import sys, tempfile\n"
+        f"sys.path.insert(0, {str(Path(bench_pairs.__file__).parent)!r})\n"
+        "import bench_pairs\n"
+        "bench_pairs.exit_on_sigterm()\n"
+        "with tempfile.TemporaryDirectory(prefix='bench-pairs-') as tmp:\n"
+        "    print(tmp, flush=True)\n"
+        f"    bench_pairs.run_in_session([sys.executable, '-c', {child!r}])\n"
+    )
+    with subprocess.Popen([sys.executable, "-c", runner], stdout=subprocess.PIPE, text=True) as proc:
+        try:
+            temp_dir = Path(proc.stdout.readline().strip())
+            deadline = time.monotonic() + 30
+            while not (pids.exists() and len(pids.read_text().split()) == 2):
+                assert time.monotonic() < deadline and proc.poll() is None, "the child never started"
+                time.sleep(0.05)
+            assert temp_dir.is_dir()
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 128 + signal.SIGTERM
+        finally:
+            proc.kill()  # a no-op once the runner has exited
+    child_pid, grandchild_pid = map(int, pids.read_text().split())
+    deadline = time.monotonic() + 10
+    while _running(child_pid) or _running(grandchild_pid):
+        assert time.monotonic() < deadline, "the child or the grandchild outlived the runner"
+        time.sleep(0.05)
+    assert not temp_dir.exists()

@@ -115,6 +115,29 @@ def test_pull_on_a_state_dir_with_a_bad_cache_entry_exits_1(run, tmp_path, bad):
     assert state_file.read_bytes() == before
 
 
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda saved, cid: {**saved, "cache": {cid: {"share_text": saved["cache"][cid]["share_text"], "stored_at": 0.0}}},
+        lambda saved, cid: {**saved, "chain": {k: v for k, v in saved["chain"].items() if k != "pending"}},
+        lambda saved, cid: [saved],
+    ],
+    ids=["cache-entry-without-ttl", "chain-without-pending", "state-is-an-array"],
+)
+def test_pull_on_a_state_dir_with_a_malformed_state_exits_1(run, tmp_path, damage):
+    state = tmp_path / "state"
+    cid, share = push_file(run, tmp_path, state)
+    assert run("advance", "20", "--state-dir", str(state))[0] == 0  # settles, so the receipt log is not empty
+    state_file, log_file = state / "chain.json", state / "receipts.jsonl"
+    state_file.write_text(json.dumps(damage(json.loads(state_file.read_text()), cid)))
+    before = state_file.read_bytes(), log_file.read_bytes()
+    assert before[1]
+    rc, stdout, err = run("pull", cid, "--as", "alice", "--share", share, "--state-dir", str(state))
+    assert (rc, stdout) == (1, "")
+    assert err.startswith(f"usage error: {state_file}: ") and "Traceback" not in err
+    assert (state_file.read_bytes(), log_file.read_bytes()) == before
+
+
 def test_pull_to_stdout(run, tmp_path):
     state = tmp_path / "state"
     cid, share = push_file(run, tmp_path, state, b"plain ascii payload")
@@ -328,6 +351,22 @@ def test_bench_csv_to_stdout(run):
     assert rc == 0
     assert out.startswith("operation,size_mb,repeat,")
     assert "\npush,1,0," in out
+
+
+def test_bench_pull_takes_the_cache_ttl_from_its_config(run, tmp_path):
+    # a pre-confirmation pull runs 10-14 s after its push: the default 24 h cache entry
+    # serves it, a 1 s one has expired
+    argv = ("bench", "pull", "--offset", "-2", "--sizes", "1", "--repeats", "1")
+    csv_path = tmp_path / "pull.csv"
+    assert run(*argv, "--csv", str(csv_path))[0] == 0
+    rc, out, _ = run("report", str(csv_path))
+    assert rc == 0 and re.search(r"^pull +1 +1 .* middleman:1$", out, re.M)
+
+    cfg = tmp_path / "short-ttl.cfg"
+    cfg.write_text("middleman_ttl_s = 1\n")
+    rc, out, err = run(*argv, "--config", str(cfg))
+    assert (rc, out) == (2, "")
+    assert re.fullmatch(r"error: pull sample size=1 repeat=0 failed: no counterpart share reachable for sha256:[0-9a-f]{64}\n", err)
 
 
 def test_bench_removes_its_scratch_store(run, tmp_path, monkeypatch):
