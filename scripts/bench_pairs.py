@@ -15,9 +15,10 @@ each run's provenance header and its JSON last line.
 It writes `BENCH_<workload>.json` at the repo root: the machine line, both
 commits, the seeds, every run's `correct`, `PYTHONHASHSEED` and metrics, and
 per metric the median and quartiles of each tree, how many pairs the change
-won, and the bound from `BENCHMARK.json`. `--trace` runs traced and fills the
-file's `per_layer` section instead of its `end_to_end` one; the other section
-is kept. `--parent none` records a single-tree baseline. Stdlib only.
+won, and the bound from `BENCHMARK.json`; then it prints that summary, one
+line per metric. `--trace` runs traced and fills the file's `per_layer`
+section instead of its `end_to_end` one; the other section is kept.
+`--parent none` records a single-tree baseline. Stdlib only.
 
 Each run starts in its own session, and its whole process group is killed
 once it ends, so a middleman child it leaves behind goes too. SIGTERM exits
@@ -107,6 +108,25 @@ def summarize(runs: list[dict], specs: list[dict]) -> dict:
                 ) > parent["q3"] - parent["q1"]
         out[name] = entry
     return out
+
+
+def summary_lines(metrics: dict) -> list[str]:
+    """One line per metric of a `summarize` result: each tree's median [q1-q3], then the pair verdict."""
+    lines = []
+    for name, entry in metrics.items():
+        parts = [f"{name} ({entry['unit']}, {entry['better']} is better):"]
+        for tree in ("parent", "change"):
+            if tree in entry:
+                stats = entry[tree]
+                parts.append(f"{tree} {stats['median']:.4g} [{stats['q1']:.4g}-{stats['q3']:.4g}]")
+        if "median_change_ratio" in entry:
+            parts.append(f"{entry['median_change_ratio']:+.1%}")
+        if "pairs" in entry:
+            parts.append(f"wins {entry['wins']}/{entry['pairs']}")
+        if "beats_parent_iqr" in entry:
+            parts.append(f"beats_parent_iqr={entry['beats_parent_iqr']}")
+        lines.append("  ".join(parts))
+    return lines
 
 
 def git(*args: str) -> str:
@@ -205,6 +225,7 @@ def main(argv=None) -> int:
     }
     out_path.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out_path}")
+    print("\n".join(summary_lines(report[section]["metrics"])))
     return 0 if report[section]["all_correct"] else 1
 
 

@@ -159,10 +159,17 @@ def parse_csv(text: str) -> list[BenchSample]:
             timings = {
                 name: float(cell) for name, cell in zip(CSV_COLUMNS[4:-1], cells[4:-1]) if cell != ""
             }
-            head = (cells[0], int(cells[1]), int(cells[2]), float(cells[3]))
-            samples.append(BenchSample(*head, timings, cells[-1] or None))
+            size_mb, repeat, user_perceived_s = int(cells[1]), int(cells[2]), float(cells[3])
         except ValueError as exc:
             raise BenchError(f"line {line_no}: bad numeric cell: {exc}") from None
+        for name, value in (("user_perceived_s", user_perceived_s), *timings.items()):
+            if not (math.isfinite(value) and value >= 0):
+                raise BenchError(f"line {line_no}: {name} must be finite and >= 0, got {value}")
+        if size_mb < 1:
+            raise BenchError(f"line {line_no}: size_mb must be >= 1, got {size_mb}")
+        if repeat < 0:
+            raise BenchError(f"line {line_no}: repeat must be >= 0, got {repeat}")
+        samples.append(BenchSample(cells[0], size_mb, repeat, user_perceived_s, timings, cells[-1] or None))
     return samples
 
 

@@ -9,12 +9,15 @@ share, but a wrong reconstructed secret fails authentication here.
 A push seals through `SealedPieces`, which produces the sealed form a piece
 at a time while its consumer hashes and writes it, so no second full-size
 copy of a snapshot is ever built. `seal` gives the same bytes in one call.
+A pull opens the sealed form the same way: `unseal` takes the pieces a
+fetch hands out and decrypts each one as it arrives.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -87,9 +90,52 @@ class SealedPieces:
         yield encryptor.tag
 
 
-def unseal(sealed: bytes, secret: bytes) -> bytes:
+def unseal(sealed: bytes | Iterable, secret: bytes) -> bytes | bytearray:
+    """Open a sealed blob: bytes, or a sized iterable of pieces such as `cas.FetchedPieces`.
+
+    `len(sealed)` must be the sealed length. Pieces are decrypted by one
+    incremental AES-GCM context into one output buffer as they are drawn, so
+    a piece may reuse its predecessor's buffer; the trailing 16 bytes are held
+    back as the tag. The plaintext is returned only after the pieces have run
+    out, at exactly `len(sealed)` bytes, and the tag has verified. Pieces that
+    arrive as one piece are opened in one call and give `bytes`; several give
+    a `bytearray`, which spares a full-size copy.
+    """
     key, iv = _key_iv(secret, DecryptionError)
     try:
-        return AESGCM(key).decrypt(iv, sealed, None)
+        if isinstance(sealed, (bytes, bytearray, memoryview)):
+            return AESGCM(key).decrypt(iv, sealed, None)
+        return _unseal_pieces(sealed, key, iv)
     except InvalidTag as exc:
         raise DecryptionError("authentication failed (wrong secret or tampered data)") from exc
+
+
+def _unseal_pieces(sealed: Iterable, key: bytes, iv: bytes) -> bytes | bytearray:
+    size = len(sealed)
+    pieces = iter(sealed)
+    piece = next(pieces, b"")
+    if len(piece) == size:  # the whole blob in one piece
+        if any(pieces):
+            raise DecryptionError(f"sealed pieces run past their length of {size} bytes")
+        return AESGCM(key).decrypt(iv, piece, None)
+    text_len = size - TAG_LEN
+    if text_len < 0:
+        raise DecryptionError(f"sealed length {size} is shorter than the tag")
+    decryptor = Cipher(algorithms.AES(key), modes.GCM(iv)).decryptor()
+    out = bytearray(text_len + 15)  # update_into asks for a block less one beyond the input
+    view = memoryview(out)
+    done = 0
+    tag = bytearray()
+    for piece in itertools.chain((piece,), pieces):
+        piece = memoryview(piece)
+        n = min(len(piece), text_len - done)
+        if n:
+            decryptor.update_into(piece[:n], view[done:])
+            done += n
+        tag += piece[n:]
+    view.release()
+    if done != text_len or len(tag) != TAG_LEN:
+        raise DecryptionError(f"sealed pieces do not add up to their length of {size} bytes")
+    decryptor.finalize_with_tag(bytes(tag))
+    del out[text_len:]
+    return out

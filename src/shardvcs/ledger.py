@@ -20,7 +20,6 @@ import hashlib
 import heapq
 import json
 import math
-import threading
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -133,7 +132,11 @@ class _PendingTx:
 
 
 class SimulatedChain:
-    """Deterministic single-contract chain with delayed settlement."""
+    """Deterministic single-contract chain with delayed settlement.
+
+    A chain is for one thread: it takes no lock, and no code path shares one
+    across threads. A caller that wants to do so must serialize its calls.
+    """
 
     def __init__(
         self,
@@ -146,7 +149,6 @@ class SimulatedChain:
         self.config = config if config is not None else ChainConfig()
         self.clock = clock if clock is not None else RealClock()
         self._rng = rng if rng is not None else random.Random()
-        self._lock = threading.RLock()
         self._owners: dict[str, Address] = {}
         # Access beyond the owner's, which is implied: a set per registered
         # repo would be most of the memory a registration keeps.
@@ -215,42 +217,36 @@ class SimulatedChain:
 
     def submit_register(self, sender: Address, repo: str, share_text: str) -> TxReceipt:
         """Enqueue a registration; validity is judged at confirmation time."""
-        with self._lock:
-            self._sync()
-            return self._enqueue("register", sender, repo, share_text=share_text)
+        self._sync()
+        return self._enqueue("register", sender, repo, share_text=share_text)
 
     def submit_add_collaborator(self, sender: Address, repo: str, collaborator: Address) -> TxReceipt:
-        with self._lock:
-            self._sync()
-            return self._enqueue("add_collaborator", sender, repo, collaborator=collaborator)
+        self._sync()
+        return self._enqueue("add_collaborator", sender, repo, collaborator=collaborator)
 
     # -- view calls (no gas, no delay) ---------------------------------------
 
     def check_access(self, repo: str, user: Address) -> bool:
-        with self._lock:
-            self._sync()
-            return self._can_access(repo, user)
+        self._sync()
+        return self._can_access(repo, user)
 
     def get_on_chain_share(self, caller: Address, repo: str) -> Optional[str]:
         """Stored share for confirmed repos; None while pending or unknown."""
-        with self._lock:
-            self._sync()
-            if repo not in self._owners:
-                return None
-            if not self._can_access(repo, caller):
-                raise AccessDeniedError(f"{caller.text} has no access to {repo}")
-            return self._shares[repo]
+        self._sync()
+        if repo not in self._owners:
+            return None
+        if not self._can_access(repo, caller):
+            raise AccessDeniedError(f"{caller.text} has no access to {repo}")
+        return self._shares[repo]
 
     def registered_owner(self, repo: str) -> Optional[Address]:
         """Public owner-mapping readback; None while pending or unknown."""
-        with self._lock:
-            self._sync()
-            return self._owners.get(repo)
+        self._sync()
+        return self._owners.get(repo)
 
     def pending_count(self) -> int:
-        with self._lock:
-            self._sync()
-            return len(self._pending)
+        self._sync()
+        return len(self._pending)
 
     def due_at(self, tx_id: str) -> Optional[float]:
         """Scheduled settlement time of a still-pending transaction.
@@ -258,11 +254,10 @@ class SimulatedChain:
         Harness plumbing: lets a benchmark place operations relative to the
         confirmation instant without guessing the sampled delay.
         """
-        with self._lock:
-            for due_at, _, tx in self._pending:
-                if tx.receipt.tx_id == tx_id:
-                    return due_at
-            return None
+        for due_at, _, tx in self._pending:
+            if tx.receipt.tx_id == tx_id:
+                return due_at
+        return None
 
     # -- time driver ----------------------------------------------------------
 
@@ -270,59 +265,56 @@ class SimulatedChain:
         """Advance virtual time and return the receipts settled by doing so."""
         if not self.clock.is_virtual:
             raise ClockModeError("advance_clock requires a virtual clock")
-        with self._lock:
-            assert isinstance(self.clock, VirtualClock)
-            self.clock.advance(delta_s)
-            return self._sync()
+        assert isinstance(self.clock, VirtualClock)
+        self.clock.advance(delta_s)
+        return self._sync()
 
     # -- persistence (CLI state dir) -------------------------------------------
 
     def snapshot(self) -> dict:
-        with self._lock:
-            self._sync()
-            return {
-                "next_seq": self._next_seq,
-                "owners": {repo: addr.text for repo, addr in self._owners.items()},
-                "access": {
-                    repo: sorted(a.text for a in {owner} | self._collaborators.get(repo, set()))
-                    for repo, owner in self._owners.items()
-                },
-                "shares": dict(self._shares),
-                "pending": [
-                    {
-                        "tx_id": tx.receipt.tx_id,
-                        "kind": tx.kind,
-                        "sender": tx.sender.text,
-                        "repo": tx.repo,
-                        "share_text": tx.share_text,
-                        "collaborator": tx.collaborator.text if tx.collaborator else None,
-                        "submitted_at": tx.receipt.submitted_at,
-                        "due_at": due_at,
-                        "seq": seq,
-                    }
-                    for due_at, seq, tx in sorted(self._pending, key=lambda entry: entry[1])
-                ],
-            }
+        self._sync()
+        return {
+            "next_seq": self._next_seq,
+            "owners": {repo: addr.text for repo, addr in self._owners.items()},
+            "access": {
+                repo: sorted(a.text for a in {owner} | self._collaborators.get(repo, set()))
+                for repo, owner in self._owners.items()
+            },
+            "shares": dict(self._shares),
+            "pending": [
+                {
+                    "tx_id": tx.receipt.tx_id,
+                    "kind": tx.kind,
+                    "sender": tx.sender.text,
+                    "repo": tx.repo,
+                    "share_text": tx.share_text,
+                    "collaborator": tx.collaborator.text if tx.collaborator else None,
+                    "submitted_at": tx.receipt.submitted_at,
+                    "due_at": due_at,
+                    "seq": seq,
+                }
+                for due_at, seq, tx in sorted(self._pending, key=lambda entry: entry[1])
+            ],
+        }
 
     def restore(self, state: dict) -> None:
-        with self._lock:
-            self._next_seq = state["next_seq"]
-            self._owners = {repo: Address.from_text(a) for repo, a in state["owners"].items()}
-            self._collaborators = {}
-            for repo, users in state["access"].items():
-                extra = {Address.from_text(a) for a in users} - {self._owners.get(repo)}
-                if extra:
-                    self._collaborators[repo] = extra
-            self._shares = dict(state["shares"])
-            self._pending = [
-                (p["due_at"], p["seq"], _PendingTx(
-                    receipt=TxReceipt(tx_id=p["tx_id"], submitted_at=p["submitted_at"]),
-                    kind=p["kind"],
-                    sender=Address.from_text(p["sender"]),
-                    repo=p["repo"],
-                    share_text=p["share_text"],
-                    collaborator=Address.from_text(p["collaborator"]) if p["collaborator"] else None,
-                ))
-                for p in state["pending"]
-            ]
-            heapq.heapify(self._pending)
+        self._next_seq = state["next_seq"]
+        self._owners = {repo: Address.from_text(a) for repo, a in state["owners"].items()}
+        self._collaborators = {}
+        for repo, users in state["access"].items():
+            extra = {Address.from_text(a) for a in users} - {self._owners.get(repo)}
+            if extra:
+                self._collaborators[repo] = extra
+        self._shares = dict(state["shares"])
+        self._pending = [
+            (p["due_at"], p["seq"], _PendingTx(
+                receipt=TxReceipt(tx_id=p["tx_id"], submitted_at=p["submitted_at"]),
+                kind=p["kind"],
+                sender=Address.from_text(p["sender"]),
+                repo=p["repo"],
+                share_text=p["share_text"],
+                collaborator=Address.from_text(p["collaborator"]) if p["collaborator"] else None,
+            ))
+            for p in state["pending"]
+        ]
+        heapq.heapify(self._pending)

@@ -12,9 +12,13 @@ registration to confirm; the receipt handle settles later.
 Pull asks the chain once: a confirmed registration returns the on-chain share
 or denies the caller, and a pending or unknown one returns nothing, so the
 pull uses the middleman's copy. Two shares rebuild the
-secret, the blob is fetched (the store re-hashes it against its address), and
-the seal is opened. Every phase duration is measured on the configured clock
-so benchmarks can decompose latency.
+secret, the blob is fetched, and the seal is opened in one pass: the store
+hands the blob out a piece at a time, re-hashing each piece against its
+address as it reads it, and the envelope decrypts each piece as it arrives.
+So a pull holds at most one piece (1 MiB) beyond the plaintext, and on a real
+clock reading and hashing a blob of more than one piece fall in the decrypt
+phase. Every phase duration is measured on the configured clock so
+benchmarks can decompose latency.
 """
 
 from __future__ import annotations
@@ -132,7 +136,7 @@ class Client:
 
     # -- retrieve -------------------------------------------------------------
 
-    def pull(self, cid: Cid, caller: Address, held_share: Share) -> tuple[bytes, RetrievalReport]:
+    def pull(self, cid: Cid, caller: Address, held_share: Share) -> tuple[bytes | bytearray, RetrievalReport]:
         """Fetch, rebuild the secret from two shares, verify, and open the blob."""
         repo = cid.text
 
@@ -158,7 +162,7 @@ class Client:
         stamps.append(self.clock.now())
 
         try:
-            blob = self.cas.fetch(cid)
+            blob = self.cas.fetch(cid)  # a blob of several pieces is read as unseal draws them
             stamps.append(self.clock.now())
             plaintext = envelope.unseal(blob, secret)
         except (CorruptBlobError, envelope.DecryptionError) as exc:

@@ -221,6 +221,26 @@ def test_parse_csv_error_reporting():
         parse_csv(header + "\nclone,1,0,1.0,,,,,,,,,,\n")
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("push,1,0,nan,0.1,0.2,0.3,0.4,14.0,,,,,", "user_perceived_s must be finite and >= 0, got nan"),
+        ("push,1,0,1.0,0.1,inf,0.3,0.4,14.0,,,,,", "store_s must be finite and >= 0, got inf"),
+        ("pull,1,0,1.0,,,,,,0.1,-inf,0.5,0.2,middleman", "share_fetch_s must be finite and >= 0, got -inf"),
+        ("pull,1,0,1.0,,,,,,0.1,0.1,-0.5,0.2,on-chain", "blob_fetch_s must be finite and >= 0, got -0.5"),
+        ("push,1,0,-1.0,0.1,0.2,0.3,0.4,14.0,,,,,", "user_perceived_s must be finite and >= 0, got -1.0"),
+        ("push,0,0,1.0,0.1,0.2,0.3,0.4,14.0,,,,,", "size_mb must be >= 1, got 0"),
+        ("push,-3,0,1.0,0.1,0.2,0.3,0.4,14.0,,,,,", "size_mb must be >= 1, got -3"),
+        ("push,1,-1,1.0,0.1,0.2,0.3,0.4,14.0,,,,,", "repeat must be >= 0, got -1"),
+    ],
+)
+def test_parse_csv_refuses_non_finite_negative_and_impossible_cells(row, message):
+    good = "push,1,0,1.0,0.1,0.2,0.3,0.4,14.0,,,,,"
+    with pytest.raises(BenchError) as refused:
+        parse_csv(",".join(CSV_COLUMNS) + "\n" + good + "\n" + row + "\n")
+    assert str(refused.value) == f"line 3: {message}"
+
+
 def test_largest_phase_picks_confirmation_when_dominant():
     sample = BenchSample(
         operation="push",

@@ -104,6 +104,26 @@ def test_summarize_skips_runs_without_metrics_and_single_tree_baselines():
     assert single["push_wall_p50_ms"]["change"] == {"median": 4.0, "q1": 4.0, "q3": 4.0}
 
 
+def test_summary_lines_give_each_tree_and_the_pair_verdict_per_metric():
+    metrics = {
+        "pull_wall_p50_ms": {
+            "unit": "ms", "better": "lower", "bound": 0.2,
+            "change": {"median": 25.4, "q1": 25.21, "q3": 25.63},
+            "parent": {"median": 27.28, "q1": 27.15, "q3": 27.45},
+            "pairs": 10, "wins": 10, "median_change_ratio": -0.0689, "beats_parent_iqr": True,
+        },
+        "ops_per_s": {
+            "unit": "ops/s", "better": "higher", "bound": 0.2,
+            "change": {"median": 2386.4, "q1": 2361.0, "q3": 2469.7},
+        },
+    }
+    assert bench_pairs.summary_lines(metrics) == [
+        "pull_wall_p50_ms (ms, lower is better):  parent 27.28 [27.15-27.45]  change 25.4 [25.21-25.63]"
+        "  -6.9%  wins 10/10  beats_parent_iqr=True",
+        "ops_per_s (ops/s, higher is better):  change 2386 [2361-2470]",
+    ]
+
+
 def test_a_clean_tree_runs_head_as_the_only_tree_without_a_parent(tmp_path, monkeypatch):
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": SPECS}))
     answers = {("rev-parse", "HEAD"): "c0ffee", ("status", "--porcelain"): "", ("stash", "create"): ""}

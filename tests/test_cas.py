@@ -22,6 +22,13 @@ from shardvcs.cas import (
 )
 from shardvcs.clock import VirtualClock
 
+MANY_PIECES = 2 * cas.PIECE + 1000  # more than two pieces, the last one short
+
+
+def _joined(pieces) -> bytes:
+    """The fetched bytes, each piece copied before the next overwrites its buffer."""
+    return b"".join(map(bytes, pieces))
+
 
 def test_cid_render_shape():
     cid = Cid.of(b"hello")
@@ -71,7 +78,7 @@ def test_latency_profile_validation_and_arithmetic():
 def test_store_fetch_roundtrip(tmp_path):
     store = BlobStore(tmp_path)
     cid = store.store(b"blob body")
-    assert store.fetch(cid) == b"blob body"
+    assert _joined(store.fetch(cid)) == b"blob body"
 
 
 def test_store_idempotent_single_copy(tmp_path):
@@ -97,7 +104,7 @@ def test_fetch_rejects_bytes_that_no_longer_match_their_cid(tmp_path):
     raw[3] ^= 0x01
     path.write_bytes(bytes(raw))
     with pytest.raises(CorruptBlobError):
-        store.fetch(cid)
+        _joined(store.fetch(cid))
 
 
 def test_contains(tmp_path):
@@ -106,7 +113,7 @@ def test_contains(tmp_path):
     assert not store.contains(cid)
     store.store(b"probe")
     assert store.contains(cid)
-    store.fetch(cid)
+    _joined(store.fetch(cid))
     assert store.contains(cid)
 
 
@@ -148,9 +155,9 @@ def test_storing_a_blob_again_repairs_a_damaged_copy(tmp_path):
     damaged[0] ^= 1
     path.write_bytes(damaged)
     with pytest.raises(CorruptBlobError):
-        store.fetch(cid)
+        _joined(store.fetch(cid))
     assert store.store(b"repairable") == cid
-    assert store.fetch(cid) == b"repairable"
+    assert _joined(store.fetch(cid)) == b"repairable"
 
 
 def test_a_full_disk_keeps_the_stored_copy_and_stores_nothing_new(tmp_path, full_disk):
@@ -159,12 +166,12 @@ def test_a_full_disk_keeps_the_stored_copy_and_stores_nothing_new(tmp_path, full
     with full_disk(), pytest.raises(OSError) as failure:
         store.store(b"kept")  # the rewrite fails in its temp file, before the stored copy is touched
     assert failure.value.errno == errno.ENOSPC
-    assert store.fetch(kept) == b"kept"
+    assert _joined(store.fetch(kept)) == b"kept"
     with full_disk(), pytest.raises(OSError):
         store.store(b"new")
     assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == [kept.digest.hex()]
     assert store.store(b"new") == Cid.of(b"new")  # once there is room
-    assert store.fetch(Cid.of(b"new")) == b"new"
+    assert _joined(store.fetch(Cid.of(b"new"))) == b"new"
 
 
 def test_disk_layout(tmp_path):
@@ -176,7 +183,7 @@ def test_disk_layout(tmp_path):
 
 def test_persistence_across_instances(tmp_path):
     cid = BlobStore(tmp_path).store(b"durable")
-    assert BlobStore(tmp_path).fetch(cid) == b"durable"
+    assert _joined(BlobStore(tmp_path).fetch(cid)) == b"durable"
 
 
 def test_concurrent_stores_of_same_blob_converge(tmp_path):
@@ -198,7 +205,7 @@ def test_concurrent_stores_of_same_blob_converge(tmp_path):
         t.join()
     assert not errors
     assert len(set(results)) == 1
-    assert store.fetch(results[0]) == blob
+    assert _joined(store.fetch(results[0])) == blob
     assert [p.name for p in tmp_path.rglob(".tmp-*")] == []
 
 
@@ -232,7 +239,7 @@ def test_stale_temp_file_from_a_crash_never_fails_a_store(tmp_path, monkeypatch)
         path.write_bytes(b"torn write")
     monkeypatch.setattr(cas, "_TMP_COUNTER", itertools.count())  # next names are the stale ones
     cid = BlobStore(tmp_path).store(blob)
-    assert BlobStore(tmp_path).fetch(cid) == blob
+    assert _joined(BlobStore(tmp_path).fetch(cid)) == blob
     assert all(path.read_bytes() == b"torn write" for path in stale)
 
 
@@ -241,28 +248,59 @@ def test_fetch_closes_its_descriptor_on_every_outcome(tmp_path):
     if not os.path.isdir(fd_dir):
         pytest.skip("needs /proc/self/fd to count open descriptors")
     store = BlobStore(tmp_path)
-    good = store.store(b"kept intact")
-    bad = store.store(b"flipped on disk")
-    bad_path = tmp_path / bad.digest.hex()[:2] / bad.digest.hex()
-    bad_path.write_bytes(b"Flipped on disk")
+    large = random.Random(4).randbytes(MANY_PIECES)
+    good, big = store.store(b"kept intact"), store.store(large)
+    bad, big_bad = store.store(b"flipped on disk"), store.store(large[:-1])
+    (tmp_path / bad.digest.hex()[:2] / bad.digest.hex()).write_bytes(b"Flipped on disk")
+    (tmp_path / big_bad.digest.hex()[:2] / big_bad.digest.hex()).write_bytes(large[:-1] + b"!")
     missing = Cid.of(b"never stored")
     before = len(os.listdir(fd_dir))
     for _ in range(200):
-        assert store.fetch(good) == b"kept intact"
+        assert _joined(store.fetch(good)) == b"kept intact"
+        assert _joined(store.fetch(big)) == large
         with pytest.raises(NotFoundError):
             store.fetch(missing)
         with pytest.raises(CorruptBlobError):
-            store.fetch(bad)
+            _joined(store.fetch(bad))
+        with pytest.raises(CorruptBlobError):
+            _joined(store.fetch(big_bad))
+        pieces = iter(store.fetch(big))
+        assert bytes(next(pieces)) == large[: cas.PIECE]
+        assert len(os.listdir(fd_dir)) == before + 1  # the consumer stops here
+        del pieces
     assert len(os.listdir(fd_dir)) == before
 
 
-def test_fetch_reads_the_whole_blob_through_short_reads(tmp_path, monkeypatch):
+@pytest.mark.parametrize("size", [1000, MANY_PIECES], ids=["one-piece", "many-pieces"])
+def test_fetch_reads_the_whole_blob_through_short_reads(tmp_path, monkeypatch, size):
     store = BlobStore(tmp_path)
-    blob = random.Random(3).randbytes(1000)
+    blob = random.Random(3).randbytes(size)
     cid = store.store(blob)
-    real_read = os.read
-    monkeypatch.setattr(cas.os, "read", lambda fd, n: real_read(fd, min(n, 7)))
-    assert store.fetch(cid) == blob
+    real_read, real_readv = os.read, os.readv
+    cap = 7 if size <= cas.PIECE else 100_003
+    monkeypatch.setattr(cas.os, "read", lambda fd, n: real_read(fd, min(n, cap)))
+    monkeypatch.setattr(cas.os, "readv", lambda fd, bufs: real_readv(fd, [memoryview(bufs[0])[:cap]]))
+    pieces = [bytes(piece) for piece in store.fetch(cid)]
+    assert b"".join(pieces) == blob
+    assert max(map(len, pieces)) <= cas.PIECE
+
+
+def test_a_fetch_of_many_pieces_charges_its_delay_at_the_call_and_checks_the_hash_at_the_end(tmp_path):
+    clock = VirtualClock()
+    store = BlobStore(tmp_path, fetch_profile=LatencyProfile(0.5, 0.2), clock=clock)
+    blob = random.Random(6).randbytes(MANY_PIECES)
+    cid = store.store(blob)
+    fetched = store.fetch(cid)
+    assert clock.now() == pytest.approx(0.5 + 0.2 * MANY_PIECES / 1e6)
+    assert len(fetched) == MANY_PIECES
+    assert [len(piece) for piece in map(bytes, fetched)] == [cas.PIECE, cas.PIECE, 1000]
+    path = tmp_path / cid.digest.hex()[:2] / cid.digest.hex()
+    path.write_bytes(blob[:-1] + bytes([blob[-1] ^ 1]))  # damage in the last piece
+    drawn = []
+    with pytest.raises(CorruptBlobError):
+        for piece in store.fetch(cid):
+            drawn.append(bytes(piece))
+    assert len(drawn) == 3  # every piece was read before the digest was compared
 
 
 def test_sealed_pieces_are_stored_under_the_sha256_of_the_file(tmp_path):
@@ -298,5 +336,5 @@ def test_property_self_certification(tmp_path_factory, blob):
     root = tmp_path_factory.mktemp("cas")
     store = BlobStore(root)
     cid = store.store(blob)
-    fetched = store.fetch(cid)
+    fetched = _joined(store.fetch(cid))
     assert hashlib.sha256(fetched).digest() == cid.digest

@@ -386,6 +386,16 @@ def test_report_from_stdin(run, tmp_path, monkeypatch):
     assert "Phase breakdown" in out
 
 
+def test_report_of_a_csv_with_a_nan_cell_fails_like_any_csv_that_does_not_parse(run, tmp_path):
+    from shardvcs.bench import CSV_COLUMNS
+
+    csv = tmp_path / "bad.csv"
+    csv.write_text(",".join(CSV_COLUMNS) + "\npush,1,0,nan,0.1,0.2,0.3,0.4,14.0,,,,,\n")
+    rc, out, err = run("report", str(csv))
+    assert (rc, out) == (2, "")
+    assert "line 2: user_perceived_s must be finite and >= 0, got nan" in err
+
+
 def test_remote_middleman_roundtrip(run, tmp_path):
     server = MiddlemanServer(ShareCache(ttl_s=3600))
     server.start()

@@ -156,6 +156,63 @@ def test_sealed_pieces_join_to_the_one_shot_seal(n):
     assert [bytes(piece) for piece in pieces] == copies  # each iteration seals afresh
 
 
+class ReusedBufferPieces:
+    """`sealed` as a sized iterable of `cut`-byte pieces, each written over the last one's buffer."""
+
+    def __init__(self, sealed: bytes, cut: int, size: int | None = None, fail_at_end: bool = False):
+        self.sealed, self.cut, self.fail_at_end = sealed, cut, fail_at_end
+        self.size = len(sealed) if size is None else size
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self):
+        buf = bytearray(self.cut)
+        for start in range(0, len(self.sealed), self.cut):
+            piece = self.sealed[start : start + self.cut]
+            buf[: len(piece)] = piece
+            yield memoryview(buf)[: len(piece)]
+        if self.fail_at_end:
+            raise OSError("source failed at its end")
+
+
+@pytest.mark.parametrize("n", [0, 5, CHUNK + 1, 3 * CHUNK + 5])
+@pytest.mark.parametrize("cut", [1000, 4096, CHUNK])
+def test_unseal_decrypts_pieces_as_they_arrive(n, cut):
+    b = _secret(n)
+    plaintext = random.Random(n).randbytes(n)
+    sealed = seal(plaintext, b)
+    assert unseal(ReusedBufferPieces(sealed, cut), b) == plaintext
+    assert unseal(ReusedBufferPieces(sealed, len(sealed)), b) == plaintext  # one piece: opened in one call
+
+
+@pytest.mark.parametrize("where", [0, 700, -17, -16, -1])  # ciphertext, first and last tag byte
+def test_unseal_of_pieces_rejects_a_flipped_byte(where):
+    b = _secret(11)
+    raw = bytearray(seal(random.Random(11).randbytes(3000), b))
+    raw[where] ^= 0x08
+    for cut in (1000, len(raw)):
+        with pytest.raises(DecryptionError):
+            unseal(ReusedBufferPieces(bytes(raw), cut), b)
+
+
+@pytest.mark.parametrize("cut", [1000, 3016])
+def test_unseal_of_pieces_rejects_a_length_that_is_not_the_pieces_length(cut):
+    b = _secret(12)
+    sealed = seal(random.Random(12).randbytes(3000), b)
+    for size in (len(sealed) - 1, len(sealed) + 1, 15):
+        with pytest.raises(DecryptionError):
+            unseal(ReusedBufferPieces(sealed, cut, size=size), b)
+
+
+@pytest.mark.parametrize("cut", [1000, 3016])
+def test_unseal_of_pieces_returns_nothing_until_the_pieces_end(cut):
+    b = _secret(13)
+    sealed = seal(random.Random(13).randbytes(3000), b)
+    with pytest.raises(OSError, match="at its end"):
+        unseal(ReusedBufferPieces(sealed, cut, fail_at_end=True), b)
+
+
 def test_unseal_shorter_than_tag_fails():
     with pytest.raises(DecryptionError):
         unseal(b"\x00" * 15, _secret(9))

@@ -1,12 +1,13 @@
 import errno
 import random
+import tracemalloc
 
 import pytest
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shardvcs.cas import Cid, NotFoundError
+from shardvcs.cas import PIECE, Cid, NotFoundError
 from shardvcs.envelope import KEY_LEN
 from shardvcs.ledger import AccessDeniedError, Address
 from shardvcs.protocol import (
@@ -18,6 +19,7 @@ from shardvcs.protocol import (
 from shardvcs.sss import Share, combine
 
 BOB = Address.from_label("bob")
+MANY_PIECES = 2 * PIECE + 1000  # more than two pieces when sealed
 MALLORY = Address.from_label("mallory")
 
 
@@ -93,7 +95,7 @@ def test_push_stores_sealed_not_plaintext(make_world):
     world = make_world()
     body = b"never stored in the clear"
     result = world.client.push(body, world.owner)
-    raw = world.cas.fetch(result.cid)
+    raw = b"".join(map(bytes, world.cas.fetch(result.cid)))
     assert body not in raw
 
 
@@ -213,20 +215,67 @@ def test_pull_detects_corrupted_blob(make_world, tmp_path):
         world.client.pull(result.cid, world.owner, result.owner_share)
 
 
-def test_pull_rejects_a_validly_tagged_forgery_by_a_key_holder(make_world):
+@pytest.mark.parametrize("size", [64, MANY_PIECES], ids=["one-piece", "many-pieces"])
+def test_pull_rejects_a_validly_tagged_forgery_by_a_key_holder(make_world, size):
     # The middleman copy is unauthenticated, so anyone holding a share (any
     # granted collaborator) can rebuild key and IV with it. GCM does not
     # commit to one plaintext: new bytes sealed under that key and IV carry a
     # valid tag. Only the re-hash against the owner-registered CID binds them.
     world = make_world()
-    result = world.client.push(b"the owner's repository", world.owner)
+    rng = random.Random(size)
+    result = world.client.push(rng.randbytes(size), world.owner)
     cached = Share.from_text(world.cache.fetch_share(result.cid.text))
     secret = combine([result.owner_share, cached], threshold=2)
-    forged = AESGCM(secret[:KEY_LEN]).encrypt(secret[KEY_LEN:], b"forged", None)
+    forged = AESGCM(secret[:KEY_LEN]).encrypt(secret[KEY_LEN:], rng.randbytes(size), None)
     hexd = result.cid.digest.hex()
     (world.cas.root / hexd[:2] / hexd).write_bytes(forged)
     with pytest.raises(IntegrityError):
         world.client.pull(result.cid, world.owner, result.owner_share)
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda raw: raw[: PIECE + 7] + bytes([raw[PIECE + 7] ^ 0x20]) + raw[PIECE + 8 :],  # a middle piece
+        lambda raw: raw[:-3] + bytes([raw[-3] ^ 0x01]) + raw[-2:],  # the tag
+        lambda raw: raw[:-1],  # cut by one byte
+        lambda raw: raw + b"\x00",  # one byte appended
+    ],
+    ids=["middle-piece", "tag", "cut", "appended"],
+)
+def test_pull_of_many_pieces_detects_tampering(make_world, tamper):
+    world = make_world()
+    result = world.client.push(random.Random(9).randbytes(MANY_PIECES), world.owner)
+    world.chain.advance_clock(14.0)
+    path = world.cas.root / result.cid.digest.hex()[:2] / result.cid.digest.hex()
+    path.write_bytes(tamper(path.read_bytes()))
+    with pytest.raises(IntegrityError):
+        world.client.pull(result.cid, world.owner, result.owner_share)
+
+
+def test_pull_of_many_pieces_detects_a_forged_held_share(make_world):
+    world = make_world()
+    result = world.client.push(random.Random(10).randbytes(MANY_PIECES), world.owner)
+    world.chain.advance_clock(14.0)
+    forged = Share(index=1, payload=bytes(len(result.owner_share.payload)))
+    with pytest.raises(IntegrityError):
+        world.client.pull(result.cid, world.owner, forged)
+
+
+def test_a_pull_peaks_at_about_one_piece_beyond_the_plaintext(make_world):
+    # Holding the sealed blob and the plaintext together would peak at twice the blob.
+    world = make_world()
+    body = random.Random(8).randbytes(8 << 20)
+    result = world.client.push(body, world.owner)
+    world.chain.advance_clock(14.0)
+    tracemalloc.start()
+    try:
+        plaintext, _ = world.client.pull(result.cid, world.owner, result.owner_share)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert plaintext == body
+    assert peak < (8 << 20) * 1.25 + (2 << 20)
 
 
 def test_pull_detects_forged_held_share(make_world):
