@@ -157,7 +157,7 @@ class FetchedPieces:
 
     __slots__ = ("_path", "_cid", "_size", "_whole")
 
-    def __init__(self, path: str, cid: Cid, size: int, whole: bytes | None = None):
+    def __init__(self, path: str, cid: Cid, size: int, whole: bytes | None):
         self._path = path
         self._cid = cid
         self._size = size

@@ -97,9 +97,9 @@ def unseal(sealed: bytes | Iterable, secret: bytes) -> bytes | bytearray:
     incremental AES-GCM context into one output buffer as they are drawn, so
     a piece may reuse its predecessor's buffer; the trailing 16 bytes are held
     back as the tag. The plaintext is returned only after the pieces have run
-    out, at exactly `len(sealed)` bytes, and the tag has verified. Pieces that
-    arrive as one piece are opened in one call and give `bytes`; several give
-    a `bytearray`, which spares a full-size copy.
+    out, at exactly `len(sealed)` bytes, and the tag has verified. A blob that
+    arrives as one piece is opened in one call and gives `bytes`; several
+    pieces give a `bytearray`, which spares a full-size copy.
     """
     key, iv = _key_iv(secret, DecryptionError)
     try:
