@@ -8,11 +8,6 @@ measurements); the bench runners then drive the full protocol on the world a
 and cache TTL), recording one sample per (size, repeat) with a per-phase
 latency breakdown. A fixed seed plus the virtual clock makes every run
 bit-identical.
-
-Pull samples carry a modeled constant (`DEFAULT_PULL_OVERHEAD_S`, 0.2 s) for
-the access view call and share reconstruction; calibration subtracts the
-same constant before fitting the fetch profile, so the two bookkeeping
-choices cancel when comparing against the reference table.
 """
 
 from __future__ import annotations
@@ -24,9 +19,8 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
-from .cas import BlobStore, LatencyProfile
-from .ledger import Address, SimulatedChain
-from .middleman import ShareCache
+from .cas import LatencyProfile
+from .ledger import Address
 from .protocol import PULL_PHASES, PUSH_PHASES, Client
 
 if TYPE_CHECKING:
@@ -38,10 +32,11 @@ CSV_COLUMNS = (
     ("operation", "size_mb", "repeat", "user_perceived_s") + _PUSH_TIMINGS + PULL_PHASES + ("path_used",)
 )
 
-# Modeled constant for the pull-only protocol work (access view call and
-# share reconstruction); subtracted before fetch-profile fitting and charged
-# back to every benchmarked pull. Not a measured figure.
-DEFAULT_PULL_OVERHEAD_S = 0.2
+# Read only by perfbench's paper cross-check, which adds it to the modeled
+# pull; the fitted fetch profile already carries the whole pull, so 0.2 would
+# count that overhead twice there. Deleted together with that import by the
+# benchmark-only change of ROADMAP item 3.
+DEFAULT_PULL_OVERHEAD_S = 0.0
 
 
 class BenchError(Exception):
@@ -104,9 +99,7 @@ def calibrate() -> CalibrationResult:
     """Fit store/fetch latency profiles to the push/pull columns of `EMBEDDED_REFERENCE`."""
     sizes = EMBEDDED_REFERENCE.sizes()
     store_profile, push_residuals = _fit_line(sizes, EMBEDDED_REFERENCE.column("system_push_s"))
-    fetch_profile, pull_residuals = _fit_line(
-        sizes, [t - DEFAULT_PULL_OVERHEAD_S for t in EMBEDDED_REFERENCE.column("system_pull_s")]
-    )
+    fetch_profile, pull_residuals = _fit_line(sizes, EMBEDDED_REFERENCE.column("system_pull_s"))
     return CalibrationResult(store_profile, fetch_profile, push_residuals, pull_residuals)
 
 
@@ -181,11 +174,9 @@ _OWNER = Address.from_label("bench-owner")
 def _sweep(op, sample, sizes, repeats, cfg: HarnessConfig, seed: int):
     """Call `sample(client, size, repeat, blob)` once per (size, repeat) on one fresh client.
 
-    The client's world is the one `cfg` describes: its clock, store and fetch
-    profiles, chain config and cache TTL, with the blob store in a temporary
-    directory removed afterwards. Store, chain and cache share that clock and
-    one rng seeded with `seed`; each blob is drawn from that rng just before
-    its sample runs.
+    The client's world is the one `cfg.client` builds, with the blob store in
+    a temporary directory removed afterwards and one rng seeded with `seed`;
+    each blob is drawn from that rng just before its sample runs.
     """
     if not sizes:
         raise ValueError("sizes must be non-empty")
@@ -195,11 +186,8 @@ def _sweep(op, sample, sizes, repeats, cfg: HarnessConfig, seed: int):
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     with tempfile.TemporaryDirectory(prefix="shardvcs-bench-") as scratch:
-        clock = cfg.make_clock()
         rng = random.Random(seed)
-        cas = BlobStore(scratch, cfg.store_profile(), cfg.fetch_profile(), clock)
-        chain = SimulatedChain(cfg.chain_config(), clock=clock, rng=rng)
-        client = Client(cas, chain, ShareCache(ttl_s=cfg.middleman_ttl_s, clock=clock), clock=clock, rng=rng)
+        client = cfg.client(scratch, rng=rng)
         samples = []
         for size in sizes:
             for rep in range(repeats):
@@ -259,9 +247,7 @@ def run_pull_bench(
         plaintext, report = client.pull(result.cid, _OWNER, result.owner_share)
         if plaintext != blob:
             raise BenchError("pulled plaintext does not match the pushed bytes")
-        timings = dict(report.phases)
-        timings["access_s"] += DEFAULT_PULL_OVERHEAD_S  # modeled view-call + reconstruction cost
-        return BenchSample("pull", size, rep, report.total_s + DEFAULT_PULL_OVERHEAD_S, timings, report.path_used)
+        return BenchSample("pull", size, rep, report.total_s, report.phases, report.path_used)
 
     return _sweep("pull", sample, sizes, repeats, cfg, seed)
 

@@ -107,10 +107,8 @@ def _world(args):
     import os
     import random
 
-    from .cas import BlobStore, write_atomic
+    from .cas import write_atomic
     from .config import HarnessConfig
-    from .ledger import SimulatedChain
-    from .protocol import Client
 
     state_dir = Path(args.state_dir)
     state_dir.mkdir(parents=True, exist_ok=True)
@@ -118,10 +116,10 @@ def _world(args):
         fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
         cfg = HarnessConfig.from_file(args.config) if args.config else HarnessConfig()
         state_path, log_path = state_dir / "chain.json", state_dir / "receipts.jsonl"
-        clock = cfg.make_clock()
         rng = random.Random(args.seed) if args.seed is not None else None
-        chain = SimulatedChain(cfg.chain_config(), clock, rng=rng)
-        cache = ShareCache(ttl_s=cfg.middleman_ttl_s, clock=clock)
+        remote = HttpShareCache(args.middleman_url) if args.middleman_url else None
+        client = cfg.client(state_dir / "cas", rng=rng, middleman=remote)
+        clock, chain = client.clock, client.chain
         try:  # the log is cut only once the whole state has loaded
             saved = json.loads(state_path.read_text()) if state_path.exists() else {}
             if "cache" not in saved:  # an older state dir keeps its cache in middleman.json
@@ -131,30 +129,27 @@ def _world(args):
                 clock.advance_to(saved["clock_time"])
             if "chain" in saved:
                 chain.restore(saved["chain"])
-            if not args.middleman_url:
-                cache.restore(saved["cache"])
+            if not remote:
+                client.middleman.restore(saved["cache"])
             if "log_bytes" in saved and log_path.exists() and log_path.stat().st_size > saved["log_bytes"]:
                 os.truncate(log_path, saved["log_bytes"])
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise ValueError(f"{state_path}: unreadable state ({type(exc).__name__}: {exc})") from None
 
-        cas = BlobStore(state_dir / "cas", cfg.store_profile(), cfg.fetch_profile(), clock)
-        middleman = HttpShareCache(args.middleman_url) if args.middleman_url else cache
-
         try:
-            yield Client(cas, chain, middleman, clock=clock, rng=rng)
+            yield client
         finally:
             try:
                 # chain.snapshot() settles what is due, so the state is taken before the log is written
                 state = {"clock_time": clock.now() if clock.is_virtual else None, "chain": chain.snapshot(),
-                         "cache": saved["cache"] if args.middleman_url else middleman.snapshot()}
+                         "cache": saved["cache"] if remote else client.middleman.snapshot()}
                 with open(log_path, "ab") as log:
                     log.write("".join(r.to_json() + "\n" for r in chain.settled).encode())
                     state["log_bytes"] = log.tell()
                 write_atomic(state_path, json.dumps(state).encode())
             finally:
-                if args.middleman_url:
-                    middleman.close()
+                if remote:
+                    remote.close()
 
 
 # -- commands -------------------------------------------------------------------
@@ -259,7 +254,6 @@ def _cmd_calibrate(args) -> int:
     print(
         f"fetch profile: fixed {result.fetch_profile.fixed_overhead_s:.6f} s"
         f" + {result.fetch_profile.per_mb_s:.6f} s/MB"
-        f" (after subtracting {bench_mod.DEFAULT_PULL_OVERHEAD_S} s pull overhead)"
     )
     print(f"  pull residuals: {['%.4f' % r for r in result.pull_residuals]}")
     if args.write_config:

@@ -4,10 +4,10 @@ One `key = value` per line; `#` starts a comment; unknown keys are errors so
 typos surface instead of silently falling back to defaults. Every knob the
 simulation exposes lives here: the two blob-transfer latency profiles, the
 chain confirmation-delay bounds, the middleman TTL, and the clock kind. Each
-default is the constant of the module that owns it. The two modeling
-constants that are deliberate choices rather than measured figures are not
-knobs: the pull overhead is `bench.DEFAULT_PULL_OVERHEAD_S` and the grant gas
-is `ledger.ADD_COLLABORATOR_GAS`.
+default is the constant of the module that owns it. The one modeling
+constant that is a deliberate choice rather than a measured figure, the grant
+gas `ledger.ADD_COLLABORATOR_GAS`, is not a knob. `HarnessConfig.client`
+builds the world a config describes, for the bench and the CLI alike.
 """
 
 from __future__ import annotations
@@ -17,10 +17,11 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .cas import LatencyProfile
-from .clock import Clock, make_clock
-from .ledger import ChainConfig
-from .middleman import DEFAULT_TTL_S
+from .cas import BlobStore, LatencyProfile
+from .clock import make_clock
+from .ledger import ChainConfig, SimulatedChain
+from .middleman import DEFAULT_TTL_S, ShareCache
+from .protocol import Client
 
 
 @dataclass
@@ -35,7 +36,7 @@ class HarnessConfig:
     middleman_ttl_s: float = DEFAULT_TTL_S
 
     def __post_init__(self) -> None:
-        self.make_clock()  # rejects an unknown clock kind
+        make_clock(self.clock)  # rejects an unknown clock kind
         if not (math.isfinite(self.middleman_ttl_s) and self.middleman_ttl_s > 0):
             raise ValueError("middleman_ttl_s must be positive and finite")
 
@@ -71,19 +72,24 @@ class HarnessConfig:
         lines = [f"{f.name} = {getattr(self, f.name)}" for f in dataclasses.fields(self)]
         return "\n".join(lines) + "\n"
 
-    # -- derived objects ---------------------------------------------------------
+    # -- the world it describes ---------------------------------------------------
 
-    def store_profile(self) -> LatencyProfile:
-        return LatencyProfile(self.store_fixed_s, self.store_per_mb_s)
+    def client(self, store_root: str | Path, rng=None, middleman=None) -> Client:
+        """A client on the world this config describes, with its blob store under `store_root`.
 
-    def fetch_profile(self) -> LatencyProfile:
-        return LatencyProfile(self.fetch_fixed_s, self.fetch_per_mb_s)
-
-    def chain_config(self) -> ChainConfig:
-        return ChainConfig(
-            confirmation_delay_min_s=self.confirmation_delay_min_s,
-            confirmation_delay_max_s=self.confirmation_delay_max_s,
+        Store, chain, cache and client share one clock of the configured kind,
+        and chain and client share `rng` (each makes its own when it is None).
+        `middleman` stands in for the in-process `ShareCache`, which otherwise
+        keeps each share for `middleman_ttl_s`.
+        """
+        clock = make_clock(self.clock)
+        cas = BlobStore(
+            store_root,
+            LatencyProfile(self.store_fixed_s, self.store_per_mb_s),
+            LatencyProfile(self.fetch_fixed_s, self.fetch_per_mb_s),
+            clock,
         )
-
-    def make_clock(self) -> Clock:
-        return make_clock(self.clock)
+        chain = SimulatedChain(ChainConfig(self.confirmation_delay_min_s, self.confirmation_delay_max_s), clock, rng)
+        if middleman is None:
+            middleman = ShareCache(ttl_s=self.middleman_ttl_s, clock=clock)
+        return Client(cas, chain, middleman, clock=clock, rng=rng)

@@ -102,17 +102,15 @@ def unseal(sealed: bytes | Iterable, secret: bytes) -> bytes | bytearray:
     pieces give a `bytearray`, which spares a full-size copy.
     """
     key, iv = _key_iv(secret, DecryptionError)
+    size = len(sealed)
+    pieces = iter((sealed,) if isinstance(sealed, (bytes, bytearray, memoryview)) else sealed)
     try:
-        if isinstance(sealed, (bytes, bytearray, memoryview)):
-            return AESGCM(key).decrypt(iv, sealed, None)
-        return _unseal_pieces(sealed, key, iv)
+        return _unseal_pieces(pieces, size, key, iv)
     except InvalidTag as exc:
         raise DecryptionError("authentication failed (wrong secret or tampered data)") from exc
 
 
-def _unseal_pieces(sealed: Iterable, key: bytes, iv: bytes) -> bytes | bytearray:
-    size = len(sealed)
-    pieces = iter(sealed)
+def _unseal_pieces(pieces: Iterator, size: int, key: bytes, iv: bytes) -> bytes | bytearray:
     piece = next(pieces, b"")
     if len(piece) == size:  # the whole blob in one piece
         if any(pieces):

@@ -1,8 +1,12 @@
 import dataclasses
+import random
 
 import pytest
 
+from shardvcs.cas import LatencyProfile
+from shardvcs.clock import RealClock
 from shardvcs.config import HarnessConfig
+from shardvcs.ledger import ChainConfig
 
 FLOAT_KEYS = [f.name for f in dataclasses.fields(HarnessConfig) if f.type == "float"]
 
@@ -15,7 +19,7 @@ def test_defaults():
     assert cfg.confirmation_delay_max_s == 16.0
 
 
-def test_parse_full_file():
+def test_parse_full_file(tmp_path):
     cfg = HarnessConfig.from_text(
         """
         # transfer latency model
@@ -29,11 +33,12 @@ def test_parse_full_file():
         middleman_ttl_s = 3600
         """
     )
-    assert cfg.store_profile().fixed_overhead_s == 1.62
-    assert cfg.fetch_profile().per_mb_s == 0.14
-    assert cfg.chain_config().confirmation_delay_min_s == 14.0
-    assert not cfg.make_clock().is_virtual
-    assert cfg.middleman_ttl_s == 3600.0
+    client = cfg.client(tmp_path)
+    assert client.cas.store_profile.fixed_overhead_s == 1.62
+    assert client.cas.fetch_profile.per_mb_s == 0.14
+    assert client.chain.config.confirmation_delay_min_s == 14.0
+    assert not client.clock.is_virtual
+    assert client.middleman.ttl_s == 3600.0
 
 
 def test_unknown_key_is_an_error():
@@ -60,11 +65,35 @@ def test_non_finite_value_reports_line(key, value):
 
 
 @pytest.mark.parametrize("key", FLOAT_KEYS)
-def test_non_finite_value_is_rejected_by_what_it_configures(key):
+def test_non_finite_value_is_rejected_by_what_it_configures(key, tmp_path):
     with pytest.raises(ValueError, match="finite"):
-        cfg = HarnessConfig(**{key: float("nan")})
-        for derive in (cfg.store_profile, cfg.fetch_profile, cfg.chain_config):
-            derive()
+        HarnessConfig(**{key: float("nan")}).client(tmp_path)
+
+
+def test_the_built_client_carries_every_key_on_one_clock_and_one_rng(tmp_path):
+    cfg = HarnessConfig(
+        store_fixed_s=1.5,
+        store_per_mb_s=0.25,
+        fetch_fixed_s=0.75,
+        fetch_per_mb_s=0.125,
+        confirmation_delay_min_s=3.0,
+        confirmation_delay_max_s=5.0,
+        clock="real",
+        middleman_ttl_s=60.0,
+    )
+    assert all(getattr(cfg, f.name) != f.default for f in dataclasses.fields(cfg))
+    rng = random.Random(7)
+    client = cfg.client(tmp_path / "cas", rng=rng)
+    assert client.cas.root == tmp_path / "cas"
+    assert client.cas.store_profile == LatencyProfile(1.5, 0.25)
+    assert client.cas.fetch_profile == LatencyProfile(0.75, 0.125)
+    assert client.chain.config == ChainConfig(3.0, 5.0)
+    assert isinstance(client.clock, RealClock)
+    assert client.middleman.ttl_s == 60.0
+    assert client.cas.clock is client.chain.clock is client.middleman.clock is client.clock
+    assert client.chain._rng is client.rng is rng
+    remote = object()  # stands in for an HttpShareCache
+    assert cfg.client(tmp_path / "cas", middleman=remote).middleman is remote
 
 
 def test_missing_equals_sign():
