@@ -6,8 +6,7 @@ against its address as it is read. A store hashes and writes the blob
 in one pass into a `.tmp-<pid>-<n>` file in the store root, because its
 address, and so its prefix directory, is known only at the end; the temp file
 is then renamed into place. A fetch hands the blob out as `FetchedPieces`,
-the mirror of what a store takes: a blob of at most one piece is read in one
-`os.read` and checked at once, a larger one is read and hashed a piece at a
+the mirror of what a store takes: the blob is read and hashed a piece at a
 time as its consumer draws it. Store and fetch each carry an independent
 linear delay (fixed overhead plus a per-megabyte term) charged to the
 configured clock when they are called, so a benchmark can model
@@ -110,22 +109,6 @@ def _write_all(fd: int, data) -> None:
         view = view[os.write(fd, view) :]
 
 
-def _read_all(fd: int, size: int) -> bytes:
-    """Read a file up to `size` bytes, or to EOF if it has shrunk since.
-
-    One `os.read` normally returns it all, and joining a single piece returns
-    that piece without a copy; a short read is followed by more reads.
-    """
-    pieces = []
-    while size:
-        piece = os.read(fd, size)
-        if not piece:
-            break
-        pieces.append(piece)
-        size -= len(piece)
-    return b"".join(pieces)
-
-
 def write_atomic(path: Path, data: bytes) -> None:
     """Write the whole file or leave the old one: a temp file beside it, then a rename."""
     fd, tmp = _create_temp(path.parent)
@@ -143,45 +126,38 @@ def write_atomic(path: Path, data: bytes) -> None:
 class FetchedPieces:
     """A fetched blob, handed out piece by piece and checked against its CID.
 
-    `len()` is the blob's size when it was fetched. A blob of at most PIECE
-    bytes was read and checked by the fetch, and iterating yields it whole.
-    A larger one is read as it is iterated, through one PIECE-byte buffer that
+    `len()` is the blob's size when it was fetched. The file is opened when
+    iteration starts and read through one buffer of at most PIECE bytes that
     each piece overwrites, and each piece is hashed before it is yielded, so
     a consumer must be done with a piece, or have copied it, before it draws
     the next. The file is read up to the fetched size, then closed, and only
     then is the digest compared: an iteration that ends without
-    `CorruptBlobError` has yielded exactly the bytes stored under the CID. The
-    file is opened when iteration starts and closed however it ends,
-    including by a consumer that stops early.
+    `CorruptBlobError` has yielded exactly the bytes stored under the CID.
+    The file is closed however iteration ends, including by a consumer that
+    stops early.
     """
 
-    __slots__ = ("_path", "_cid", "_size", "_whole")
+    __slots__ = ("_path", "_cid", "_size")
 
-    def __init__(self, path: str, cid: Cid, size: int, whole: bytes | None):
+    def __init__(self, path: str, cid: Cid, size: int):
         self._path = path
         self._cid = cid
         self._size = size
-        self._whole = whole
 
     def __len__(self) -> int:
         return self._size
 
-    def __iter__(self) -> Iterator[bytes | memoryview]:
-        if self._whole is not None:
-            return iter((self._whole,))
-        return self._read()
-
-    def _read(self) -> Iterator[memoryview]:
+    def __iter__(self) -> Iterator[memoryview]:
         try:
             fd = os.open(self._path, os.O_RDONLY)
         except FileNotFoundError:
             raise NotFoundError(f"no blob stored under {self._cid.text}") from None
         hasher = hashlib.sha256()
-        buf = memoryview(bytearray(PIECE))
+        buf = memoryview(bytearray(min(self._size, PIECE)))
         remaining = self._size
         try:
             while remaining:
-                n = os.readv(fd, [buf[: min(remaining, PIECE)]])
+                n = os.readv(fd, [buf[:remaining]])
                 if not n:
                     break
                 piece = buf[:n]
@@ -253,24 +229,16 @@ class BlobStore:
     def fetch(self, cid: Cid) -> FetchedPieces:
         """Return the stored bytes as pieces and charge the modeled download delay.
 
-        The delay is for the file's size now. A blob of at most PIECE bytes is
-        read and re-hashed here; a larger one is read and re-hashed as its
-        pieces are drawn (see `FetchedPieces`).
+        The delay is for the file's size now. Nothing is read here: the blob is
+        read and re-hashed as its pieces are drawn (see `FetchedPieces`).
         """
         path = self._path(cid)
         try:
-            fd = os.open(path, os.O_RDONLY)
+            size = os.stat(path).st_size
         except FileNotFoundError:
             raise NotFoundError(f"no blob stored under {cid.text}") from None
-        try:
-            size = os.fstat(fd).st_size
-            whole = _read_all(fd, size) if size <= PIECE else None
-        finally:
-            os.close(fd)
         self.clock.sleep(self.fetch_profile.delay_for(size))
-        if whole is not None and Cid.of(whole) != cid:
-            raise CorruptBlobError(f"stored blob does not hash to {cid.text}")
-        return FetchedPieces(path, cid, size, whole)
+        return FetchedPieces(path, cid, size)
 
     def contains(self, cid: Cid) -> bool:
         return os.path.exists(self._path(cid))

@@ -12,6 +12,14 @@ import time
 from typing import Protocol
 
 
+def is_finite(x) -> bool:
+    """A finite number; False, not an error, for a non-number or an int past float range."""
+    try:
+        return math.isfinite(x)
+    except (TypeError, OverflowError):
+        return False
+
+
 class Clock(Protocol):
     is_virtual: bool
 

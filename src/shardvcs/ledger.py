@@ -23,7 +23,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
-from .clock import Clock, RealClock, VirtualClock
+from .clock import Clock, RealClock, VirtualClock, is_finite
 
 # Modeled execution cost of a confirmed registration, in gas units.
 REGISTER_GAS = 206_886
@@ -306,6 +306,10 @@ class SimulatedChain:
             if extra:
                 self._collaborators[repo] = extra
         self._shares = dict(state["shares"])
+        for p in state["pending"]:
+            for key in ("due_at", "submitted_at"):
+                if not is_finite(p[key]):
+                    raise ValueError(f"pending {key} must be a finite number, got {p[key]!r}")
         self._pending = [
             (p["due_at"], p["seq"], _PendingTx(
                 receipt=TxReceipt(tx_id=p["tx_id"], submitted_at=p["submitted_at"]),

@@ -47,7 +47,7 @@ import threading
 import urllib.parse
 from collections import OrderedDict, namedtuple
 
-from .clock import Clock, RealClock
+from .clock import Clock, RealClock, is_finite
 from .sss import Share
 
 DEFAULT_TTL_S = 24 * 3600.0
@@ -64,14 +64,6 @@ class MiddlemanUnavailableError(ConnectionError):
     """The share-cache service could not be reached."""
 
 
-def _is_finite(x) -> bool:
-    """A finite number; False, not an error, for a non-number or an int past float range."""
-    try:
-        return math.isfinite(x)
-    except (TypeError, OverflowError):
-        return False
-
-
 # A named tuple, not a dataclass: `dataclasses` would load `inspect` into a
 # service that should start fast.
 class CacheEntry(namedtuple("CacheEntry", "share_text stored_at ttl_s")):
@@ -83,9 +75,9 @@ class CacheEntry(namedtuple("CacheEntry", "share_text stored_at ttl_s")):
         if not isinstance(share_text, str):
             raise ValueError(f"share text must be a string, got {share_text!r}")
         Share.from_text(share_text)  # reject malformed encodings
-        if not (_is_finite(ttl_s) and ttl_s > 0):
+        if not (is_finite(ttl_s) and ttl_s > 0):
             raise ValueError(f"ttl must be positive and finite, got {ttl_s!r}")
-        if not (_is_finite(stored_at) and math.isfinite(stored_at + ttl_s)):
+        if not (is_finite(stored_at) and math.isfinite(stored_at + ttl_s)):
             raise ValueError(f"stored_at must be finite, with a finite expiry, got {stored_at!r}")
         return tuple.__new__(cls, (share_text, stored_at, ttl_s))
 

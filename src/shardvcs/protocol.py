@@ -16,9 +16,9 @@ secret, the blob is fetched, and the seal is opened in one pass: the store
 hands the blob out a piece at a time, re-hashing each piece against its
 address as it reads it, and the envelope decrypts each piece as it arrives.
 So a pull holds at most one piece (1 MiB) beyond the plaintext, and on a real
-clock reading and hashing a blob of more than one piece fall in the decrypt
-phase. Every phase duration is measured on the configured clock so
-benchmarks can decompose latency.
+clock reading and hashing the blob fall in the decrypt phase. Every phase
+duration is measured on the configured clock so benchmarks can decompose
+latency.
 """
 
 from __future__ import annotations
@@ -162,7 +162,7 @@ class Client:
         stamps.append(self.clock.now())
 
         try:
-            blob = self.cas.fetch(cid)  # a blob of several pieces is read as unseal draws them
+            blob = self.cas.fetch(cid)  # read as unseal draws the pieces
             stamps.append(self.clock.now())
             plaintext = envelope.unseal(blob, secret)
         except (CorruptBlobError, envelope.DecryptionError) as exc:

@@ -285,22 +285,40 @@ def test_fetch_reads_the_whole_blob_through_short_reads(tmp_path, monkeypatch, s
     assert max(map(len, pieces)) <= cas.PIECE
 
 
-def test_a_fetch_of_many_pieces_charges_its_delay_at_the_call_and_checks_the_hash_at_the_end(tmp_path):
+@pytest.mark.parametrize(
+    "size, lengths",
+    [(1000, [1000]), (MANY_PIECES, [cas.PIECE, cas.PIECE, 1000])],
+    ids=["one-piece", "many-pieces"],
+)
+def test_a_fetch_of_many_pieces_charges_its_delay_at_the_call_and_checks_the_hash_at_the_end(tmp_path, size, lengths):
     clock = VirtualClock()
     store = BlobStore(tmp_path, fetch_profile=LatencyProfile(0.5, 0.2), clock=clock)
-    blob = random.Random(6).randbytes(MANY_PIECES)
+    blob = random.Random(6).randbytes(size)
     cid = store.store(blob)
     fetched = store.fetch(cid)
-    assert clock.now() == pytest.approx(0.5 + 0.2 * MANY_PIECES / 1e6)
-    assert len(fetched) == MANY_PIECES
-    assert [len(piece) for piece in map(bytes, fetched)] == [cas.PIECE, cas.PIECE, 1000]
+    assert clock.now() == pytest.approx(0.5 + 0.2 * size / 1e6)
+    assert len(fetched) == size
+    assert [len(piece) for piece in map(bytes, fetched)] == lengths
     path = tmp_path / cid.digest.hex()[:2] / cid.digest.hex()
     path.write_bytes(blob[:-1] + bytes([blob[-1] ^ 1]))  # damage in the last piece
+    start = clock.now()
+    damaged = store.fetch(cid)
+    assert clock.now() - start == pytest.approx(0.5 + 0.2 * size / 1e6)  # charged before a byte is read
     drawn = []
     with pytest.raises(CorruptBlobError):
-        for piece in store.fetch(cid):
+        for piece in damaged:
             drawn.append(bytes(piece))
-    assert len(drawn) == 3  # every piece was read before the digest was compared
+    assert len(drawn) == len(lengths)  # every piece was read before the digest was compared
+
+
+@pytest.mark.parametrize("size", [1000, MANY_PIECES], ids=["one-piece", "many-pieces"])
+def test_a_blob_deleted_after_its_fetch_is_not_found_when_drawn(tmp_path, size):
+    store = BlobStore(tmp_path)
+    cid = store.store(random.Random(8).randbytes(size))
+    fetched = store.fetch(cid)
+    (tmp_path / cid.digest.hex()[:2] / cid.digest.hex()).unlink()
+    with pytest.raises(NotFoundError):
+        _joined(fetched)
 
 
 def test_sealed_pieces_are_stored_under_the_sha256_of_the_file(tmp_path):

@@ -115,6 +115,23 @@ def test_pull_on_a_state_dir_with_a_bad_cache_entry_exits_1(run, tmp_path, bad):
     assert state_file.read_bytes() == before
 
 
+@pytest.mark.parametrize("key", ["due_at", "submitted_at"])
+@pytest.mark.parametrize("bad", [float("nan"), "soon"], ids=["nan", "string"])
+def test_advance_on_a_state_dir_with_a_bad_pending_time_exits_1(run, tmp_path, key, bad):
+    """A pending transaction's times must be finite numbers, or the chain could never settle it."""
+    state = tmp_path / "state"
+    push_file(run, tmp_path, state)  # the registration is still pending
+    state_file, log_file = state / "chain.json", state / "receipts.jsonl"
+    saved = json.loads(state_file.read_text())
+    saved["chain"]["pending"][0][key] = bad
+    state_file.write_text(json.dumps(saved))
+    before = state_file.read_bytes(), log_file.read_bytes()
+    rc, stdout, err = run("advance", "100", "--state-dir", str(state))
+    assert (rc, stdout) == (1, "")
+    assert err.startswith(f"usage error: {state_file}: unreadable state") and "Traceback" not in err
+    assert (state_file.read_bytes(), log_file.read_bytes()) == before
+
+
 @pytest.mark.parametrize(
     "damage",
     [
