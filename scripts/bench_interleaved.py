@@ -43,7 +43,7 @@ import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_pairs import change_commit, exit_on_sigterm, git, kill_group, spread, unpack  # noqa: E402
+from bench_pairs import change_commit, exit_on_sigterm, git, kill_group, machine_line, spread, unpack  # noqa: E402
 
 OPS = ("push", "pull")
 TREES = ("change", "parent")
@@ -177,8 +177,8 @@ def main(argv=None) -> int:
         return 0
 
     commits = {"change": change_commit(args.change), "parent": git("rev-parse", args.parent)}
-    print(f"workload {args.workload}, change {commits['change'][:12]}, parent {commits['parent'][:12]},"
-          f" {args.runs} runs of {args.blocks} blocks of {args.ops} steps", flush=True)
+    print(f"# machine: {machine_line()}\nworkload {args.workload}, change {commits['change']},"
+          f" parent {commits['parent']}, {args.runs} runs of {args.blocks} blocks of {args.ops} steps", flush=True)
     summaries = []
     with tempfile.TemporaryDirectory(prefix="bench-interleaved-") as tmp:
         trees = {tree: Path(tmp) / tree for tree in TREES}

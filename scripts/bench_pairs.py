@@ -10,7 +10,7 @@ tracked files of the working tree as they stand (`git stash create`;
 untracked files are left out), the parent is `--parent` (default HEAD). For
 each seed, the script runs `perfbench/run.py` once in each tree, alternating
 which tree goes first, both with `PYTHONHASHSEED` set to the seed, and parses
-each run's provenance header and its JSON last line.
+each run's JSON last line.
 
 It writes `BENCH_<workload>.json` at the repo root: the machine line, both
 commits, the seeds, every run's `correct`, `PYTHONHASHSEED` and metrics, and
@@ -29,10 +29,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib.metadata
 import io
 import json
 import os
-import shlex
+import platform
 import signal
 import statistics
 import subprocess
@@ -53,25 +54,29 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def parse_run(stdout: str) -> tuple[dict, dict]:
-    """The provenance fields and the JSON result of one `perfbench/run.py` output."""
-    provenance, key = {}, None
-    for line in stdout.splitlines():
-        if line.startswith("# provenance: "):
-            for token in shlex.split(line[len("# provenance: "):]):
-                if "=" in token:
-                    key, value = token.split("=", 1)
-                    provenance[key] = value
-                elif key:  # a value with spaces, such as `commit=none (not a git checkout)`
-                    provenance[key] += " " + token
+def parse_run(stdout: str) -> dict:
+    """The JSON result of one `perfbench/run.py` output: its last line."""
     lines = stdout.strip().splitlines()
     if not lines or not lines[-1].startswith("{"):
         raise ValueError("run printed no JSON result line")
-    return provenance, json.loads(lines[-1])
+    return json.loads(lines[-1])
 
 
-def machine_line(provenance: dict) -> str:
-    return " ".join(f"{key}={provenance.get(key, '?')}" for key in ("nproc", "cpu", "python", "cryptography"))
+def cpu_model() -> str:
+    """The CPU's model name from /proc/cpuinfo, else what `platform` reports."""
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
+def machine_line() -> str:
+    """The machine this script runs on, as every bench tool here names it."""
+    return (f"nproc={os.cpu_count()} cpu={cpu_model()} python={platform.python_version()}"
+            f" cryptography={importlib.metadata.version('cryptography')}")
 
 
 def spread(values: list[float]) -> dict:
@@ -168,7 +173,7 @@ def run_in_session(cmd: list[str], **kwargs) -> subprocess.CompletedProcess:
     return subprocess.CompletedProcess(cmd, proc.returncode, stdout, stderr)
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: bool) -> tuple[dict, dict]:
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: bool) -> dict:
     cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(int(trace))]
     env = {**os.environ, "PYTHONHASHSEED": str(seed)}
@@ -177,7 +182,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: bool) 
         return parse_run(proc.stdout)
     except ValueError as exc:
         sys.stderr.write(f"{exc}\n{proc.stderr[-2000:]}")
-        return {}, {"correct": False, "attempted": 0, "failed": 0, "metrics": {}}
+        return {"correct": False, "attempted": 0, "failed": 0, "metrics": {}}
 
 
 def main(argv=None) -> int:
@@ -195,7 +200,7 @@ def main(argv=None) -> int:
     change = {"commit": git("rev-parse", "HEAD"), "working_tree_changes": bool(git("status", "--porcelain"))}
     parent = None if args.parent == "none" else {"commit": git("rev-parse", args.parent)}
 
-    runs, provenance = [], {}
+    runs = []
     commits = {"change": change_commit("worktree")}
     if parent:
         commits["parent"] = parent["commit"]
@@ -205,8 +210,7 @@ def main(argv=None) -> int:
             unpack(commit, trees[tree])
         for i, seed in enumerate(args.seeds):
             for tree in sorted(trees, reverse=i % 2 == 1):  # change first, then parent first, ...
-                prov, result = run_once(trees[tree], args.workload, seed, args.seconds, args.trace)
-                provenance = provenance or prov
+                result = run_once(trees[tree], args.workload, seed, args.seconds, args.trace)
                 metrics = {name: m["value"] for name, m in result["metrics"].items()}
                 runs.append({"tree": tree, "seed": seed, "pythonhashseed": seed, "correct": result["correct"],
                              "attempted": result["attempted"], "failed": result["failed"], "metrics": metrics})
@@ -214,7 +218,7 @@ def main(argv=None) -> int:
 
     report = json.loads(out_path.read_text()) if out_path.exists() else {"workload": args.workload}
     report[section] = {
-        "machine": machine_line(provenance),
+        "machine": machine_line(),
         "parent": parent,
         "change": change,
         "seconds": args.seconds,

@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import argparse
 import os
-import platform
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_pairs import spread  # noqa: E402
+from bench_pairs import machine_line, spread  # noqa: E402
 
 SERVE = ("-m", "shardvcs.cli", "serve-middleman", "--port", "0")
 FLOOR = "python -c pass"
@@ -57,24 +56,6 @@ def spawn_ms(src: str | None) -> float:
     return elapsed
 
 
-def cpu_model() -> str:
-    try:
-        for line in Path("/proc/cpuinfo").read_text().splitlines():
-            if line.startswith("model name"):
-                return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor() or "unknown"
-
-
-def machine_line() -> str:
-    bytecode = "off" if os.environ.get("PYTHONDONTWRITEBYTECODE") else "on"
-    return (
-        f"# machine: nproc={os.cpu_count()} cpu={cpu_model()!r} python={platform.python_version()}"
-        f" bytecode_cache={bytecode}"
-    )
-
-
 def measure(srcs: list[str], spawns: int) -> dict[str, list[float]]:
     """`spawns` timings per tree and for the floor, the order rotating every round."""
     order = [*srcs, None]
@@ -98,7 +79,8 @@ def main(argv: list[str] | None = None) -> int:
     for label, values in measure(srcs, args.spawns).items():
         s = spread(values)
         print(f"{label}: median {s['median']:.1f} ms, q1 {s['q1']:.1f}, q3 {s['q3']:.1f} ({len(values)} spawns)")
-    print(machine_line())
+    bytecode = "off" if os.environ.get("PYTHONDONTWRITEBYTECODE") else "on"
+    print(f"# machine: {machine_line()} bytecode_cache={bytecode}")
     return 0
 
 

@@ -40,7 +40,7 @@ DEFAULT_PULL_OVERHEAD_S = 0.0
 
 
 class BenchError(Exception):
-    """A benchmark sample failed, or a CSV line could not be read; the message identifies it."""
+    """A benchmark sample failed; the message identifies it."""
 
 
 # -- reference data ----------------------------------------------------------
@@ -136,32 +136,32 @@ def samples_to_csv(samples: list[BenchSample]) -> str:
 def parse_csv(text: str) -> list[BenchSample]:
     lines = text.splitlines()
     if not lines or not lines[0].strip():
-        raise BenchError("line 1: missing header row")
+        raise ValueError("line 1: missing header row")
     if lines[0].strip() != ",".join(CSV_COLUMNS):
-        raise BenchError(f"line 1: unexpected header {lines[0]!r}")
+        raise ValueError(f"line 1: unexpected header {lines[0]!r}")
     samples = []
     for line_no, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
         cells = raw.split(",")
         if len(cells) != len(CSV_COLUMNS):
-            raise BenchError(f"line {line_no}: expected {len(CSV_COLUMNS)} cells, got {len(cells)}")
+            raise ValueError(f"line {line_no}: expected {len(CSV_COLUMNS)} cells, got {len(cells)}")
         if cells[0] not in ("push", "pull"):
-            raise BenchError(f"line {line_no}: unknown operation {cells[0]!r}")
+            raise ValueError(f"line {line_no}: unknown operation {cells[0]!r}")
         try:
             timings = {
                 name: float(cell) for name, cell in zip(CSV_COLUMNS[4:-1], cells[4:-1]) if cell != ""
             }
             size_mb, repeat, user_perceived_s = int(cells[1]), int(cells[2]), float(cells[3])
         except ValueError as exc:
-            raise BenchError(f"line {line_no}: bad numeric cell: {exc}") from None
+            raise ValueError(f"line {line_no}: bad numeric cell: {exc}") from None
         for name, value in (("user_perceived_s", user_perceived_s), *timings.items()):
             if not (math.isfinite(value) and value >= 0):
-                raise BenchError(f"line {line_no}: {name} must be finite and >= 0, got {value}")
+                raise ValueError(f"line {line_no}: {name} must be finite and >= 0, got {value}")
         if size_mb < 1:
-            raise BenchError(f"line {line_no}: size_mb must be >= 1, got {size_mb}")
+            raise ValueError(f"line {line_no}: size_mb must be >= 1, got {size_mb}")
         if repeat < 0:
-            raise BenchError(f"line {line_no}: repeat must be >= 0, got {repeat}")
+            raise ValueError(f"line {line_no}: repeat must be >= 0, got {repeat}")
         samples.append(BenchSample(cells[0], size_mb, repeat, user_perceived_s, timings, cells[-1] or None))
     return samples
 
@@ -314,7 +314,7 @@ def summarize(samples: list[BenchSample]) -> list[SizeSummary]:
 def render_report(samples: list[BenchSample]) -> str:
     """Deterministic text report: summary, comparison with `EMBEDDED_REFERENCE`, breakdown."""
     if not samples:
-        raise BenchError("line 1: no samples to report")
+        raise ValueError("line 1: no samples to report")
     summaries = summarize(samples)
     ref_by_size = {r.size_mb: r for r in EMBEDDED_REFERENCE.rows}
     lines = []

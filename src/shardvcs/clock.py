@@ -47,9 +47,6 @@ class VirtualClock:
         with self._lock:
             self._now += seconds
 
-    def advance(self, seconds: float) -> None:
-        self.sleep(seconds)
-
     def advance_to(self, timestamp: float) -> None:
         if not math.isfinite(timestamp):
             raise ValueError(f"cannot go to a non-finite time: {timestamp}")

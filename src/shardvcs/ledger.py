@@ -20,10 +20,10 @@ import hashlib
 import heapq
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
-from .clock import Clock, RealClock, VirtualClock, is_finite
+from .clock import Clock, RealClock, is_finite
 
 # Modeled execution cost of a confirmed registration, in gas units.
 REGISTER_GAS = 206_886
@@ -113,10 +113,6 @@ class TxReceipt:
     confirmed_at: Optional[float] = None
     rejection_reason: Optional[str] = None
 
-    @property
-    def settled(self) -> bool:
-        return self.status != PENDING
-
     def to_json(self) -> str:
         return json.dumps(asdict(self))
 
@@ -179,7 +175,7 @@ class SimulatedChain:
                 self._shares[tx.repo] = tx.share_text
                 r.status = CONFIRMED
                 r.gas_used = REGISTER_GAS
-        elif tx.kind == "add_collaborator":
+        else:  # add_collaborator: enqueue makes no other kind, and restore refuses one
             if self._owners.get(tx.repo) != tx.sender:
                 r.status = REJECTED
                 r.rejection_reason = REASON_NOT_OWNER
@@ -187,8 +183,6 @@ class SimulatedChain:
                 self._collaborators.setdefault(tx.repo, set()).add(tx.collaborator)
                 r.status = CONFIRMED
                 r.gas_used = ADD_COLLABORATOR_GAS
-        else:  # pragma: no cover - enqueue is the only producer
-            raise AssertionError(f"unknown tx kind {tx.kind!r}")
         self.settled.append(r)
 
     def _can_access(self, repo: str, user: Address) -> bool:
@@ -265,8 +259,7 @@ class SimulatedChain:
         """Advance virtual time and return the receipts settled by doing so."""
         if not self.clock.is_virtual:
             raise ClockModeError("advance_clock requires a virtual clock")
-        assert isinstance(self.clock, VirtualClock)
-        self.clock.advance(delta_s)
+        self.clock.sleep(delta_s)
         return self._sync()
 
     # -- persistence (CLI state dir) -------------------------------------------
@@ -306,10 +299,19 @@ class SimulatedChain:
             if extra:
                 self._collaborators[repo] = extra
         self._shares = dict(state["shares"])
-        for p in state["pending"]:
+        pending = state["pending"]
+        for p in pending:
             for key in ("due_at", "submitted_at"):
                 if not is_finite(p[key]):
                     raise ValueError(f"pending {key} must be a finite number, got {p[key]!r}")
+            needs = {"register": "share_text", "add_collaborator": "collaborator"}.get(p["kind"])
+            if not isinstance(p.get(needs), str):
+                raise ValueError(f"pending {p['tx_id']}: kind {p['kind']!r} needs a string share_text or collaborator")
+        seqs, tx_ids = [p["seq"] for p in pending], {p["tx_id"] for p in pending}
+        if any(type(seq) is not int for seq in seqs) or len(set(seqs)) < len(seqs) or len(tx_ids) < len(pending):
+            raise ValueError(f"pending seqs must be distinct ints, and tx_ids distinct, got {seqs}")
+        if type(self._next_seq) is not int or any(seq >= self._next_seq for seq in seqs):
+            raise ValueError(f"next_seq must be an int above every pending seq, got {self._next_seq!r}")
         self._pending = [
             (p["due_at"], p["seq"], _PendingTx(
                 receipt=TxReceipt(tx_id=p["tx_id"], submitted_at=p["submitted_at"]),
@@ -319,6 +321,6 @@ class SimulatedChain:
                 share_text=p["share_text"],
                 collaborator=Address.from_text(p["collaborator"]) if p["collaborator"] else None,
             ))
-            for p in state["pending"]
+            for p in pending
         ]
         heapq.heapify(self._pending)

@@ -207,20 +207,20 @@ def test_csv_roundtrip(calibrated_config):
 
 
 def test_parse_csv_error_reporting():
-    with pytest.raises(BenchError, match="line 1"):
+    with pytest.raises(ValueError, match="line 1"):
         parse_csv("")
-    with pytest.raises(BenchError, match="line 1"):
+    with pytest.raises(ValueError, match="line 1"):
         parse_csv("totally,wrong,header\n")
     header = ",".join(CSV_COLUMNS)
-    with pytest.raises(BenchError, match="line 2"):
+    with pytest.raises(ValueError, match="line 2"):
         parse_csv(header + "\npush,1\n")
-    with pytest.raises(BenchError, match="line 3"):
+    with pytest.raises(ValueError, match="line 3"):
         parse_csv(
             header
             + "\npush,1,0,1.0,0.1,0.2,0.3,0.4,14.0,,,,,\n"
             + "push,1,0,not-a-number,0.1,0.2,0.3,0.4,14.0,,,,,\n"
         )
-    with pytest.raises(BenchError, match="unknown operation"):
+    with pytest.raises(ValueError, match="unknown operation"):
         parse_csv(header + "\nclone,1,0,1.0,,,,,,,,,,\n")
 
 
@@ -239,7 +239,7 @@ def test_parse_csv_error_reporting():
 )
 def test_parse_csv_refuses_non_finite_negative_and_impossible_cells(row, message):
     good = "push,1,0,1.0,0.1,0.2,0.3,0.4,14.0,,,,,"
-    with pytest.raises(BenchError) as refused:
+    with pytest.raises(ValueError) as refused:
         parse_csv(",".join(CSV_COLUMNS) + "\n" + good + "\n" + row + "\n")
     assert str(refused.value) == f"line 3: {message}"
 
@@ -278,7 +278,7 @@ def test_report_is_deterministic_and_marks_largest(calibrated_config):
 
 
 def test_report_of_nothing_is_an_error():
-    with pytest.raises(BenchError, match="^line 1: no samples to report$"):
+    with pytest.raises(ValueError, match="^line 1: no samples to report$"):
         render_report([])
 
 

@@ -65,3 +65,16 @@ def test_report_runs_counts_the_runs_the_change_won():
     text = bench_interleaved.report_runs([bench_interleaved.summarize(blocks) for blocks in runs])
     assert "push over 3 runs: change -50.0% in the median run, lower in 2/3 runs (-50.0% +0.0% -50.0%)" in text
     assert "pull over 3 runs: change -20.0% in the median run, lower in 2/3 runs (+20.0% -20.0% -20.0%)" in text
+
+
+def test_the_header_names_the_machine_and_both_commits_in_full(monkeypatch, capsys):
+    change, parent = "c" * 40, "p" * 40
+    monkeypatch.setattr(bench_interleaved, "change_commit", lambda rev: change)
+    monkeypatch.setattr(bench_interleaved, "git", lambda *args: parent)
+    monkeypatch.setattr(bench_interleaved, "unpack", lambda rev, dest: dest.mkdir())
+    monkeypatch.setattr(bench_interleaved, "run_blocks",
+                        lambda trees, args: [{"change": reply([0.2], [0.2]), "parent": reply([0.4], [0.25])}])
+    assert bench_interleaved.main(["--workload", "fresh-pull-http", "--runs", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"# machine: {bench_interleaved.machine_line()}"
+    assert lines[1] == f"workload fresh-pull-http, change {change}, parent {parent}, 1 runs of 40 blocks of 300 steps"

@@ -2,6 +2,9 @@
 
 import importlib.util
 import json
+import os
+import platform
+import re
 import signal
 import subprocess
 import sys
@@ -37,21 +40,27 @@ def canned_output(push_ms: float, ops: float, correct: bool = True, commit: str 
     )
 
 
-def test_parse_run_reads_provenance_and_json_result():
-    provenance, result = bench_pairs.parse_run(canned_output(0.7, 1500.0))
-    assert provenance["cpu"] == "Test CPU @ 2.00GHz"
-    assert provenance["commit"] == "abc123" and provenance["nproc"] == "2"
-    assert result["correct"] is True
-    assert result["metrics"]["push_wall_p50_ms"]["value"] == 0.7
-    assert bench_pairs.machine_line(provenance) == (
-        "nproc=2 cpu=Test CPU @ 2.00GHz python=3.11.7 cryptography=42.0.0"
-    )
+def test_parse_run_returns_the_json_result_and_ignores_the_provenance_line():
+    result = bench_pairs.parse_run(canned_output(0.7, 1500.0, commit="none (not a git checkout)"))
+    assert result == {
+        "correct": True, "attempted": 400, "failed": 0,
+        "metrics": {"push_wall_p50_ms": {"value": 0.7, "unit": "ms"}, "ops_per_s": {"value": 1500.0, "unit": "ops/s"}},
+    }
 
 
-def test_parse_run_keeps_a_value_with_spaces():
-    provenance, _ = bench_pairs.parse_run(canned_output(0.7, 1500.0, commit="none (not a git checkout)"))
-    assert provenance["commit"] == "none (not a git checkout)"
-    assert provenance["workload"] == "fresh-pull-http"
+def test_machine_line_names_this_machine_in_the_bench_file_format():
+    import cryptography
+
+    nproc, cpu, python, crypto = re.fullmatch(
+        r"nproc=(\S+) cpu=(.+) python=(\S+) cryptography=(\S+)", bench_pairs.machine_line()
+    ).groups()
+    assert (nproc, python, crypto) == (str(os.cpu_count()), platform.python_version(), cryptography.__version__)
+    try:
+        models = [line.split(":", 1)[1].strip() for line in Path("/proc/cpuinfo").read_text().splitlines()
+                  if line.startswith("model name")]
+    except OSError:
+        models = []
+    assert cpu == (models[0] if models else bench_pairs.cpu_model()) and cpu
 
 
 def test_parse_run_without_result_line_is_an_error():
@@ -141,6 +150,7 @@ def test_a_clean_tree_runs_head_as_the_only_tree_without_a_parent(tmp_path, monk
 
     assert list(unpacked) == ["c0ffee"] and cwds == [unpacked["c0ffee"]] * 2
     report = json.loads((tmp_path / "BENCH_fresh-pull-http.json").read_text())["end_to_end"]
+    assert report["machine"] == bench_pairs.machine_line()  # this machine, not the runs' provenance lines
     assert report["parent"] is None
     assert report["change"] == {"commit": "c0ffee", "working_tree_changes": False}
     assert [r["tree"] for r in report["runs"]] == ["change", "change"]

@@ -133,6 +133,50 @@ def test_advance_on_a_state_dir_with_a_bad_pending_time_exits_1(run, tmp_path, k
 
 
 @pytest.mark.parametrize(
+    "damage, command, delay_s",
+    [
+        (lambda chain: chain["pending"][0].update(kind="bogus"), "advance", None),
+        (lambda chain: chain["pending"][0].update(share_text=None), "advance", None),
+        (lambda chain: chain["pending"][1].update(collaborator=None), "advance", None),
+        (lambda chain: chain["pending"][0].update(seq="0"), "advance", None),
+        (lambda chain: chain["pending"][1].update(seq=0), "advance", None),
+        (lambda chain: chain["pending"][1].update(tx_id="tx-000000"), "advance", None),
+        (lambda chain: chain.update(next_seq=0), "grant", None),
+        (lambda chain: chain.update(next_seq=0), "grant", 14.0),
+        (lambda chain: chain.update(next_seq=2.0), "grant", None),
+    ],
+    ids=["unknown-kind", "register-without-share", "grant-without-collaborator", "seq-not-an-int",
+         "seq-repeats", "tx-id-repeats", "next-seq-below-pending", "next-seq-below-pending-constant-delay",
+         "next-seq-not-an-int"],
+)
+def test_a_state_dir_with_a_pending_tx_it_cannot_settle_or_number_exits_1(run, tmp_path, damage, command, delay_s):
+    """Each pending transaction needs a known kind with its field, and a seq and tx_id of its own below next_seq."""
+    state = tmp_path / "state"
+    world = ["--state-dir", str(state)]
+    if delay_s is not None:
+        cfg = tmp_path / "constant.cfg"
+        cfg.write_text(f"confirmation_delay_min_s = {delay_s}\nconfirmation_delay_max_s = {delay_s}\n")
+        world += ["--config", str(cfg)]
+    src = tmp_path / "payload.bin"
+    src.write_bytes(b"two pending transactions\n")
+    rc, out, _ = run("push", str(src), "--owner", "alice", "--seed", "7", *world)
+    assert rc == 0
+    cid = _field(out, "cid")
+    grant = ("grant", cid, "--owner", "alice", "--to", "bob", *world)
+    assert run(*grant)[0] == 0  # tx-000001, pending beside the registration
+    state_file, log_file = state / "chain.json", state / "receipts.jsonl"
+    saved = json.loads(state_file.read_text())
+    assert [(p["tx_id"], p["seq"]) for p in saved["chain"]["pending"]] == [("tx-000000", 0), ("tx-000001", 1)]
+    damage(saved["chain"])
+    state_file.write_text(json.dumps(saved))
+    before = state_file.read_bytes(), log_file.read_bytes()
+    rc, stdout, err = run(*grant) if command == "grant" else run("advance", "30", *world)
+    assert (rc, stdout) == (1, "")
+    assert err.startswith(f"usage error: {state_file}: unreadable state (ValueError: ") and "Traceback" not in err
+    assert (state_file.read_bytes(), log_file.read_bytes()) == before
+
+
+@pytest.mark.parametrize(
     "damage",
     [
         lambda saved, cid: {**saved, "cache": {cid: {"share_text": saved["cache"][cid]["share_text"], "stored_at": 0.0}}},
@@ -234,6 +278,9 @@ def test_usage_errors_exit_1(run, tmp_path):
         rc, out, err = run("bench", *argv, "--repeats", "1")
         assert (rc, out) == (1, "") and err.startswith("usage error: ") and err.endswith(f"got {value}\n")
     assert run("report", str(tmp_path / "missing.csv"))[0] == 1
+    bad_csv = tmp_path / "bad.csv"
+    bad_csv.write_text("wrong,header\n")
+    assert run("report", str(bad_csv)) == (1, "", "usage error: line 1: unexpected header 'wrong,header'\n")
     assert run("calibrate", "--reference", str(tmp_path / "missing.csv"))[0] == 1  # not a flag
     assert run("calibrate", "--pull-overhead", "0.3")[0] == 1  # a modeling constant, not a flag
     for port in ("70000", "-1"):
@@ -272,10 +319,6 @@ def test_protocol_errors_exit_2(run, tmp_path):
     assert rc == 2
     assert "error:" in err
 
-    bad_csv = tmp_path / "bad.csv"
-    bad_csv.write_text("wrong,header\n")
-    assert run("report", str(bad_csv))[0] == 2
-
 
 def test_advance_requires_virtual_clock(run, tmp_path):
     cfg = tmp_path / "real.cfg"
@@ -309,16 +352,22 @@ def test_pull_falls_back_to_the_middleman_until_a_real_clock_confirms(run, tmp_p
     rc, out, _ = run("push", str(src), "--owner", "alice", *world)
     assert rc == 0
     pull = ("pull", _field(out, "cid"), "--as", "alice", "--share", _field(out, "owner-share"), *world)
+    tx_id, log = _field(out, "registration"), state / "receipts.jsonl"
 
     rc, out, err = run(*pull)
     assert time.monotonic() - pushed_at < 1.0  # the registration was still pending
     assert (rc, out.encode()) == (0, payload)
     assert "path: middleman" in err
+    assert log.read_text() == ""
 
     time.sleep(max(0.0, pushed_at + 1.1 - time.monotonic()))
     rc, out, err = run(*pull)
     assert (rc, out.encode()) == (0, payload)
     assert "path: on-chain  access-checked: True" in err
+    # the pull's own view call settled the registration, and the command logged it once
+    assert [(r["tx_id"], r["status"]) for r in map(json.loads, log.read_text().splitlines())] == [
+        (tx_id, "confirmed")
+    ]
 
 
 def test_serve_middleman_closes_its_socket_on_ctrl_c(run, monkeypatch):
@@ -409,8 +458,8 @@ def test_report_of_a_csv_with_a_nan_cell_fails_like_any_csv_that_does_not_parse(
     csv = tmp_path / "bad.csv"
     csv.write_text(",".join(CSV_COLUMNS) + "\npush,1,0,nan,0.1,0.2,0.3,0.4,14.0,,,,,\n")
     rc, out, err = run("report", str(csv))
-    assert (rc, out) == (2, "")
-    assert "line 2: user_perceived_s must be finite and >= 0, got nan" in err
+    assert (rc, out) == (1, "")
+    assert err == "usage error: line 2: user_perceived_s must be finite and >= 0, got nan\n"
 
 
 def test_remote_middleman_roundtrip(run, tmp_path):

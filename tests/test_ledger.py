@@ -166,7 +166,7 @@ def test_real_clock_settles_with_wall_time():
     receipt = chain.submit_register(ALICE, "repo", "03aa")
     assert receipt.status == "pending"
     deadline = RealClock().now() + 2.0
-    while not receipt.settled and RealClock().now() < deadline:
+    while receipt.status == "pending" and RealClock().now() < deadline:
         RealClock().sleep(0.005)
         chain.pending_count()
     assert receipt.status == "confirmed"

@@ -72,9 +72,9 @@ def test_ttl_expiry_boundary_is_strict():
     clock = VirtualClock()
     cache = ShareCache(ttl_s=10.0, clock=clock)
     cache.store_share("repo", "02aa")
-    clock.advance(9.999)
+    clock.sleep(9.999)
     assert cache.fetch_share("repo") == "02aa"
-    clock.advance(0.001)  # now == stored_at + ttl: no longer retrievable
+    clock.sleep(0.001)  # now == stored_at + ttl: no longer retrievable
     assert cache.fetch_share("repo") is None
 
 
@@ -93,12 +93,12 @@ def test_repos_are_isolated():
     clock = VirtualClock()
     cache = ShareCache(ttl_s=100.0, clock=clock)
     cache.store_share("repo-a", "02aa")
-    clock.advance(60.0)
+    clock.sleep(60.0)
     cache.store_share("repo-b", "02bb")
     cache.evict("repo-a")
     assert cache.fetch_share("repo-a") is None
     assert cache.fetch_share("repo-b") == "02bb"
-    clock.advance(100.0)  # now at repo-b's expiry instant
+    clock.sleep(100.0)  # now at repo-b's expiry instant
     assert cache.fetch_share("repo-b") is None
 
 
@@ -124,7 +124,7 @@ def test_snapshot_restore():
     cache2 = ShareCache(ttl_s=50.0, clock=clock2)
     cache2.restore(state)
     assert cache2.fetch_share("repo") == "02aa"
-    clock2.advance(50.0)
+    clock2.sleep(50.0)
     assert cache2.fetch_share("repo") is None
 
 
@@ -145,7 +145,7 @@ def test_expired_shares_are_dropped_without_being_fetched():
     cache = ShareCache(ttl_s=10.0, clock=clock)
     for i in range(1000):
         cache.store_share(f"old-{i}", "02aa")
-    clock.advance(10.0)
+    clock.sleep(10.0)
     for i in range(10):
         cache.store_share(f"new-{i}", "02bb")
     assert len(cache._entries) == 10
@@ -155,9 +155,9 @@ def test_an_overwrite_before_expiry_keeps_the_newer_entry():
     clock = VirtualClock()
     cache = ShareCache(ttl_s=10.0, clock=clock)
     cache.store_share("repo", "02aa")
-    clock.advance(5.0)
+    clock.sleep(5.0)
     cache.store_share("repo", "02bb")
-    clock.advance(5.0)  # the first entry's expiry
+    clock.sleep(5.0)  # the first entry's expiry
     assert cache.fetch_share("repo") == "02bb"
     clock.advance_to(14.999)
     assert cache.live_shares() == {"repo": "02bb"}
@@ -246,7 +246,7 @@ def test_threads_sharing_one_cache_never_lose_a_live_entry():
 
     def tick() -> None:
         while not done.is_set():
-            clock.advance(0.001)
+            clock.sleep(0.001)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -337,7 +337,7 @@ class ShareCacheModel(RuleBasedStateMachine):
 
     @rule(dt=st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]))
     def advance(self, dt):
-        self.clock.advance(dt)
+        self.clock.sleep(dt)
 
     @rule()
     def snapshot_and_restore(self):

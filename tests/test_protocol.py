@@ -197,7 +197,7 @@ def test_pull_with_no_share_anywhere(make_world):
 def test_pull_expired_cache_before_confirmation(make_world):
     world = make_world(delay_s=50.0, ttl_s=10.0)
     result = world.client.push(b"slow chain", world.owner)
-    world.clock.advance(20.0)  # cache expired, chain still pending
+    world.clock.sleep(20.0)  # cache expired, chain still pending
     with pytest.raises(SharesUnavailableError):
         world.client.pull(result.cid, world.owner, result.owner_share)
 
