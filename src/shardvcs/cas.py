@@ -20,7 +20,7 @@ import hashlib
 import itertools
 import math
 import os
-from collections.abc import Iterable, Iterator
+from collections.abc import Generator, Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -127,27 +127,51 @@ class FetchedPieces:
     """A fetched blob, handed out piece by piece and checked against its CID.
 
     `len()` is the blob's size when it was fetched. The file is opened when
-    iteration starts and read through one buffer of at most PIECE bytes that
-    each piece overwrites, and each piece is hashed before it is yielded, so
-    a consumer must be done with a piece, or have copied it, before it draws
-    the next. The file is read up to the fetched size, then closed, and only
-    then is the digest compared: an iteration that ends without
-    `CorruptBlobError` has yielded exactly the bytes stored under the CID.
-    The file is closed however iteration ends, including by a consumer that
-    stops early.
+    iteration starts, or at `start`, and read through one buffer of at most
+    PIECE bytes that each piece overwrites, and each piece is hashed before
+    it is yielded, so a consumer must be done with a piece, or have copied
+    it, before it draws the next. The file is read up to the fetched size,
+    then closed, and only then is the digest compared: an iteration that
+    ends without `CorruptBlobError` has yielded exactly the bytes stored
+    under the CID. The file is closed however iteration ends, including by
+    a consumer that stops early.
+
+    `start` draws the first piece at once, so that its read and hash can run
+    while the caller waits on something else; the next iteration begins with
+    that piece, and a started read is iterated once. Used as a context
+    manager, the pieces close a started read however the block ends.
     """
 
-    __slots__ = ("_path", "_cid", "_size")
+    __slots__ = ("_path", "_cid", "_size", "_started")
 
     def __init__(self, path: str, cid: Cid, size: int):
         self._path = path
         self._cid = cid
         self._size = size
+        self._started: tuple[tuple, Generator] | None = None
 
     def __len__(self) -> int:
         return self._size
 
+    def start(self) -> None:
+        """Open the file, and read and hash the first piece."""
+        pieces = self._read()
+        self._started = (tuple(itertools.islice(pieces, 1)), pieces)
+
+    def __enter__(self) -> "FetchedPieces":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._started is not None:
+            self._started[1].close()  # a no-op once the read has ended
+
     def __iter__(self) -> Iterator[memoryview]:
+        if self._started is None:
+            return self._read()
+        first, pieces = self._started
+        return itertools.chain(first, pieces)
+
+    def _read(self) -> Generator[memoryview, None, None]:
         try:
             fd = os.open(self._path, os.O_RDONLY)
         except FileNotFoundError:

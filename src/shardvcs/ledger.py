@@ -153,6 +153,7 @@ class SimulatedChain:
         # Min-heap of (due_at, seq, tx): seq is unique, so tx is never compared.
         self._pending: list[tuple[float, int, _PendingTx]] = []
         self._next_seq = 0
+        self._settled_seq = -1  # the highest seq settled so far
         self.settled: list[TxReceipt] = []
 
     # -- settlement core ---------------------------------------------------
@@ -193,8 +194,9 @@ class SimulatedChain:
         now = self.clock.now()
         settled = []
         while self._pending and self._pending[0][0] <= now:
-            due_at, _, tx = heapq.heappop(self._pending)
+            due_at, seq, tx = heapq.heappop(self._pending)
             self._apply(tx, due_at)
+            self._settled_seq = max(self._settled_seq, seq)
             settled.append(tx.receipt)
         return settled
 
@@ -268,6 +270,7 @@ class SimulatedChain:
         self._sync()
         return {
             "next_seq": self._next_seq,
+            "settled_seq": self._settled_seq,
             "owners": {repo: addr.text for repo, addr in self._owners.items()},
             "access": {
                 repo: sorted(a.text for a in {owner} | self._collaborators.get(repo, set()))
@@ -291,7 +294,9 @@ class SimulatedChain:
         }
 
     def restore(self, state: dict) -> None:
+        """Load a snapshot; one saved before snapshots kept `settled_seq` loads as before."""
         self._next_seq = state["next_seq"]
+        self._settled_seq = state.get("settled_seq", -1)
         self._owners = {repo: Address.from_text(a) for repo, a in state["owners"].items()}
         self._collaborators = {}
         for repo, users in state["access"].items():
@@ -312,6 +317,8 @@ class SimulatedChain:
             raise ValueError(f"pending seqs must be distinct ints, and tx_ids distinct, got {seqs}")
         if type(self._next_seq) is not int or any(seq >= self._next_seq for seq in seqs):
             raise ValueError(f"next_seq must be an int above every pending seq, got {self._next_seq!r}")
+        if type(self._settled_seq) is not int or self._next_seq <= self._settled_seq:
+            raise ValueError(f"next_seq must be above settled_seq {self._settled_seq!r}, got {self._next_seq}")
         self._pending = [
             (p["due_at"], p["seq"], _PendingTx(
                 receipt=TxReceipt(tx_id=p["tx_id"], submitted_at=p["submitted_at"]),

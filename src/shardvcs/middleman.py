@@ -1,13 +1,21 @@
 """Temporary share-cache service: the fast fallback for key retrieval.
 
-Holds at most one key share per repository id for a bounded time. Because
-reconstruction needs two shares, this cache is deliberately unauthenticated:
-serving its single share to anyone reveals nothing about the sealed key,
-so fetches carry no access control and the service stays lightweight.
+Holds at most one key share per repository id for a bounded time, and
+serves it to anyone: fetches carry no access control, so the service stays
+lightweight. Reconstruction needs two shares, so the cached share alone
+reveals nothing about the sealed key. It is not a secret, though, and it is
+not the only share in the open: the registration puts another share on the
+chain, where every chain reader sees it (calldata, then contract storage).
+The cached share and that public one rebuild the key, without the owner's
+share, for as long as the entry lives (the cache TTL, 24 h by default). So
+until the entry expires, a repository is only as confidential as its
+on-chain share; the access check on the chain's view call does not limit
+what a chain reader sees.
 
 The cache is embeddable in-process (`ShareCache`) and exposable over HTTP
 (`MiddlemanServer`), with a thin client (`HttpShareCache`) presenting the
-same three-method contract either way:
+same three-method contract either way. The client adds `fetch_share_while`,
+which runs the caller's own work while a fetch is in flight:
 
 - ``POST /share`` body ``{"cid": ..., "share": ...}`` -> 200, or 400 when
   the body is not a JSON object of two strings or the share encoding is
@@ -62,6 +70,10 @@ _STOP_POLL_S = 0.02  # how often a started server checks for `stop`
 
 class MiddlemanUnavailableError(ConnectionError):
     """The share-cache service could not be reached."""
+
+
+# How a connection looks when the peer has closed it.
+_CLOSED = (BrokenPipeError, ConnectionResetError, ConnectionAbortedError)
 
 
 # A named tuple, not a dataclass: `dataclasses` would load `inspect` into a
@@ -383,24 +395,63 @@ class HttpShareCache:
             self._sock = self._rfile = None
 
     def _send(self, message: bytes) -> bool:
-        """Send one request; False if a reused connection ends before any reply byte."""
-        reused = self._sock is not None
-        if not reused:
-            sock = socket.create_connection(self._address, timeout=self.timeout_s)
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._sock, self._rfile = sock, sock.makefile("rb")
-        try:
-            self._sock.sendall(message)
-            if self._rfile.peek(1):
+        """Send one request; True if it went on a reused connection.
+
+        A reused connection that refuses it (the server closed it while idle)
+        is dropped, and the request goes on a fresh one at once.
+        """
+        if self._sock is not None:
+            try:
+                self._sock.sendall(message)
                 return True
-            raise ConnectionResetError("connection closed before any reply")
-        except (BrokenPipeError, ConnectionResetError, ConnectionAbortedError):
-            if not reused:
-                raise
-        self._drop()  # most likely the server closed it while idle
+            except _CLOSED:
+                self._drop()
+        sock = socket.create_connection(self._address, timeout=self.timeout_s)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._sock, self._rfile = sock, sock.makefile("rb")
+        sock.sendall(message)
         return False
 
-    def _request(self, method: str, path: str, body: dict | None = None):
+    def _reply(self, message: bytes, reused: bool) -> tuple[int, dict]:
+        """Read the reply to `message`, which `_send` sent.
+
+        A reused connection that ends before any reply byte (the server closed
+        it while idle) gets the request once more, on a fresh connection.
+        """
+        try:
+            if not self._rfile.peek(1):
+                raise ConnectionResetError("connection closed before any reply")
+        except _CLOSED:
+            if not reused:
+                raise
+            self._drop()
+            return self._reply(message, self._send(message))
+        start, fields = _read_head(self._rfile)  # a first byte has arrived
+        status_line = _STATUS_LINE.fullmatch(start)
+        if status_line is None:
+            raise ValueError(f"bad status line {start!r}")
+        length = _body_length(fields, required=True)
+        if length > MAX_REPLY_BYTES:
+            raise ValueError(f"reply body of {length} bytes")
+        raw = self._rfile.read(length)
+        if len(raw) < length:
+            raise ValueError("reply body cut short")
+        doc = json.loads(raw or b"{}")
+        if not isinstance(doc, dict):
+            raise ValueError("reply body is not a JSON object")
+        if not _keep_alive(status_line[1], fields):
+            self._drop()
+        return int(status_line[2]), doc
+
+    def _unless_failed(self, step, *args):
+        """Run one step of a call; if it fails, drop the connection and raise MiddlemanUnavailableError."""
+        try:
+            return step(*args)
+        except (OSError, ValueError, RecursionError) as exc:  # RecursionError: deeply nested JSON
+            self._drop()
+            raise MiddlemanUnavailableError(f"middleman at {self.base_url}: {exc}") from exc
+
+    def _request(self, method: str, path: str, body: dict | None = None, work=None) -> tuple[int, dict]:
         head = f"{method} {self._prefix}{path} HTTP/1.1\r\nHost: {self._host_field}\r\n"
         data = b""
         if body is not None:
@@ -408,27 +459,14 @@ class HttpShareCache:
             head += f"Content-Type: application/json\r\nContent-Length: {len(data)}\r\n"
         message = (head + "\r\n").encode() + data
         with self._lock:
-            try:
-                self._send(message) or self._send(message)  # the second send is on a fresh connection
-                start, fields = _read_head(self._rfile)  # _send saw a first byte
-                status_line = _STATUS_LINE.fullmatch(start)
-                if status_line is None:
-                    raise ValueError(f"bad status line {start!r}")
-                length = _body_length(fields, required=True)
-                if length > MAX_REPLY_BYTES:
-                    raise ValueError(f"reply body of {length} bytes")
-                raw = self._rfile.read(length)
-                if len(raw) < length:
-                    raise ValueError("reply body cut short")
-                doc = json.loads(raw or b"{}")
-                if not isinstance(doc, dict):
-                    raise ValueError("reply body is not a JSON object")
-            except (OSError, ValueError, RecursionError) as exc:  # RecursionError: deeply nested JSON
-                self._drop()
-                raise MiddlemanUnavailableError(f"middleman at {self.base_url}: {exc}") from exc
-            if not _keep_alive(status_line[1], fields):
-                self._drop()
-            return int(status_line[2]), doc
+            reused = self._unless_failed(self._send, message)
+            if work is not None:
+                try:
+                    work()
+                except BaseException:
+                    self._drop()  # its reply is still on the way
+                    raise
+            return self._unless_failed(self._reply, message, reused)
 
     def store_share(self, repo: str, share_text: str) -> None:
         status, doc = self._request("POST", "/share", {"cid": repo, "share": share_text})
@@ -438,7 +476,19 @@ class HttpShareCache:
             raise MiddlemanUnavailableError(f"unexpected status {status}")
 
     def fetch_share(self, repo: str) -> str | None:
-        status, doc = self._request("GET", _share_path(repo))
+        return self.fetch_share_while(repo, None)
+
+    def fetch_share_while(self, repo: str, work) -> str | None:
+        """`fetch_share`, with `work()` run once while the request is in flight.
+
+        The request is sent, then `work` runs, then the reply is read, so the
+        round trip and the work overlap. A request sent again on a fresh
+        connection does not run `work` again. If `work` raises, the connection
+        is dropped, because its reply is still on the way, and the error
+        propagates as it is. `work` runs under this client's lock, which is
+        not reentrant, so it must not call this client.
+        """
+        status, doc = self._request("GET", _share_path(repo), work=work)
         if status == 200:
             if not isinstance(doc.get("share"), str):
                 raise MiddlemanUnavailableError(f"middleman at {self.base_url}: reply has no share string")

@@ -176,6 +176,42 @@ def test_a_state_dir_with_a_pending_tx_it_cannot_settle_or_number_exits_1(run, t
     assert (state_file.read_bytes(), log_file.read_bytes()) == before
 
 
+@pytest.mark.parametrize("next_seq", [0, 1])
+def test_a_next_seq_at_or_below_a_settled_seq_exits_1(run, tmp_path, next_seq):
+    """A tx number already settled and logged is never issued again, so the log names each tx once."""
+    state = tmp_path / "state"
+    push_file(run, tmp_path, state)
+    push_file(run, tmp_path, state, b"a second repository\n")  # tx-000001
+    assert run("advance", "20", "--state-dir", str(state))[0] == 0  # both settle and are logged
+    state_file, log_file = state / "chain.json", state / "receipts.jsonl"
+    saved = json.loads(state_file.read_text())
+    assert (saved["chain"]["next_seq"], saved["chain"]["settled_seq"]) == (2, 1)
+    saved["chain"]["next_seq"] = next_seq
+    state_file.write_text(json.dumps(saved))
+    before = state_file.read_bytes(), log_file.read_bytes()
+    src = tmp_path / "third.bin"
+    src.write_bytes(b"would reuse a settled tx number\n")
+    rc, stdout, err = run("push", str(src), "--owner", "alice", "--state-dir", str(state))
+    assert (rc, stdout) == (1, "")
+    assert err.startswith(f"usage error: {state_file}: unreadable state (ValueError: next_seq must be above")
+    assert (state_file.read_bytes(), log_file.read_bytes()) == before
+
+
+def test_a_state_dir_saved_without_settled_seq_loads(run, tmp_path):
+    state = tmp_path / "state"
+    push_file(run, tmp_path, state)
+    assert run("advance", "20", "--state-dir", str(state))[0] == 0
+    state_file = state / "chain.json"
+    saved = json.loads(state_file.read_text())
+    del saved["chain"]["settled_seq"]
+    state_file.write_text(json.dumps(saved))
+    push_file(run, tmp_path, state, b"after an older save\n")
+    assert run("advance", "20", "--state-dir", str(state))[0] == 0
+    tx_ids = [json.loads(line)["tx_id"] for line in (state / "receipts.jsonl").read_text().splitlines()]
+    assert tx_ids == ["tx-000000", "tx-000001"]
+    assert json.loads(state_file.read_text())["chain"]["settled_seq"] == 1
+
+
 @pytest.mark.parametrize(
     "damage",
     [

@@ -736,6 +736,62 @@ def test_refused_store_with_a_non_object_reply_raises_unavailable(body):
             client.close()
 
 
+# -- work while a fetch is in flight ------------------------------------------------
+
+
+def test_fetch_share_while_sends_the_request_before_the_work_runs():
+    heads = []
+    seen = []
+
+    def work() -> None:
+        deadline = time.monotonic() + 5.0
+        while not heads and time.monotonic() < deadline:
+            time.sleep(0.001)
+        seen.append(list(heads))
+
+    with scripted_middleman([http_reply(b'{"share": "02aa"}')], heads) as (url, _):
+        client = HttpShareCache(url, timeout_s=2)
+        try:
+            assert client.fetch_share_while("repo", work) == "02aa"
+        finally:
+            client.close()
+    assert seen == [[b"GET /share/repo HTTP/1.1\r\nHost: " + url[len("http://"):].encode() + b"\r\n\r\n"]]
+
+
+@pytest.mark.parametrize("error", [OSError(5, "blob read failed"), ValueError("bad piece")], ids=["oserror", "valueerror"])
+def test_an_error_in_the_work_propagates_as_itself_and_the_next_call_reconnects(error):
+    def work() -> None:
+        raise error
+
+    replies = [http_reply(b'{"share": "02aa"}'), http_reply(b'{"share": "02bb"}')]
+    with scripted_middleman(replies) as (url, accepted):
+        client = HttpShareCache(url, timeout_s=2)
+        try:
+            with pytest.raises(type(error)) as raised:
+                client.fetch_share_while("repo", work)
+            assert raised.value is error
+            assert client.fetch_share("repo") == "02bb"  # the first reply was left unread with its connection
+        finally:
+            client.close()
+    assert len(accepted) == 2
+
+
+def test_a_request_sent_again_on_a_fresh_connection_runs_the_work_once():
+    calls = []
+    heads = []
+    replies = [http_reply(b'{"ok": true}'), http_reply(b'{"share": "02aa"}')]
+    with scripted_middleman(replies, heads) as (url, accepted):
+        client = HttpShareCache(url, timeout_s=2)
+        try:
+            client.store_share("repo", "02aa")  # kept alive by the client; the server closes it
+            assert client.fetch_share_while("repo", lambda: calls.append(1)) == "02aa"
+        finally:
+            client.close()
+    assert calls == [1]
+    assert len(accepted) == 2
+    assert [head.split(b"\r\n", 1)[0] for head in heads] == [b"POST /share HTTP/1.1", b"GET /share/repo HTTP/1.1"]
+
+
 # -- idle connections and stop() ---------------------------------------------------
 
 

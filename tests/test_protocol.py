@@ -1,4 +1,5 @@
 import errno
+import os
 import random
 import tracemalloc
 
@@ -7,16 +8,20 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shardvcs.cas import PIECE, Cid, NotFoundError
+from shardvcs.cas import PIECE, Cid, LatencyProfile, NotFoundError
 from shardvcs.envelope import KEY_LEN
 from shardvcs.ledger import AccessDeniedError, Address
+from shardvcs.middleman import HttpShareCache, MiddlemanServer, MiddlemanUnavailableError, ShareCache
 from shardvcs.protocol import (
     MIDDLEMAN,
     ON_CHAIN,
+    PULL_PHASES,
     IntegrityError,
     SharesUnavailableError,
 )
 from shardvcs.sss import Share, combine
+
+from scripted_middleman import http_reply, scripted_middleman
 
 BOB = Address.from_label("bob")
 MANY_PIECES = 2 * PIECE + 1000  # more than two pieces when sealed
@@ -410,3 +415,81 @@ def test_property_roundtrip_every_path(tmp_path_factory, body, when, who):
     plaintext, report = client.pull(result.cid, caller, result.owner_share)
     assert plaintext == body
     assert report.path_used == expected_path
+
+
+# -- the share fetch and the blob read overlap --------------------------------------
+
+
+@pytest.fixture
+def http_cache():
+    """A `MiddlemanServer` in this process and a client of it."""
+    server = MiddlemanServer(ShareCache(ttl_s=3600.0), port=0).start()
+    client = HttpShareCache(server.url)
+    yield client
+    client.close()
+    server.stop()
+
+
+@pytest.mark.parametrize("over_http", [False, True], ids=["in-process", "http"])
+def test_a_middleman_pull_reports_the_modeled_fetch_as_an_on_chain_pull_does(make_world, http_cache, over_http):
+    world = make_world(fetch_profile=LatencyProfile(0.3, 0.05))
+    if over_http:
+        world.client.middleman = http_cache
+    result = world.client.push(random.Random(11).randbytes(3 * PIECE), world.owner)
+    early_text, early = world.client.pull(result.cid, world.owner, result.owner_share)
+    world.chain.advance_clock(14.0)
+    late_text, late = world.client.pull(result.cid, world.owner, result.owner_share)
+    assert early_text == late_text
+    assert (early.path_used, late.path_used) == (MIDDLEMAN, ON_CHAIN)
+    for report in (early, late):
+        assert tuple(report.phases) == PULL_PHASES
+        assert report.phases["share_fetch_s"] == 0.0
+    # the two pulls read the clock at other instants, so the differences may round apart
+    modeled = pytest.approx(0.3 + 0.05 * (3 * PIECE + 16) / 1e6, rel=1e-12)
+    assert early.phases["blob_fetch_s"] == modeled and late.phases["blob_fetch_s"] == modeled
+    assert early.total_s == modeled and late.total_s == modeled
+
+
+def _open_fds() -> list[str]:
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize(
+    "reply, error",
+    [
+        (None, SharesUnavailableError),
+        (http_reply(b'{"error": "absent"}', b"404 Not Found"), SharesUnavailableError),
+        (http_reply(b'{"share": "zz"}'), IntegrityError),
+        (b"garbage\r\n\r\n", MiddlemanUnavailableError),
+    ],
+    ids=["in-process-no-share", "http-no-share", "http-malformed-share", "http-middleman-down"],
+)
+@pytest.mark.parametrize("size", [64, MANY_PIECES], ids=["one-piece", "many-pieces"])
+def test_a_pull_that_fails_after_the_blob_read_began_closes_the_file(make_world, reply, error, size):
+    world = make_world(delay_s=1000.0)
+    result = world.client.push(random.Random(12).randbytes(size), world.owner)
+    world.cache.evict(result.cid.text)
+    before = _open_fds()
+    if reply is None:
+        with pytest.raises(error):
+            world.client.pull(result.cid, world.owner, result.owner_share)
+    else:
+        with scripted_middleman([reply]) as (url, _):
+            world.client.middleman = HttpShareCache(url, timeout_s=2)
+            try:
+                with pytest.raises(error):
+                    world.client.pull(result.cid, world.owner, result.owner_share)
+            finally:
+                world.client.middleman.close()
+    assert _open_fds() == before
+
+
+def test_a_pull_with_neither_blob_nor_share_is_not_found(make_world):
+    world = make_world(delay_s=1000.0)
+    result = world.client.push(b"gone twice over", world.owner)
+    world.cache.evict(result.cid.text)
+    hexd = result.cid.digest.hex()
+    (world.cas.root / hexd[:2] / hexd).unlink()
+    with pytest.raises(NotFoundError):
+        world.client.pull(result.cid, world.owner, result.owner_share)
