@@ -2,15 +2,18 @@
 
 Blobs live on disk under their SHA-256 digest (`<root>/<first 2 hex>/<digest>`),
 so identical content is stored once, and every fetched blob is re-hashed
-against its address as it is read. A store hashes and writes the blob
-in one pass into a `.tmp-<pid>-<n>` file in the store root, because its
-address, and so its prefix directory, is known only at the end; the temp file
-is then renamed into place. A fetch hands the blob out as `FetchedPieces`,
-the mirror of what a store takes: the blob is read and hashed a piece at a
-time as its consumer draws it. Store and fetch each carry an independent
-linear delay (fixed overhead plus a per-megabyte term) charged to the
-configured clock when they are called, so a benchmark can model
-remote-gateway transfer times on a virtual clock.
+against its address as it is read. A store takes two steps. `stage` hashes
+the blob in one pass and so learns its address; as it goes, it writes into a
+`.tmp-<pid>-<n>` file in the store root every piece that cannot wait (one
+whose buffer the next piece reuses). `commit` writes what waited and renames
+the temp file into place, so a caller can address a blob first and put the
+file create, write and rename beside other work. `store` is the two at once.
+A fetch hands the blob out as `FetchedPieces`, the mirror of what a store
+takes: the blob is read and hashed a piece at a time as its consumer draws
+it. Store and fetch each carry an independent linear delay (fixed overhead
+plus a per-megabyte term) charged to the configured clock by `stage` and by
+`fetch`, so a benchmark can model remote-gateway transfer times on a
+virtual clock.
 """
 
 from __future__ import annotations
@@ -123,6 +126,94 @@ def write_atomic(path: Path, data: bytes) -> None:
         raise
 
 
+class StagedBlob:
+    """A blob hashed and addressed by `BlobStore.stage`, and stored at `commit`.
+
+    `cid` is known once `stage` returns. Each piece is hashed as it is drawn.
+    A mutable piece, such as a view of `envelope.SealedPieces`' reused
+    buffer, is written to a temp file in the store root before the next piece
+    is drawn. An immutable `bytes` piece waits: it is written once the next
+    piece has been drawn, or at `commit` if it is the last. The temp file is
+    created at the first write, so a blob that arrives as one `bytes` piece
+    (any sealed blob of at most 1 MiB) touches the disk only at `commit`.
+
+    `commit` writes what waits and renames the temp file onto the blob's
+    address. A blob already stored there has the same bytes, so renaming
+    over it keeps one copy per address (and replaces a copy damaged on disk).
+    A stage or commit that fails part-way leaves no temp file, and used as a
+    context manager, a staged blob left without a commit unlinks its own.
+    """
+
+    __slots__ = ("cid", "_store", "_fd", "_tmp", "_held")
+
+    def __init__(self, store: "BlobStore", pieces: Iterable):
+        self._store = store
+        self._fd: int | None = None
+        self._tmp: str | None = None
+        self._held: bytes | None = b""  # None once committed or discarded
+        hasher = hashlib.sha256()
+        size = 0
+        try:
+            for piece in pieces:
+                if self._held:
+                    self._write(self._held)
+                    self._held = b""
+                hasher.update(piece)
+                size += len(piece)
+                if isinstance(piece, bytes):
+                    self._held = piece
+                else:
+                    self._write(piece)  # the next piece may reuse its buffer
+            self.cid = Cid(hasher.digest())
+            store.clock.sleep(store.store_profile.delay_for(size))
+        except BaseException:
+            self._discard()
+            raise
+
+    def _write(self, data) -> None:
+        if self._fd is None:
+            self._fd, self._tmp = _create_temp(self._store.root)
+        _write_all(self._fd, data)
+
+    def commit(self) -> None:
+        """Write what waits, then rename the temp file onto the blob's address."""
+        if self._held is None:
+            raise ValueError(f"{self.cid.text} was already committed or discarded")
+        try:
+            self._write(self._held)  # creates the temp file if nothing was written yet
+            fd, self._fd = self._fd, None
+            os.close(fd)
+            path = self._store._path(self.cid)
+            try:
+                os.replace(self._tmp, path)  # concurrent stores of the same blob converge
+            except FileNotFoundError:  # first blob under this prefix
+                os.makedirs(os.path.dirname(path), exist_ok=True)
+                os.replace(self._tmp, path)
+        except BaseException:
+            self._discard()
+            raise
+        self._held = self._tmp = None
+
+    def _discard(self) -> None:
+        """Close and unlink the temp file, if there is one; the blob is not stored."""
+        self._held = None
+        fd, self._fd = self._fd, None
+        tmp, self._tmp = self._tmp, None
+        try:
+            if fd is not None:
+                os.close(fd)
+        finally:
+            if tmp is not None:
+                os.unlink(tmp)
+
+    def __enter__(self) -> "StagedBlob":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._held is not None:
+            self._discard()
+
+
 class FetchedPieces:
     """A fetched blob, handed out piece by piece and checked against its CID.
 
@@ -214,41 +305,20 @@ class BlobStore:
         hexd = cid.digest.hex()
         return f"{self.root}/{hexd[:2]}/{hexd}"
 
-    def store(self, blob: bytes | Iterable) -> Cid:
-        """Write the blob (idempotent) in one pass and charge the modeled upload delay.
+    def stage(self, blob: bytes | Iterable) -> StagedBlob:
+        """Hash the blob, write what cannot wait, and charge the modeled upload delay.
 
         `blob` is bytes or an iterable of bytes-like pieces, such as
-        `envelope.SealedPieces`. Each piece is hashed and written to a temp
-        file in the store root before the next is drawn, so a piece may reuse
-        its predecessor's buffer. Only then is the address known, and the temp
-        file is renamed onto it. A blob already stored there has the same
-        bytes, so renaming over it keeps one copy per address (and replaces a
-        copy damaged on disk). A failure part-way leaves no temp file.
+        `envelope.SealedPieces`. The blob is stored at the returned blob's
+        `commit` (see `StagedBlob`).
         """
-        pieces = (blob,) if isinstance(blob, (bytes, bytearray, memoryview)) else blob
-        hasher = hashlib.sha256()
-        size = 0
-        fd, tmp = _create_temp(self.root)
-        try:
-            try:
-                for piece in pieces:
-                    hasher.update(piece)
-                    _write_all(fd, piece)
-                    size += len(piece)
-            finally:
-                os.close(fd)
-            cid = Cid(hasher.digest())
-            path = self._path(cid)
-            try:
-                os.replace(tmp, path)  # concurrent stores of the same blob converge
-            except FileNotFoundError:  # first blob under this prefix
-                os.makedirs(os.path.dirname(path), exist_ok=True)
-                os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-        self.clock.sleep(self.store_profile.delay_for(size))
-        return cid
+        return StagedBlob(self, (blob,) if isinstance(blob, (bytes, bytearray, memoryview)) else blob)
+
+    def store(self, blob: bytes | Iterable) -> Cid:
+        """Stage the blob, then commit it at once (idempotent)."""
+        with self.stage(blob) as staged:
+            staged.commit()
+        return staged.cid
 
     def fetch(self, cid: Cid) -> FetchedPieces:
         """Return the stored bytes as pieces and charge the modeled download delay.

@@ -14,8 +14,13 @@ what a chain reader sees.
 
 The cache is embeddable in-process (`ShareCache`) and exposable over HTTP
 (`MiddlemanServer`), with a thin client (`HttpShareCache`) presenting the
-same three-method contract either way. The client adds `fetch_share_while`,
-which runs the caller's own work while a fetch is in flight:
+same contract either way: `store_share`, `fetch_share` and `evict`, and
+`store_share_while` and `fetch_share_while`, which also run the caller's own
+work once. The client sends the request, runs the work while it is in
+flight, then reads the reply; the in-process cache runs the work first. If
+the work fails after a store went out, the client reads the store's reply
+and evicts the entry on the same connection before the error propagates, so
+a failed work leaves no live entry. The endpoints:
 
 - ``POST /share`` body ``{"cid": ..., "share": ...}`` -> 200, or 400 when
   the body is not a JSON object of two strings or the share encoding is
@@ -46,6 +51,7 @@ connection, so no client keeps talking to a stopped server's cache.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import re
@@ -138,6 +144,16 @@ class ShareCache:
             now = self._drop_expired()
             entry = self._entries.get(repo)
             return entry.share_text if entry is not None and now < entry.expires_at else None
+
+    def store_share_while(self, repo: str, share_text: str, work) -> None:
+        """Run `work()`, then store: an in-process store has no round trip to overlap."""
+        work()
+        self.store_share(repo, share_text)
+
+    def fetch_share_while(self, repo: str, work) -> str | None:
+        """Run `work()`, then fetch, as `store_share_while` does."""
+        work()
+        return self.fetch_share(repo)
 
     def evict(self, repo: str) -> None:
         with self._lock:
@@ -451,25 +467,61 @@ class HttpShareCache:
             self._drop()
             raise MiddlemanUnavailableError(f"middleman at {self.base_url}: {exc}") from exc
 
-    def _request(self, method: str, path: str, body: dict | None = None, work=None) -> tuple[int, dict]:
+    def _message(self, method: str, path: str, body: dict | None = None) -> bytes:
         head = f"{method} {self._prefix}{path} HTTP/1.1\r\nHost: {self._host_field}\r\n"
         data = b""
         if body is not None:
             data = json.dumps(body).encode()
             head += f"Content-Type: application/json\r\nContent-Length: {len(data)}\r\n"
-        message = (head + "\r\n").encode() + data
+        return (head + "\r\n").encode() + data
+
+    def _request(self, method: str, path: str, body: dict | None = None, work=None,
+                 undo: str | None = None) -> tuple[int, dict]:
+        """Send one request, run `work()` once, then read the reply.
+
+        `work` runs once whatever the request does, also when it cannot be
+        sent. If `work` raises, its error propagates as itself. Without `undo`
+        the connection is then dropped, because its reply is still on the way.
+        With `undo`, the reply is read, so the server has applied the request,
+        and then `DELETE undo` is sent and answered; on one connection the
+        server answers in order, so the delete cannot overtake the request.
+        """
+        message = self._message(method, path, body)
         with self._lock:
-            reused = self._unless_failed(self._send, message)
+            try:
+                reused = self._unless_failed(self._send, message)
+            except MiddlemanUnavailableError:
+                if work is not None:
+                    work()
+                raise
             if work is not None:
                 try:
                     work()
                 except BaseException:
-                    self._drop()  # its reply is still on the way
+                    if undo is None:
+                        self._drop()
+                    else:
+                        with contextlib.suppress(MiddlemanUnavailableError):  # work's error says more
+                            self._unless_failed(self._reply, message, reused)
+                            delete = self._message("DELETE", undo)
+                            self._unless_failed(self._reply, delete, self._unless_failed(self._send, delete))
                     raise
             return self._unless_failed(self._reply, message, reused)
 
     def store_share(self, repo: str, share_text: str) -> None:
-        status, doc = self._request("POST", "/share", {"cid": repo, "share": share_text})
+        self.store_share_while(repo, share_text, None)
+
+    def store_share_while(self, repo: str, share_text: str, work) -> None:
+        """`store_share`, with `work()` run once while the request is in flight.
+
+        The rules of `fetch_share_while` hold, but for one: if `work` raises,
+        the store's reply is read and the entry evicted before the error
+        propagates, so a failed `work` leaves no live entry (unless the
+        middleman cannot be reached to evict it, and then the entry lives
+        until its TTL).
+        """
+        status, doc = self._request("POST", "/share", {"cid": repo, "share": share_text}, work,
+                                    undo=_share_path(repo))
         if status == 400:
             raise ValueError(doc.get("error", "malformed share"))
         if status != 200:
@@ -482,11 +534,12 @@ class HttpShareCache:
         """`fetch_share`, with `work()` run once while the request is in flight.
 
         The request is sent, then `work` runs, then the reply is read, so the
-        round trip and the work overlap. A request sent again on a fresh
-        connection does not run `work` again. If `work` raises, the connection
-        is dropped, because its reply is still on the way, and the error
-        propagates as it is. `work` runs under this client's lock, which is
-        not reentrant, so it must not call this client.
+        round trip and the work overlap. `work` runs once, also when the
+        request is sent again on a fresh connection, or cannot be sent at all.
+        If `work` raises, the connection is dropped, because its reply is
+        still on the way, and the error propagates as it is. `work` runs under
+        this client's lock, which is not reentrant, so it must not call this
+        client.
         """
         status, doc = self._request("GET", _share_path(repo), work=work)
         if status == 200:

@@ -1,13 +1,20 @@
 """Push/pull orchestration across sealing, sharding, storage, cache, and chain.
 
-Push seals the repository bytes under a fresh secret and stores the sealed
-blob content-addressed in one pass: the store hashes and writes each sealed
-piece as the envelope produces it, so a push holds at most one piece (1 MiB)
-beyond the plaintext, and the sealing time falls in the store phase. It then
-splits the secret into threshold shares, parks one share at the middleman
-cache, escrows one on-chain via a registration transaction, and hands the
+Push seals the repository bytes under a fresh secret and stages the sealed
+blob content-addressed in one pass: the store hashes each sealed piece as
+the envelope produces it and writes at once each one whose buffer the next
+piece reuses, so a push holds at most one piece (1 MiB) beyond the
+plaintext, and the sealing time falls in the store phase. The blob's address
+is then known. The push splits the secret into threshold shares and sends
+one share to the middleman cache, and while that request is in flight it
+commits the blob: the store writes what waited (all of a sealed blob of at
+most 1 MiB, the 16-byte tag of a larger one) and renames the file into
+place. A commit that fails leaves no file and, once the middleman has
+answered, no cached share. Only after the middleman's reply does the push
+escrow one share on-chain via a registration transaction, and it hands the
 last share back to the owner. It returns without waiting for the
-registration to confirm; the receipt handle settles later.
+registration to confirm; the receipt handle settles later. On a real clock
+the commit counts in `middleman_s`.
 
 Pull asks the chain once: a confirmed registration returns the on-chain share
 or denies the caller, and a pending or unknown one returns nothing, so the
@@ -30,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import envelope
-from .cas import BlobStore, Cid, CorruptBlobError, FetchedPieces
+from .cas import BlobStore, Cid, CorruptBlobError, FetchedPieces, StagedBlob
 from .clock import Clock
 from .ledger import Address, SimulatedChain, TxReceipt
 from .sss import DEFAULT_PARAMS, Share, split, combine
@@ -83,6 +90,43 @@ def _phases(names: tuple[str, ...], stamps: list[float]) -> dict[str, float]:
     return {name: end - start for name, start, end in zip(names, stamps, stamps[1:])}
 
 
+# perfbench's TracedStore and TracedCache, proxies that only a change to the
+# benchmark may edit, and some test doubles offer only `store`, `store_share`
+# and `fetch_share`. For them `_stage` stores the blob at once and `_while`
+# runs the work before the call, so that `push` and `pull` each keep one
+# code path.
+
+
+class _Stored:
+    """A blob that a store without `stage` has stored already; its commit does nothing."""
+
+    def __init__(self, cid: Cid):
+        self.cid = cid
+
+    def commit(self) -> None:
+        pass
+
+    def __enter__(self) -> "_Stored":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        pass
+
+
+def _stage(store, blob) -> StagedBlob | _Stored:
+    stage = getattr(store, "stage", None)
+    return stage(blob) if stage is not None else _Stored(store.store(blob))
+
+
+def _while(cache, call: str, work, *args):
+    """`cache.<call>_while(*args, work)`, or `work()` then `cache.<call>(*args)`."""
+    overlapped = getattr(cache, call + "_while", None)
+    if overlapped is not None:
+        return overlapped(*args, work)
+    work()
+    return getattr(cache, call)(*args)
+
+
 class Client:
     """Binds one blob store, one chain, and one middleman into the protocol."""
 
@@ -114,13 +158,14 @@ class Client:
         sealed = envelope.SealedPieces(repo_bytes, secret)  # sealed as the store draws it
         stamps.append(self.clock.now())
 
-        cid = self.cas.store(sealed)
-        stamps.append(self.clock.now())
+        with _stage(self.cas, sealed) as staged:  # a blob left uncommitted leaves no temp file
+            stamps.append(self.clock.now())
 
-        # Share roles by index: the owner keeps 1, the middleman caches 2, 3 goes on-chain.
-        owner_share, cached_share, escrowed_share = split(secret, DEFAULT_PARAMS, self.rng)
-        repo = cid.text
-        self.middleman.store_share(repo, cached_share.to_text())
+            # Share roles by index: the owner keeps 1, the middleman caches 2, 3 goes on-chain.
+            owner_share, cached_share, escrowed_share = split(secret, DEFAULT_PARAMS, self.rng)
+            cid = staged.cid
+            repo = cid.text
+            _while(self.middleman, "store_share", staged.commit, repo, cached_share.to_text())
         stamps.append(self.clock.now())
 
         try:
@@ -174,15 +219,7 @@ class Client:
 
     def _middleman_share(self, repo: str, blob: FetchedPieces) -> str:
         """The middleman's copy, fetched while the blob's first piece is read and hashed."""
-        fetch_share_while = getattr(self.middleman, "fetch_share_while", None)
-        if fetch_share_while is not None:
-            remote_text = fetch_share_while(repo, blob.start)
-        else:
-            # Caches with only the three-method contract: the in-process ShareCache,
-            # and perfbench's TracedCache, a proxy that only a change to the
-            # benchmark may edit.
-            blob.start()
-            remote_text = self.middleman.fetch_share(repo)
+        remote_text = _while(self.middleman, "fetch_share", blob.start, repo)
         if remote_text is None:
             raise SharesUnavailableError(f"no counterpart share reachable for {repo}")
         return remote_text

@@ -356,3 +356,83 @@ def test_property_self_certification(tmp_path_factory, blob):
     cid = store.store(blob)
     fetched = _joined(store.fetch(cid))
     assert hashlib.sha256(fetched).digest() == cid.digest
+
+
+# -- staging: address the blob first, store it at commit ------------------------------
+
+
+def _files(root) -> list[str]:
+    return sorted(p.name for p in root.rglob("*") if p.is_file())
+
+
+def test_a_one_piece_stage_leaves_the_store_root_empty_until_commit(tmp_path):
+    clock = VirtualClock()
+    store = BlobStore(tmp_path, LatencyProfile(0.5, 0.2), clock=clock)
+    with store.stage(b"staged body") as staged:
+        assert staged.cid == Cid.of(b"staged body")
+        assert clock.now() == pytest.approx(0.5 + 0.2 * 11 / 1e6)  # charged by the stage
+        assert list(tmp_path.iterdir()) == []
+        assert not store.contains(staged.cid)
+        staged.commit()
+        assert store.contains(staged.cid)
+    assert clock.now() == pytest.approx(0.5 + 0.2 * 11 / 1e6)  # and by nothing after it
+    assert _files(tmp_path) == [staged.cid.digest.hex()]
+    assert _joined(store.fetch(staged.cid)) == b"staged body"
+    with pytest.raises(ValueError):
+        staged.commit()  # a staged blob commits once
+
+
+def test_a_stage_writes_mutable_pieces_at_once_and_the_last_bytes_piece_at_commit(tmp_path):
+    store = BlobStore(tmp_path)
+    buf = bytearray(b"a" * 30)
+    with store.stage([buf, b"b" * 20, b"c" * 10]) as staged:
+        buf[:] = b"z" * 30  # a mutable piece was written before the next was drawn
+        (tmp,) = tmp_path.iterdir()
+        assert tmp.name.startswith(".tmp-") and tmp.read_bytes() == b"a" * 30 + b"b" * 20
+        staged.commit()
+    assert _files(tmp_path) == [Cid.of(b"a" * 30 + b"b" * 20 + b"c" * 10).digest.hex()]
+
+
+@pytest.mark.parametrize(
+    "pieces", [[b"one piece"], [bytearray(b"a" * 30), bytearray(b"b" * 30)]], ids=["held", "written"]
+)
+def test_an_abandoned_stage_leaves_no_temp_file(tmp_path, pieces):
+    store = BlobStore(tmp_path)
+    with store.stage(pieces):
+        pass
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(RuntimeError), store.stage(pieces):
+        raise RuntimeError("the caller failed before the commit")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_stage_or_commit_failing_part_way_leaves_no_temp_file(tmp_path, full_disk):
+    store = BlobStore(tmp_path)
+
+    def pieces():
+        yield bytearray(b"a" * 30)
+        raise OSError("source failed")
+
+    with pytest.raises(OSError, match="source failed"):
+        store.stage(pieces())
+    assert list(tmp_path.iterdir()) == []
+    with store.stage([bytearray(b"c" * 30), b"d" * 30]) as staged:
+        with full_disk(room=30), pytest.raises(OSError) as failure:  # the held piece does not fit
+            staged.commit()
+    assert failure.value.errno == errno.ENOSPC
+    assert list(tmp_path.iterdir()) == []
+    assert not store.contains(staged.cid)
+
+
+def test_a_staged_sealed_blob_is_the_file_store_writes_and_a_one_shot_encrypt(tmp_path):
+    rng = random.Random(9)
+    key, iv, plaintext = rng.randbytes(32), rng.randbytes(12), rng.randbytes(3 * envelope.CHUNK)
+    staged_store, stored_store = BlobStore(tmp_path / "staged"), BlobStore(tmp_path / "stored")
+    with staged_store.stage(envelope.SealedPieces(plaintext, key + iv)) as staged:
+        staged.commit()
+    cid = stored_store.store(envelope.SealedPieces(plaintext, key + iv))
+    one_shot = AESGCM(key).encrypt(iv, plaintext, None)
+    assert staged.cid == cid == Cid.of(one_shot)
+    hexd = cid.digest.hex()
+    assert (tmp_path / "staged" / hexd[:2] / hexd).read_bytes() == one_shot
+    assert (tmp_path / "stored" / hexd[:2] / hexd).read_bytes() == one_shot

@@ -792,6 +792,110 @@ def test_a_request_sent_again_on_a_fresh_connection_runs_the_work_once():
     assert [head.split(b"\r\n", 1)[0] for head in heads] == [b"POST /share HTTP/1.1", b"GET /share/repo HTTP/1.1"]
 
 
+def test_store_share_while_sends_the_request_before_the_work_runs():
+    heads = []
+    seen = []
+
+    def work() -> None:
+        deadline = time.monotonic() + 5.0
+        while not heads and time.monotonic() < deadline:
+            time.sleep(0.001)
+        seen.append([head.split(b"\r\n", 1)[0] for head in heads])
+
+    with scripted_middleman([http_reply(b'{"ok": true}')], heads) as (url, _):
+        client = HttpShareCache(url, timeout_s=2)
+        try:
+            client.store_share_while("repo", "02aa", work)
+        finally:
+            client.close()
+    assert seen == [[b"POST /share HTTP/1.1"]]
+
+
+def test_a_store_sent_again_on_a_fresh_connection_runs_the_work_once():
+    calls = []
+    heads = []
+    replies = [http_reply(b'{"share": "02aa"}'), http_reply(b'{"ok": true}')]
+    with scripted_middleman(replies, heads) as (url, accepted):
+        client = HttpShareCache(url, timeout_s=2)
+        try:
+            assert client.fetch_share("repo") == "02aa"  # kept alive by the client; the server closes it
+            client.store_share_while("repo", "02aa", lambda: calls.append(1))
+        finally:
+            client.close()
+    assert calls == [1]
+    assert len(accepted) == 2
+    assert [head.split(b"\r\n", 1)[0] for head in heads] == [b"GET /share/repo HTTP/1.1", b"POST /share HTTP/1.1"]
+
+
+@pytest.mark.parametrize("call", ["store", "fetch"])
+def test_the_work_runs_once_when_the_request_cannot_be_sent(call):
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        url = "http://127.0.0.1:%d" % listener.getsockname()[1]
+    calls = []
+    client = HttpShareCache(url, timeout_s=2)
+    try:
+        with pytest.raises(MiddlemanUnavailableError):
+            if call == "store":
+                client.store_share_while("repo", "02aa", lambda: calls.append(1))
+            else:
+                client.fetch_share_while("repo", lambda: calls.append(1))
+    finally:
+        client.close()
+    assert calls == [1]
+
+
+class _RecordingCache(ShareCache):
+    """A share cache that records the stores and evictions it applies."""
+
+    def __init__(self):
+        super().__init__()
+        self.applied = []
+
+    def store_share(self, repo, share_text):
+        super().store_share(repo, share_text)
+        self.applied.append(("store", repo))
+
+    def evict(self, repo):
+        super().evict(repo)
+        self.applied.append(("evict", repo))
+
+
+def test_a_store_whose_work_fails_is_answered_then_evicted_before_the_error_propagates():
+    error = OSError(28, "no space left on device")
+
+    def work() -> None:
+        raise error
+
+    server = MiddlemanServer(_RecordingCache(), port=0).start()
+    client = HttpShareCache(server.url, timeout_s=2)
+    try:
+        with pytest.raises(OSError) as raised:
+            client.store_share_while("repo", "02aa", work)
+        assert raised.value is error
+        assert server.cache.applied == [("store", "repo"), ("evict", "repo")]
+        assert server.cache.live_shares() == {}
+        client.store_share("other", "02bb")  # the connection is still in step
+        assert client.fetch_share("other") == "02bb"
+    finally:
+        client.close()
+        server.stop()
+
+
+def test_the_in_process_cache_runs_the_work_first():
+    cache = ShareCache()
+    seen = []
+    cache.store_share_while("repo", "02aa", lambda: seen.append(cache.fetch_share("repo")))
+    assert cache.fetch_share_while("repo", lambda: seen.append("work")) == "02aa"
+    assert seen == [None, "work"]
+
+    def failing_work() -> None:
+        raise OSError("failed")
+
+    with pytest.raises(OSError):
+        cache.store_share_while("other", "02bb", failing_work)
+    assert cache.live_shares() == {"repo": "02aa"}
+
+
 # -- idle connections and stop() ---------------------------------------------------
 
 

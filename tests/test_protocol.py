@@ -1,6 +1,7 @@
 import errno
 import os
 import random
+import threading
 import tracemalloc
 
 import pytest
@@ -375,6 +376,61 @@ def test_failed_submission_evicts_middleman_entry(make_world):
     with pytest.raises(RuntimeError):
         world.client.push(blob, world.owner)
     assert world.cache.live_shares() == {}
+    assert world.chain.pending_count() == 0
+
+
+# -- a failed push over HTTP, where the blob write and the share store overlap ------------
+
+
+class _SeenCache(ShareCache):
+    """A server's share cache that signals when a store has been applied."""
+
+    def __init__(self, refuse: bool = False):
+        super().__init__()
+        self.stored = threading.Event()
+        self.refuse = refuse
+
+    def store_share(self, repo, share_text):
+        if self.refuse:
+            raise ValueError("refused")  # the server answers 400
+        super().store_share(repo, share_text)
+        self.stored.set()
+
+
+@pytest.mark.parametrize("size", [64, MANY_PIECES], ids=["one-piece", "many-pieces"])
+def test_a_push_whose_blob_write_fails_at_commit_leaves_nothing_over_http(make_world, full_disk, size):
+    world = make_world()
+    server = MiddlemanServer(_SeenCache(), port=0).start()
+    world.client.middleman = HttpShareCache(server.url, timeout_s=2)
+    try:
+        with full_disk(room=size), pytest.raises(OSError) as failure:  # the disk fills at the tag
+            world.client.push(random.Random(13).randbytes(size), world.owner)
+        assert failure.value.errno == errno.ENOSPC
+        assert server.cache.stored.wait(5)  # the share store reached the middleman
+        assert server.cache.live_shares() == {}
+    finally:
+        world.client.middleman.close()
+        server.stop()
+    assert not any(p.is_file() for p in world.cas.root.rglob("*"))
+    assert world.chain.pending_count() == 0
+
+
+@pytest.mark.parametrize("fault", ["refused", "down"])
+def test_a_push_whose_share_store_fails_keeps_the_blob_over_http(make_world, fault):
+    world = make_world()
+    server = MiddlemanServer(_SeenCache(refuse=fault == "refused"), port=0).start()
+    if fault == "down":
+        server.stop()
+    world.client.middleman = HttpShareCache(server.url, timeout_s=2)
+    try:
+        with pytest.raises(ValueError if fault == "refused" else MiddlemanUnavailableError):
+            world.client.push(b"kept", world.owner)
+    finally:
+        world.client.middleman.close()
+        server.stop()
+    stored = list(world.cas.root.glob("??/*"))
+    assert len(stored) == 1 and world.cas.contains(Cid.of(stored[0].read_bytes()))
+    assert server.cache.live_shares() == {}
     assert world.chain.pending_count() == 0
 
 
