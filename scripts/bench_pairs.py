@@ -15,8 +15,12 @@ each run's JSON last line.
 It writes `BENCH_<workload>.json` at the repo root: the machine line, both
 commits, the seeds, every run's `correct`, `PYTHONHASHSEED` and metrics, and
 per metric the median and quartiles of each tree, how many pairs the change
-won, and the bound from `BENCHMARK.json`; then it prints that summary, one
-line per metric. `--trace` runs traced and fills the file's `per_layer`
+won, the median and quartiles of the per-pair change ratios (change / parent
+- 1, seed by seed), and the bound from `BENCHMARK.json`; then it prints that
+summary, one line per metric. `beats_parent_iqr` compares the gap between the
+medians with the parent's spread across seeds, which also holds any drift of
+the machine during the run; the pair ratios cancel a drift that both trees
+share. `--trace` runs traced and fills the file's `per_layer`
 section instead of its `end_to_end` one; the other section is kept.
 `--parent none` records a single-tree baseline. Stdlib only.
 
@@ -105,6 +109,9 @@ def summarize(runs: list[dict], specs: list[dict]) -> dict:
             pairs = [(values["parent"][s], values["change"][s]) for s in values["parent"] if s in values["change"]]
             entry["pairs"] = len(pairs)
             entry["wins"] = sum((c < p) if lower_is_better else (c > p) for p, c in pairs)
+            ratios = [c / p - 1 for p, c in pairs if p]
+            if ratios:
+                entry["pair_change_ratio"] = spread(ratios)
             if "parent" in entry and "change" in entry and entry["parent"]["median"]:
                 parent, change = entry["parent"], entry["change"]
                 entry["median_change_ratio"] = change["median"] / parent["median"] - 1
@@ -130,6 +137,9 @@ def summary_lines(metrics: dict) -> list[str]:
             parts.append(f"wins {entry['wins']}/{entry['pairs']}")
         if "beats_parent_iqr" in entry:
             parts.append(f"beats_parent_iqr={entry['beats_parent_iqr']}")
+        if "pair_change_ratio" in entry:
+            ratio = entry["pair_change_ratio"]
+            parts.append(f"pair ratios {ratio['median']:+.1%} [{ratio['q1']:+.1%} to {ratio['q3']:+.1%}]")
         lines.append("  ".join(parts))
     return lines
 

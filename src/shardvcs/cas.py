@@ -10,20 +10,25 @@ the temp file into place, so a caller can address a blob first and put the
 file create, write and rename beside other work. `store` is the two at once.
 A fetch hands the blob out as `FetchedPieces`, the mirror of what a store
 takes: the blob is read and hashed a piece at a time as its consumer draws
-it. Store and fetch each carry an independent linear delay (fixed overhead
-plus a per-megabyte term) charged to the configured clock by `stage` and by
-`fetch`, so a benchmark can model remote-gateway transfer times on a
-virtual clock.
+it. A blob of more than one piece is hashed on a worker thread one piece
+behind, while the caller seals and writes, or reads and decrypts, the next
+one (see `_hash_worker`); its digest is still compared only once every
+piece has been hashed. Store and fetch each carry an independent linear
+delay (fixed overhead plus a per-megabyte term) charged to the configured
+clock by `stage` and by `fetch`, so a benchmark can model remote-gateway
+transfer times on a virtual clock.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import hashlib
 import itertools
 import math
 import os
-from collections.abc import Generator, Iterable, Iterator
+import threading
+from collections.abc import Generator, Iterable, Iterator, Sized
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,6 +37,7 @@ from .clock import Clock, RealClock
 BYTES_PER_MB = 1_000_000
 CID_PREFIX = "sha256:"
 PIECE = 1 << 20  # stored bytes a fetch reads and hashes per piece
+RING = 3  # buffers a fetch of many pieces reads into in turn
 
 
 class NotFoundError(KeyError):
@@ -126,16 +132,94 @@ def write_atomic(path: Path, data: bytes) -> None:
         raise
 
 
+def _cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+_WORKER = None
+_WORKER_LOCK = threading.Lock()
+
+
+def _forget_worker() -> None:
+    global _WORKER
+    _WORKER = None  # a forked child has no copy of the worker's thread
+
+
+os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _hash_worker(size: int):
+    """The executor that hashes a blob of `size` bytes one piece behind, or None to hash inline.
+
+    A blob of at most one piece has nothing to overlap its hash with, and a
+    process allowed one CPU would only take turns with the worker, so each
+    keeps the inline hash. The worker is one thread for the whole process,
+    started by the first blob that needs it: one SHA-256 stream fills a core,
+    and a single thread runs each blob's pieces in the order they were given.
+    """
+    if size <= PIECE or _cpus() < 2:
+        return None
+    global _WORKER
+    with _WORKER_LOCK:
+        if _WORKER is None:
+            from concurrent.futures import ThreadPoolExecutor  # imports logging: not at start-up
+
+            _WORKER = ThreadPoolExecutor(1, thread_name_prefix="shardvcs-hash")
+    return _WORKER
+
+
+class _HashBehind:
+    """SHA-256 of a blob's pieces, run on the hash worker at most `depth` pieces behind.
+
+    `update` returns once every piece but the last `depth` given has been
+    hashed, so a piece's buffer may be reused after `depth` more updates.
+    `digest` waits for every piece; `close` waits for every piece without
+    reading the digest, so that a caller that stops early can free its
+    buffers.
+    """
+
+    __slots__ = ("_worker", "_hasher", "_depth", "_pending")
+
+    def __init__(self, worker, depth: int):
+        self._worker = worker
+        self._hasher = hashlib.sha256()
+        self._depth = depth
+        self._pending = collections.deque()
+
+    def update(self, piece) -> None:
+        self._pending.append(self._worker.submit(self._hasher.update, piece))
+        if len(self._pending) > self._depth:
+            self._pending.popleft().result()
+
+    def digest(self) -> bytes:
+        while self._pending:
+            self._pending.popleft().result()
+        return self._hasher.digest()
+
+    def close(self) -> None:
+        for job in self._pending:
+            job.exception()  # waits; the blob is abandoned, so its hash's outcome is moot
+        self._pending.clear()
+
+
 class StagedBlob:
     """A blob hashed and addressed by `BlobStore.stage`, and stored at `commit`.
 
-    `cid` is known once `stage` returns. Each piece is hashed as it is drawn.
-    A mutable piece, such as a view of `envelope.SealedPieces`' reused
-    buffer, is written to a temp file in the store root before the next piece
-    is drawn. An immutable `bytes` piece waits: it is written once the next
-    piece has been drawn, or at `commit` if it is the last. The temp file is
-    created at the first write, so a blob that arrives as one `bytes` piece
-    (any sealed blob of at most 1 MiB) touches the disk only at `commit`.
+    `cid` is known once `stage` returns. Each piece is hashed as it is drawn,
+    inline or, given the hash `worker`, on that thread one piece behind: the
+    worker hashes a piece while this thread writes it and draws the next, so
+    the source must keep each piece intact until the piece after next is
+    drawn, as `envelope.SealedPieces` does. Every hash has finished before
+    `stage` returns or raises. A mutable piece, such as a view of one of
+    `SealedPieces`' two buffers, is written to a temp file in the store root
+    before the next piece is drawn. An immutable `bytes` piece waits: it is
+    written once the next piece has been drawn, or at `commit` if it is the
+    last. The temp file is created at the first write, so a blob that
+    arrives as one `bytes` piece (any sealed blob of at most 1 MiB) touches
+    the disk only at `commit`.
 
     `commit` writes what waits and renames the temp file onto the blob's
     address. A blob already stored there has the same bytes, so renaming
@@ -146,12 +230,12 @@ class StagedBlob:
 
     __slots__ = ("cid", "_store", "_fd", "_tmp", "_held")
 
-    def __init__(self, store: "BlobStore", pieces: Iterable):
+    def __init__(self, store: "BlobStore", pieces: Iterable, worker=None):
         self._store = store
         self._fd: int | None = None
         self._tmp: str | None = None
         self._held: bytes | None = b""  # None once committed or discarded
-        hasher = hashlib.sha256()
+        hasher = hashlib.sha256() if worker is None else _HashBehind(worker, 1)
         size = 0
         try:
             for piece in pieces:
@@ -167,6 +251,8 @@ class StagedBlob:
             self.cid = Cid(hasher.digest())
             store.clock.sleep(store.store_profile.delay_for(size))
         except BaseException:
+            if worker is not None:
+                hasher.close()
             self._discard()
             raise
 
@@ -218,14 +304,19 @@ class FetchedPieces:
     """A fetched blob, handed out piece by piece and checked against its CID.
 
     `len()` is the blob's size when it was fetched. The file is opened when
-    iteration starts, or at `start`, and read through one buffer of at most
-    PIECE bytes that each piece overwrites, and each piece is hashed before
-    it is yielded, so a consumer must be done with a piece, or have copied
-    it, before it draws the next. The file is read up to the fetched size,
-    then closed, and only then is the digest compared: an iteration that
-    ends without `CorruptBlobError` has yielded exactly the bytes stored
-    under the CID. The file is closed however iteration ends, including by
-    a consumer that stops early.
+    iteration starts, or at `start`, and read a piece of at most PIECE bytes
+    at a time. A consumer must be done with a piece, or have copied it,
+    before it draws the next. A blob of one piece, or any blob in a process
+    allowed one CPU, is read through one buffer and each piece is hashed
+    before it is yielded. A larger blob is read into a ring of up to RING
+    buffers, and each piece is handed to the hash worker as it is yielded,
+    so the consumer works on a piece while the worker hashes it; a buffer is
+    read into again only after its piece's hash has finished. The file is
+    read up to the fetched size, every hash finishes, the file is closed, and
+    only then is the digest compared: an iteration that ends without
+    `CorruptBlobError` has yielded exactly the bytes stored under the CID.
+    However iteration ends, including by a consumer that stops early, every
+    hash finishes before the file is closed and the buffers are let go.
 
     `start` draws the first piece at once, so that its read and hash can run
     while the caller waits on something else; the next iteration begins with
@@ -263,6 +354,10 @@ class FetchedPieces:
         return itertools.chain(first, pieces)
 
     def _read(self) -> Generator[memoryview, None, None]:
+        worker = _hash_worker(self._size)
+        return self._read_inline() if worker is None else self._read_behind(worker)
+
+    def _read_inline(self) -> Generator[memoryview, None, None]:
         try:
             fd = os.open(self._path, os.O_RDONLY)
         except FileNotFoundError:
@@ -282,6 +377,33 @@ class FetchedPieces:
         finally:
             os.close(fd)
         if hasher.digest() != self._cid.digest:
+            raise CorruptBlobError(f"stored blob does not hash to {self._cid.text}")
+
+    def _read_behind(self, worker) -> Generator[memoryview, None, None]:
+        """`_read_inline` with each piece hashed on `worker` and read into a ring of buffers."""
+        try:
+            fd = os.open(self._path, os.O_RDONLY)
+        except FileNotFoundError:
+            raise NotFoundError(f"no blob stored under {self._cid.text}") from None
+        ring = [memoryview(bytearray(PIECE)) for _ in range(min(RING, -(-self._size // PIECE)))]
+        hasher = _HashBehind(worker, len(ring) - 1)  # so a buffer's hash is done before it comes round
+        bufs = itertools.cycle(ring)
+        remaining = self._size
+        try:
+            while remaining:
+                buf = next(bufs)
+                n = os.readv(fd, [buf[:remaining]])
+                if not n:
+                    break
+                piece = buf[:n]
+                hasher.update(piece)
+                remaining -= n
+                yield piece
+            digest = hasher.digest()
+        finally:
+            hasher.close()  # an early exit, too, waits for the hashes still reading the ring
+            os.close(fd)
+        if digest != self._cid.digest:
             raise CorruptBlobError(f"stored blob does not hash to {self._cid.text}")
 
 
@@ -309,10 +431,15 @@ class BlobStore:
         """Hash the blob, write what cannot wait, and charge the modeled upload delay.
 
         `blob` is bytes or an iterable of bytes-like pieces, such as
-        `envelope.SealedPieces`. The blob is stored at the returned blob's
+        `envelope.SealedPieces`. A sized iterable's `len()` is its size in
+        bytes; one of more than PIECE bytes is hashed on the hash worker
+        (see `_hash_worker`), so it must keep each piece intact until the
+        piece after next is drawn. The blob is stored at the returned blob's
         `commit` (see `StagedBlob`).
         """
-        return StagedBlob(self, (blob,) if isinstance(blob, (bytes, bytearray, memoryview)) else blob)
+        if isinstance(blob, (bytes, bytearray, memoryview)):
+            return StagedBlob(self, (blob,))
+        return StagedBlob(self, blob, _hash_worker(len(blob)) if isinstance(blob, Sized) else None)
 
     def store(self, blob: bytes | Iterable) -> Cid:
         """Stage the blob, then commit it at once (idempotent)."""

@@ -62,10 +62,12 @@ class SealedPieces:
 
     `len()` is the sealed length. Iterating yields the ciphertext in pieces of
     at most CHUNK bytes from one incremental AES-GCM context, then the 16-byte
-    tag; joined, the pieces equal `seal(plaintext, secret)`. Each ciphertext
-    piece is a view of one buffer that the next piece overwrites, so a
-    consumer must be done with a piece, or have copied it, before it draws
-    the next. A plaintext of at most CHUNK bytes is sealed in one call and
+    tag; joined, the pieces equal `seal(plaintext, secret)`. The ciphertext
+    pieces are views of two buffers taken in turn, so a piece stays intact
+    until the piece after next is drawn: a consumer may still be reading
+    one piece (hashing it on another thread, say) while it draws the next,
+    but must be done with it, or have copied it, before it draws the one
+    after. A plaintext of at most CHUNK bytes is sealed in one call and
     yielded whole, because the incremental context costs more to set up than
     one piece saves.
     """
@@ -82,9 +84,10 @@ class SealedPieces:
             yield AESGCM(self._key).encrypt(self._iv, self._plaintext, None)
             return
         encryptor = Cipher(algorithms.AES(self._key), modes.GCM(self._iv)).encryptor()
-        buf = memoryview(bytearray(CHUNK + 15))  # update_into asks for a block less one beyond the input
+        # update_into asks for a block less one beyond the input
+        bufs = itertools.cycle([memoryview(bytearray(CHUNK + 15)), memoryview(bytearray(CHUNK + 15))])
         plaintext = memoryview(self._plaintext)
-        for start in range(0, len(plaintext), CHUNK):
+        for start, buf in zip(range(0, len(plaintext), CHUNK), bufs):
             yield buf[: encryptor.update_into(plaintext[start : start + CHUNK], buf)]
         encryptor.finalize()
         yield encryptor.tag

@@ -2,6 +2,8 @@ import contextlib
 import errno
 import os
 import random
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -105,3 +107,40 @@ def full_disk(monkeypatch):
             yield
 
     return filled
+
+
+class SlowHashWorker:
+    """A one-thread hash executor that starts each job 2 ms late and keeps every job it was given.
+
+    With the delay, a hash that the store failed to wait for is still
+    running when the store returns, so `pending()` shows it, and a digest
+    read too early differs from the blob's.
+    """
+
+    def __init__(self):
+        self._executor = ThreadPoolExecutor(1, thread_name_prefix="test-hash")
+        self.jobs = []
+
+    def submit(self, fn, *args):
+        def late(*args):
+            time.sleep(0.002)
+            return fn(*args)
+
+        job = self._executor.submit(late, *args)
+        self.jobs.append(job)
+        return job
+
+    def pending(self) -> list:
+        return [job for job in self.jobs if not job.done()]
+
+    def shutdown(self) -> None:
+        self._executor.shutdown(wait=True)
+
+
+@pytest.fixture
+def slow_hash_worker(monkeypatch):
+    """Every blob of more than one piece is hashed on a `SlowHashWorker`, whatever the CPU count."""
+    worker = SlowHashWorker()
+    monkeypatch.setattr(shardvcs.cas, "_hash_worker", lambda size: worker if size > shardvcs.cas.PIECE else None)
+    yield worker
+    worker.shutdown()

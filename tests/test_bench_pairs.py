@@ -94,11 +94,27 @@ def test_summarize_medians_quartiles_wins_and_bounds():
     assert push["bound"] == 0.2 and push["better"] == "lower"
     assert push["median_change_ratio"] == pytest.approx(-0.5)
     assert push["beats_parent_iqr"] is False  # a 1.0 gain does not exceed the 1.0 spread
+    assert push["pair_change_ratio"] == pytest.approx({"median": -0.5, "q1": -7 / 12, "q3": -0.125})  # -2/3, -1/2, +1/4
 
     ops = summary["ops_per_s"]
     assert ops["parent"]["median"] == 200.0 and ops["change"]["median"] == 150.0
     assert ops["wins"] == 2  # higher is better: seeds 1 and 3
     assert ops["median_change_ratio"] == pytest.approx(-0.25)
+
+
+def test_pair_ratios_show_a_gain_that_a_drift_shared_by_both_trees_hides_from_the_parent_iqr():
+    # The machine slows through the run, so each seed reads higher on both trees;
+    # the change is 20% faster in every pair.
+    parent = [0.30 + 0.03 * seed for seed in range(10)]
+    runs = _runs("parent", [(push, 100.0) for push in parent])
+    runs += _runs("change", [(0.8 * push, 100.0) for push in parent])
+    push = bench_pairs.summarize(runs, SPECS)["push_wall_p50_ms"]
+    assert (push["pairs"], push["wins"]) == (10, 10)
+    assert push["beats_parent_iqr"] is False  # the parent's spread (0.135 ms) exceeds the gap (0.087 ms)
+    assert push["pair_change_ratio"] == pytest.approx({"median": -0.2, "q1": -0.2, "q3": -0.2})
+    assert bench_pairs.summary_lines({"push_wall_p50_ms": push})[0].endswith(
+        "wins 10/10  beats_parent_iqr=False  pair ratios -20.0% [-20.0% to -20.0%]"
+    )
 
 
 def test_summarize_skips_runs_without_metrics_and_single_tree_baselines():

@@ -3,8 +3,10 @@ import hashlib
 import itertools
 import os
 import random
+import signal
 import stat
 import threading
+import time
 
 import pytest
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -436,3 +438,76 @@ def test_a_staged_sealed_blob_is_the_file_store_writes_and_a_one_shot_encrypt(tm
     hexd = cid.digest.hex()
     assert (tmp_path / "staged" / hexd[:2] / hexd).read_bytes() == one_shot
     assert (tmp_path / "stored" / hexd[:2] / hexd).read_bytes() == one_shot
+
+
+# -- hashing a blob of many pieces on the hash worker ---------------------------------
+
+THREE_PIECES = 3 * cas.PIECE + 5  # four pieces, the last one short
+
+
+def test_only_a_blob_of_many_pieces_in_a_process_with_two_cpus_is_hashed_on_the_worker(monkeypatch):
+    monkeypatch.setattr(cas, "_cpus", lambda: 2)
+    assert cas._hash_worker(cas.PIECE) is None
+    worker = cas._hash_worker(cas.PIECE + 1)
+    assert worker is not None and cas._hash_worker(THREE_PIECES) is worker  # one worker per process
+    monkeypatch.setattr(cas, "_cpus", lambda: 1)
+    assert cas._hash_worker(THREE_PIECES) is None
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_hashes_on_a_worker_of_its_own(tmp_path, monkeypatch):
+    monkeypatch.setattr(cas, "_cpus", lambda: 2)
+    store = BlobStore(tmp_path)
+    sealed = envelope.SealedPieces(random.Random(14).randbytes(THREE_PIECES), bytes(44))
+    cid = store.store(sealed)  # the parent's worker is running now
+    pid = os.fork()
+    if pid == 0:  # the child has no thread behind the parent's executor
+        try:
+            os._exit(0 if store.store(sealed) == cid and _joined(store.fetch(cid)) == _joined(sealed) else 1)
+        finally:
+            os._exit(2)
+    for _ in range(1000):
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        time.sleep(0.01)
+    else:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child hung on the parent's hash worker")
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("how", ["stops", "raises", "started-then-left"])
+def test_a_consumer_leaving_mid_blob_leaves_no_descriptor_and_no_hash_pending(tmp_path, slow_hash_worker, how):
+    store = BlobStore(tmp_path)
+    blob = random.Random(15).randbytes(THREE_PIECES)
+    cid = store.store(blob)
+    assert _joined(store.fetch(cid)) == blob  # every hash waited for before the digest was read
+    before = sorted(os.listdir("/proc/self/fd"))
+    slow_hash_worker.jobs.clear()
+    if how == "stops":
+        for i, piece in enumerate(store.fetch(cid)):
+            if i == 1:
+                break
+    elif how == "raises":
+        with pytest.raises(RuntimeError):
+            for i, piece in enumerate(store.fetch(cid)):
+                if i == 2:
+                    raise RuntimeError("the consumer failed mid-blob")
+    else:
+        with store.fetch(cid) as fetched:
+            fetched.start()
+    assert slow_hash_worker.jobs and slow_hash_worker.pending() == []
+    assert sorted(os.listdir("/proc/self/fd")) == before
+
+
+def test_a_stage_whose_write_fails_at_the_second_piece_leaves_no_temp_file(tmp_path, full_disk, slow_hash_worker):
+    store = BlobStore(tmp_path)
+    sealed = envelope.SealedPieces(random.Random(16).randbytes(THREE_PIECES), bytes(44))
+    with full_disk(room=cas.PIECE + 10), pytest.raises(OSError) as failure:  # the second piece does not fit
+        store.stage(sealed)
+    assert failure.value.errno == errno.ENOSPC
+    assert len(slow_hash_worker.jobs) == 2 and slow_hash_worker.pending() == []
+    assert list(tmp_path.iterdir()) == []

@@ -156,6 +156,33 @@ def test_sealed_pieces_join_to_the_one_shot_seal(n):
     assert [bytes(piece) for piece in pieces] == copies  # each iteration seals afresh
 
 
+def _matches_the_oracle(piece, offset: int, key: bytes, iv: bytes, plaintext: bytes) -> bool:
+    """Whether the first and last whole blocks of a ciphertext piece at `offset` are the oracle's."""
+    first, last = offset // 16, (offset + len(piece)) // 16 - 1
+    return all(
+        bytes(piece[16 * i - offset : 16 * i - offset + 16])
+        == aes_gcm_oracle.ciphertext_block(key, iv, plaintext[16 * i : 16 * i + 16], i)
+        for i in (first, last)
+    )
+
+
+def test_a_sealed_piece_stays_intact_while_the_next_one_is_drawn():
+    rng = random.Random(21)
+    key, iv, plaintext = rng.randbytes(32), rng.randbytes(12), rng.randbytes(3 * CHUNK)
+    one_shot = AESGCM(key).encrypt(iv, plaintext, None)
+    pieces = iter(SealedPieces(plaintext, key + iv))
+    held, offset, copies = next(pieces), 0, []
+    for drawn in pieces:  # piece i is checked after piece i+1 has been sealed
+        copy = bytes(held)
+        assert copy == one_shot[offset : offset + len(copy)]
+        assert _matches_the_oracle(held, offset, key, iv, plaintext)
+        copies.append(copy)
+        offset += len(copy)
+        held = drawn
+    copies.append(bytes(held))
+    assert len(copies) == 4 and b"".join(copies) == one_shot
+
+
 class ReusedBufferPieces:
     """`sealed` as a sized iterable of `cut`-byte pieces, each written over the last one's buffer."""
 

@@ -1,6 +1,8 @@
 import errno
+import hashlib
 import os
 import random
+import sys
 import threading
 import tracemalloc
 
@@ -9,6 +11,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shardvcs import envelope
 from shardvcs.cas import PIECE, Cid, LatencyProfile, NotFoundError
 from shardvcs.envelope import KEY_LEN
 from shardvcs.ledger import AccessDeniedError, Address
@@ -22,6 +25,7 @@ from shardvcs.protocol import (
 )
 from shardvcs.sss import Share, combine
 
+import aes_gcm_oracle
 from scripted_middleman import http_reply, scripted_middleman
 
 BOB = Address.from_label("bob")
@@ -268,8 +272,9 @@ def test_pull_of_many_pieces_detects_a_forged_held_share(make_world):
         world.client.pull(result.cid, world.owner, forged)
 
 
-def test_a_pull_peaks_at_about_one_piece_beyond_the_plaintext(make_world):
+def test_a_pull_peaks_at_about_three_pieces_beyond_the_plaintext(make_world, slow_hash_worker):
     # Holding the sealed blob and the plaintext together would peak at twice the blob.
+    # The pull reads into a ring of three pieces while the worker hashes them.
     world = make_world()
     body = random.Random(8).randbytes(8 << 20)
     result = world.client.push(body, world.owner)
@@ -549,3 +554,86 @@ def test_a_pull_with_neither_blob_nor_share_is_not_found(make_world):
     (world.cas.root / hexd[:2] / hexd).unlink()
     with pytest.raises(NotFoundError):
         world.client.pull(result.cid, world.owner, result.owner_share)
+
+
+# -- blobs of many pieces, hashed on the worker one piece behind ----------------------
+
+THREE_PIECES = 3 * PIECE + 5  # four sealed pieces, the last one short
+
+
+def _one_shot_seal(world, result, body: bytes) -> bytes:
+    """The pushed blob sealed in one call, its blocks at each piece's start spot-checked against the oracle."""
+    secret = combine([result.owner_share, Share.from_text(world.cache.fetch_share(result.cid.text))], threshold=2)
+    key, iv = secret[:KEY_LEN], secret[KEY_LEN:]
+    sealed = AESGCM(key).encrypt(iv, body, None)
+    for block in range(0, len(body) // 16, PIECE // 16):
+        at = slice(16 * block, 16 * block + 16)
+        assert sealed[at] == aes_gcm_oracle.ciphertext_block(key, iv, body[at], block)
+    return sealed
+
+
+@pytest.mark.parametrize("path", [MIDDLEMAN, ON_CHAIN])
+@pytest.mark.parametrize(
+    "where", [17, 2 * PIECE + 9, THREE_PIECES + 3], ids=["first-piece", "middle-piece", "tag"]
+)
+def test_a_pull_of_many_pieces_damaged_anywhere_returns_no_plaintext(make_world, slow_hash_worker, monkeypatch,
+                                                                       path, where):
+    world = make_world()
+    body = random.Random(where).randbytes(THREE_PIECES)
+    result = world.client.push(body, world.owner)
+    if path == ON_CHAIN:
+        world.chain.advance_clock(14.0)
+    opened = []
+    real_unseal = envelope.unseal
+
+    def unseal(*args):
+        opened.append(real_unseal(*args))
+        return opened[-1]
+
+    monkeypatch.setattr(envelope, "unseal", unseal)
+    plaintext, report = world.client.pull(result.cid, world.owner, result.owner_share)
+    assert (plaintext, report.path_used) == (body, path)  # every hash was waited for before the digest was read
+    hexd = result.cid.digest.hex()
+    blob_path = world.cas.root / hexd[:2] / hexd
+    raw = bytearray(blob_path.read_bytes())
+    raw[where] ^= 0x10
+    blob_path.write_bytes(raw)
+    with pytest.raises(IntegrityError):
+        world.client.pull(result.cid, world.owner, result.owner_share)
+    assert len(opened) == 1  # the damaged blob gave no plaintext
+    assert slow_hash_worker.pending() == []
+
+
+def test_threads_pushing_and_pulling_blobs_of_many_pieces_at_once_each_get_their_own_cid(make_world,
+                                                                                          slow_hash_worker):
+    worlds = [make_world(seed=i) for i in range(3)]  # more threads than this machine's two cores
+    bodies = [random.Random(30 + i).randbytes(THREE_PIECES + 1000 * i) for i in range(3)]
+    done: list = [None] * 3
+    errors = []
+
+    def push_and_pull(i: int) -> None:
+        try:
+            world = worlds[i]
+            for _ in range(3):
+                result = world.client.push(bodies[i], world.owner)
+                plaintext, _ = world.client.pull(result.cid, world.owner, result.owner_share)
+                assert plaintext == bodies[i]
+            done[i] = result
+        except BaseException as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=push_and_pull, args=(i,)) for i in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    for world, body, result in zip(worlds, bodies, done):
+        assert result.cid == Cid(hashlib.sha256(_one_shot_seal(world, result, body)).digest())
+    assert slow_hash_worker.jobs and slow_hash_worker.pending() == []

@@ -67,6 +67,12 @@ def test_pushing_a_file_loads_neither_the_benchmark_nor_zipfile(tmp_path):
     assert [m for m in ("shardvcs.bench", "statistics", "tempfile", "zipfile") if m in loaded] == []
 
 
+def test_the_blob_store_loads_its_hash_worker_only_when_a_blob_needs_it():
+    # concurrent.futures imports logging: that cost belongs to the first blob of many pieces.
+    loaded = _child("import sys, shardvcs.cas; print('\\n'.join(sys.modules))").split()
+    assert [m for m in loaded if m.startswith(("concurrent", "logging"))] == []
+
+
 def test_serve_middleman_imports_no_unused_layer_before_it_listens():
     child = subprocess.Popen(
         [sys.executable, "-S", "-X", "importtime", "-m", "shardvcs.cli", "serve-middleman", "--port", "0"],
