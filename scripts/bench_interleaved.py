@@ -13,7 +13,9 @@ working tree as they stand (`git stash create`; untracked files are left
 out). Each tree gets one long-lived worker process that sets its workload
 up once, through that tree's own `perfbench/workloads.py` and `src/`, and
 then runs `--ops` workload steps each time it is told to. Blocks alternate between the trees, changing which
-goes first every block, so slow drift of the machine falls on both alike.
+goes first every block, so slow drift of the machine falls on both alike. The
+workers start one after the other, the change's first in even runs and the
+parent's first in odd ones, so neither tree always gets the first pick of CPU.
 
 For every block it takes the push and pull wall-time p50 of each tree, and
 it prints, per tree, the median and quartiles of those block p50s and how
@@ -141,11 +143,11 @@ def ask(proc: subprocess.Popen, ops: int) -> dict:
     return json.loads(proc.stdout.readline())
 
 
-def run_blocks(trees: dict[str, Path], args: argparse.Namespace) -> list[dict]:
-    """One run: a fresh worker per tree, then `args.blocks` alternating blocks."""
+def run_blocks(trees: dict[str, Path], args: argparse.Namespace, run: int) -> list[dict]:
+    """One run: a fresh worker per tree, started in an order that alternates with `run`, then alternating blocks."""
     blocks, procs = [], {}
     try:
-        for tree in TREES:
+        for tree in TREES if run % 2 == 0 else TREES[::-1]:
             procs[tree] = start_worker(trees[tree], args.workload, args.seed)
             if not json.loads(procs[tree].stdout.readline() or "{}").get("ready"):
                 raise RuntimeError(f"the {tree} worker did not set up")
@@ -185,7 +187,7 @@ def main(argv=None) -> int:
         for tree in TREES:
             unpack(commits[tree], trees[tree])
         for r in range(args.runs):
-            summaries.append(summarize(run_blocks(trees, args)))
+            summaries.append(summarize(run_blocks(trees, args, r)))
             print(f"run {r + 1}/{args.runs}\n{report(summaries[-1])}", flush=True)
     print(report_runs(summaries))
     return 0 if not any(entry["failed"][tree] for s in summaries for entry in s.values() for tree in TREES) else 1

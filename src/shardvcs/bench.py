@@ -255,11 +255,6 @@ def run_pull_bench(
 # -- reporting ------------------------------------------------------------------------
 
 
-def largest_phase(sample: BenchSample) -> str:
-    """Name of the single largest latency component of one sample."""
-    return max(sample.timings, key=sample.timings.get)
-
-
 def _q(value: float) -> float:
     # quantize to CSV precision so reports match across emit/parse round-trips
     return round(value, 6)

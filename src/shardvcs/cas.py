@@ -10,13 +10,15 @@ the temp file into place, so a caller can address a blob first and put the
 file create, write and rename beside other work. `store` is the two at once.
 A fetch hands the blob out as `FetchedPieces`, the mirror of what a store
 takes: the blob is read and hashed a piece at a time as its consumer draws
-it. A blob of more than one piece is hashed on a worker thread one piece
-behind, while the caller seals and writes, or reads and decrypts, the next
-one (see `_hash_worker`); its digest is still compared only once every
-piece has been hashed. Store and fetch each carry an independent linear
-delay (fixed overhead plus a per-megabyte term) charged to the configured
-clock by `stage` and by `fetch`, so a benchmark can model remote-gateway
-transfer times on a virtual clock.
+it. One rule places the hash (see `_hash_worker`): a blob of one piece, or
+any blob in a process allowed one CPU, is hashed inline and fetched through a
+ring of one buffer; any other is hashed on the hash worker while the caller
+seals and writes, or reads into a ring of up to RING buffers and decrypts,
+the next piece. The digest is compared only after every piece has been
+hashed. Store and fetch each carry an independent linear delay (fixed
+overhead plus a per-megabyte term) charged to the configured clock by `stage`
+and by `fetch`, so a benchmark can model remote-gateway transfer times on a
+virtual clock.
 """
 
 from __future__ import annotations
@@ -172,13 +174,14 @@ def _hash_worker(size: int):
 
 
 class _HashBehind:
-    """SHA-256 of a blob's pieces, run on the hash worker at most `depth` pieces behind.
+    """SHA-256 of a blob's pieces, run on the hash `worker` at most `depth` pieces behind.
 
     `update` returns once every piece but the last `depth` given has been
     hashed, so a piece's buffer may be reused after `depth` more updates.
     `digest` waits for every piece; `close` waits for every piece without
     reading the digest, so that a caller that stops early can free its
-    buffers.
+    buffers. With no worker (None), `update` hashes the piece itself, so
+    nothing is ever pending.
     """
 
     __slots__ = ("_worker", "_hasher", "_depth", "_pending")
@@ -190,6 +193,9 @@ class _HashBehind:
         self._pending = collections.deque()
 
     def update(self, piece) -> None:
+        if self._worker is None:
+            self._hasher.update(piece)
+            return
         self._pending.append(self._worker.submit(self._hasher.update, piece))
         if len(self._pending) > self._depth:
             self._pending.popleft().result()
@@ -208,9 +214,9 @@ class _HashBehind:
 class StagedBlob:
     """A blob hashed and addressed by `BlobStore.stage`, and stored at `commit`.
 
-    `cid` is known once `stage` returns. Each piece is hashed as it is drawn,
-    inline or, given the hash `worker`, on that thread one piece behind: the
-    worker hashes a piece while this thread writes it and draws the next, so
+    `cid` is known once `stage` returns. Each piece is hashed as it is drawn
+    by a `_HashBehind` one piece behind: inline with no `worker`, or on the
+    hash worker while this thread writes the piece and draws the next, so
     the source must keep each piece intact until the piece after next is
     drawn, as `envelope.SealedPieces` does. Every hash has finished before
     `stage` returns or raises. A mutable piece, such as a view of one of
@@ -235,7 +241,7 @@ class StagedBlob:
         self._fd: int | None = None
         self._tmp: str | None = None
         self._held: bytes | None = b""  # None once committed or discarded
-        hasher = hashlib.sha256() if worker is None else _HashBehind(worker, 1)
+        hasher = _HashBehind(worker, 1)
         size = 0
         try:
             for piece in pieces:
@@ -251,8 +257,7 @@ class StagedBlob:
             self.cid = Cid(hasher.digest())
             store.clock.sleep(store.store_profile.delay_for(size))
         except BaseException:
-            if worker is not None:
-                hasher.close()
+            hasher.close()
             self._discard()
             raise
 
@@ -305,15 +310,14 @@ class FetchedPieces:
 
     `len()` is the blob's size when it was fetched. The file is opened when
     iteration starts, or at `start`, and read a piece of at most PIECE bytes
-    at a time. A consumer must be done with a piece, or have copied it,
-    before it draws the next. A blob of one piece, or any blob in a process
-    allowed one CPU, is read through one buffer and each piece is hashed
-    before it is yielded. A larger blob is read into a ring of up to RING
-    buffers, and each piece is handed to the hash worker as it is yielded,
-    so the consumer works on a piece while the worker hashes it; a buffer is
-    read into again only after its piece's hash has finished. The file is
-    read up to the fetched size, every hash finishes, the file is closed, and
-    only then is the digest compared: an iteration that ends without
+    at a time into a ring of buffers. A consumer must be done with a piece,
+    or have copied it, before it draws the next. A blob of one piece, or any
+    blob in a process allowed one CPU, has a ring of one buffer and is
+    hashed inline; any other has up to RING buffers and is hashed on the
+    hash worker while the consumer works on the piece. A buffer is read into
+    again only after its piece's hash has finished. The file is read up to
+    the fetched size, every hash finishes, the file is closed, and only
+    then is the digest compared: an iteration that ends without
     `CorruptBlobError` has yielded exactly the bytes stored under the CID.
     However iteration ends, including by a consumer that stops early, every
     hash finishes before the file is closed and the buffers are let go.
@@ -355,40 +359,15 @@ class FetchedPieces:
 
     def _read(self) -> Generator[memoryview, None, None]:
         worker = _hash_worker(self._size)
-        return self._read_inline() if worker is None else self._read_behind(worker)
-
-    def _read_inline(self) -> Generator[memoryview, None, None]:
-        try:
-            fd = os.open(self._path, os.O_RDONLY)
-        except FileNotFoundError:
-            raise NotFoundError(f"no blob stored under {self._cid.text}") from None
-        hasher = hashlib.sha256()
-        buf = memoryview(bytearray(min(self._size, PIECE)))
-        remaining = self._size
-        try:
-            while remaining:
-                n = os.readv(fd, [buf[:remaining]])
-                if not n:
-                    break
-                piece = buf[:n]
-                hasher.update(piece)
-                remaining -= n
-                yield piece
-        finally:
-            os.close(fd)
-        if hasher.digest() != self._cid.digest:
-            raise CorruptBlobError(f"stored blob does not hash to {self._cid.text}")
-
-    def _read_behind(self, worker) -> Generator[memoryview, None, None]:
-        """`_read_inline` with each piece hashed on `worker` and read into a ring of buffers."""
-        try:
-            fd = os.open(self._path, os.O_RDONLY)
-        except FileNotFoundError:
-            raise NotFoundError(f"no blob stored under {self._cid.text}") from None
-        ring = [memoryview(bytearray(PIECE)) for _ in range(min(RING, -(-self._size // PIECE)))]
+        pieces = 1 if worker is None else min(RING, -(-self._size // PIECE))
+        ring = [memoryview(bytearray(min(self._size, PIECE))) for _ in range(pieces)]
         hasher = _HashBehind(worker, len(ring) - 1)  # so a buffer's hash is done before it comes round
         bufs = itertools.cycle(ring)
         remaining = self._size
+        try:
+            fd = os.open(self._path, os.O_RDONLY)
+        except FileNotFoundError:
+            raise NotFoundError(f"no blob stored under {self._cid.text}") from None
         try:
             while remaining:
                 buf = next(bufs)
@@ -460,6 +439,3 @@ class BlobStore:
             raise NotFoundError(f"no blob stored under {cid.text}") from None
         self.clock.sleep(self.fetch_profile.delay_for(size))
         return FetchedPieces(path, cid, size)
-
-    def contains(self, cid: Cid) -> bool:
-        return os.path.exists(self._path(cid))

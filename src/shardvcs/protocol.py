@@ -2,20 +2,20 @@
 
 Push seals the repository bytes under a fresh secret and stages the sealed
 blob content-addressed in one pass: the store hashes each sealed piece as
-the envelope produces it (a blob over 1 MiB on the store's hash worker, one
-piece behind) and writes each ciphertext piece of a larger blob before the
-envelope seals the next, so a push holds at most the envelope's two
-buffers (2 MiB) beyond the plaintext, and the sealing time falls in the
-store phase. The blob's address is then known. The push splits the secret into threshold shares and sends
-one share to the middleman cache, and while that request is in flight it
-commits the blob: the store writes what waited (all of a sealed blob of at
-most 1 MiB, the 16-byte tag of a larger one) and renames the file into
-place. A commit that fails leaves no file and, once the middleman has
-answered, no cached share. Only after the middleman's reply does the push
-escrow one share on-chain via a registration transaction, and it hands the
-last share back to the owner. It returns without waiting for the
-registration to confirm; the receipt handle settles later. On a real clock
-the commit counts in `middleman_s`.
+the envelope produces it, by the store's one rule for where a hash runs
+(see `cas`), and writes each ciphertext piece of a larger blob before the
+envelope seals the next, so a push holds at most the envelope's two buffers
+(2 MiB) beyond the plaintext, and the sealing time falls in the store
+phase. The blob's address is then known. The push splits the secret into
+threshold shares and sends one share to the middleman cache, and while that
+request is in flight it commits the blob: the store writes what waited (all
+of a sealed blob of at most 1 MiB, the 16-byte tag of a larger one) and
+renames the file into place. A commit that fails leaves no file and, once
+the middleman has answered, no cached share. Only after the middleman's
+reply does the push escrow one share on-chain via a registration
+transaction, and it hands the last share back to the owner. It returns
+without waiting for the registration to confirm; the receipt handle settles
+later. On a real clock the commit counts in `middleman_s`.
 
 Pull asks the chain once: a confirmed registration returns the on-chain share
 or denies the caller, and a pending or unknown one returns nothing, so the
@@ -26,13 +26,15 @@ of at most 1 MiB) while the request is in flight, then reads the reply. Two
 shares rebuild the secret, and the seal is opened in one pass: the store
 hands the blob out a piece at a time, re-hashing each piece against its
 address as it reads it, and the envelope decrypts each piece as it
-arrives; a blob over 1 MiB is hashed on the store's hash worker while the
-envelope decrypts the same piece. So a pull holds at most the store's ring
-of three buffers (3 MiB) beyond the plaintext. Every phase is measured on
-the configured clock around its own step, so benchmarks can decompose
-latency; the report lists the phases in `PULL_PHASES` order. On a
-real clock, reading and hashing the first piece of a middleman pull fall in
-`share_fetch_s`, and every other read and hash in `decrypt_s`.
+arrives. By the store's one rule, a blob of one piece, or any blob in a
+process allowed one CPU, is read through one buffer and hashed inline, and
+any other through a ring of up to three buffers hashed on the hash worker
+while the envelope decrypts, so a pull holds at most 3 MiB beyond the
+plaintext. Every phase is measured on the configured clock around its own
+step, so benchmarks can decompose latency; the report lists the phases in
+`PULL_PHASES` order. On a real clock, reading and hashing the first piece
+of a middleman pull fall in `share_fetch_s`, and every other read and hash
+in `decrypt_s`.
 """
 
 from __future__ import annotations

@@ -7,10 +7,8 @@ from shardvcs.bench import (
     CSV_COLUMNS,
     EMBEDDED_REFERENCE,
     BenchError,
-    BenchSample,
     _fit_line,
     calibrate,
-    largest_phase,
     parse_csv,
     render_report,
     run_pull_bench,
@@ -242,19 +240,6 @@ def test_parse_csv_refuses_non_finite_negative_and_impossible_cells(row, message
     with pytest.raises(ValueError) as refused:
         parse_csv(",".join(CSV_COLUMNS) + "\n" + good + "\n" + row + "\n")
     assert str(refused.value) == f"line 3: {message}"
-
-
-def test_largest_phase_picks_confirmation_when_dominant():
-    sample = BenchSample(
-        operation="push",
-        size_mb=10,
-        repeat_index=0,
-        user_perceived_s=6.5,
-        timings={"seal_s": 0.1, "store_s": 6.0, "middleman_s": 0.1, "submit_s": 0.3, "confirmation_s": 13.5},
-    )
-    assert largest_phase(sample) == "confirmation_s"
-    sample.timings["confirmation_s"] = 0.5
-    assert largest_phase(sample) == "store_s"
 
 
 def test_summarize_groups_and_orders(calibrated_config):

@@ -1,8 +1,11 @@
 """The interleaved A/B runner's aggregation, on canned worker replies."""
 
+import argparse
 import importlib.util
+import io
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -73,8 +76,25 @@ def test_the_header_names_the_machine_and_both_commits_in_full(monkeypatch, caps
     monkeypatch.setattr(bench_interleaved, "git", lambda *args: parent)
     monkeypatch.setattr(bench_interleaved, "unpack", lambda rev, dest: dest.mkdir())
     monkeypatch.setattr(bench_interleaved, "run_blocks",
-                        lambda trees, args: [{"change": reply([0.2], [0.2]), "parent": reply([0.4], [0.25])}])
+                        lambda trees, args, run: [{"change": reply([0.2], [0.2]), "parent": reply([0.4], [0.25])}])
     assert bench_interleaved.main(["--workload", "fresh-pull-http", "--runs", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == f"# machine: {bench_interleaved.machine_line()}"
     assert lines[1] == f"workload fresh-pull-http, change {change}, parent {parent}, 1 runs of 40 blocks of 300 steps"
+
+
+def test_the_worker_that_starts_first_alternates_by_run(monkeypatch):
+    started = []
+
+    def start_worker(tree, workload, seed):
+        started.append(tree.name)
+        return SimpleNamespace(stdout=io.StringIO('{"ready": true}\n'))
+
+    monkeypatch.setattr(bench_interleaved, "start_worker", start_worker)
+    monkeypatch.setattr(bench_interleaved, "ask", lambda proc, ops: reply([0.2], [0.2]))
+    monkeypatch.setattr(bench_interleaved, "stop_worker", lambda proc: None)
+    trees = {tree: Path(tree) for tree in bench_interleaved.TREES}
+    args = argparse.Namespace(workload="large-blob", seed=1, blocks=2, ops=1)
+    for run in range(2):
+        assert len(bench_interleaved.run_blocks(trees, args, run)) == 2
+    assert started == ["change", "parent", "parent", "change"]
