@@ -14,11 +14,11 @@ it. One rule places the hash (see `_hash_worker`): a blob of one piece, or
 any blob in a process allowed one CPU, is hashed inline and fetched through a
 ring of one buffer; any other is hashed on the hash worker while the caller
 seals and writes, or reads into a ring of up to RING buffers and decrypts,
-the next piece. The digest is compared only after every piece has been
-hashed. Store and fetch each carry an independent linear delay (fixed
-overhead plus a per-megabyte term) charged to the configured clock by `stage`
-and by `fetch`, so a benchmark can model remote-gateway transfer times on a
-virtual clock.
+the next piece, so a fetch holds at most RING pieces (3 MiB) at once. The
+digest is compared only after every piece has been hashed. Store and fetch
+each carry an independent linear delay (fixed overhead plus a per-megabyte
+term) charged to the configured clock by `stage` and by `fetch`, so a
+benchmark can model remote-gateway transfer times on a virtual clock.
 """
 
 from __future__ import annotations

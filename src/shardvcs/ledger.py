@@ -326,7 +326,7 @@ class SimulatedChain:
                 sender=Address.from_text(p["sender"]),
                 repo=p["repo"],
                 share_text=p["share_text"],
-                collaborator=Address.from_text(p["collaborator"]) if p["collaborator"] else None,
+                collaborator=Address.from_text(p["collaborator"]) if p["kind"] == "add_collaborator" else None,
             ))
             for p in pending
         ]

@@ -17,10 +17,10 @@ The cache is embeddable in-process (`ShareCache`) and exposable over HTTP
 same contract either way: `store_share`, `fetch_share` and `evict`, and
 `store_share_while` and `fetch_share_while`, which also run the caller's own
 work once. The client sends the request, runs the work while it is in
-flight, then reads the reply; the in-process cache runs the work first. If
-the work fails after a store went out, the client reads the store's reply
-and evicts the entry on the same connection before the error propagates, so
-a failed work leaves no live entry. The endpoints:
+flight, then reads the reply; the in-process cache runs the work first. A
+work that fails still has its request applied: the client reads the reply
+before the error propagates, so its connection stays in step, and a caller
+that must take a store back sends `evict` next. The endpoints:
 
 - ``POST /share`` body ``{"cid": ..., "share": ...}`` -> 200, or 400 when
   the body is not a JSON object of two strings or the share encoding is
@@ -475,16 +475,14 @@ class HttpShareCache:
             head += f"Content-Type: application/json\r\nContent-Length: {len(data)}\r\n"
         return (head + "\r\n").encode() + data
 
-    def _request(self, method: str, path: str, body: dict | None = None, work=None,
-                 undo: str | None = None) -> tuple[int, dict]:
+    def _request(self, method: str, path: str, body: dict | None = None, work=None) -> tuple[int, dict]:
         """Send one request, run `work()` once, then read the reply.
 
         `work` runs once whatever the request does, also when it cannot be
-        sent. If `work` raises, its error propagates as itself. Without `undo`
-        the connection is then dropped, because its reply is still on the way.
-        With `undo`, the reply is read, so the server has applied the request,
-        and then `DELETE undo` is sent and answered; on one connection the
-        server answers in order, so the delete cannot overtake the request.
+        sent. If `work` raises, the reply is still read, so the server has
+        applied the request and the connection stays in step for the next
+        one; a failure to read it is suppressed, and `work`'s error
+        propagates as itself.
         """
         message = self._message(method, path, body)
         with self._lock:
@@ -498,13 +496,8 @@ class HttpShareCache:
                 try:
                     work()
                 except BaseException:
-                    if undo is None:
-                        self._drop()
-                    else:
-                        with contextlib.suppress(MiddlemanUnavailableError):  # work's error says more
-                            self._unless_failed(self._reply, message, reused)
-                            delete = self._message("DELETE", undo)
-                            self._unless_failed(self._reply, delete, self._unless_failed(self._send, delete))
+                    with contextlib.suppress(MiddlemanUnavailableError):  # work's error says more
+                        self._unless_failed(self._reply, message, reused)
                     raise
             return self._unless_failed(self._reply, message, reused)
 
@@ -514,14 +507,10 @@ class HttpShareCache:
     def store_share_while(self, repo: str, share_text: str, work) -> None:
         """`store_share`, with `work()` run once while the request is in flight.
 
-        The rules of `fetch_share_while` hold, but for one: if `work` raises,
-        the store's reply is read and the entry evicted before the error
-        propagates, so a failed `work` leaves no live entry (unless the
-        middleman cannot be reached to evict it, and then the entry lives
-        until its TTL).
+        The rules of `fetch_share_while` hold. If `work` raises, the entry is
+        stored all the same; a caller that must not leave it live evicts it.
         """
-        status, doc = self._request("POST", "/share", {"cid": repo, "share": share_text}, work,
-                                    undo=_share_path(repo))
+        status, doc = self._request("POST", "/share", {"cid": repo, "share": share_text}, work)
         if status == 400:
             raise ValueError(doc.get("error", "malformed share"))
         if status != 200:
@@ -536,8 +525,8 @@ class HttpShareCache:
         The request is sent, then `work` runs, then the reply is read, so the
         round trip and the work overlap. `work` runs once, also when the
         request is sent again on a fresh connection, or cannot be sent at all.
-        If `work` raises, the connection is dropped, because its reply is
-        still on the way, and the error propagates as it is. `work` runs under
+        If `work` raises, the reply is still read, so the connection can serve
+        the next call, and the error propagates as it is. `work` runs under
         this client's lock, which is not reentrant, so it must not call this
         client.
         """

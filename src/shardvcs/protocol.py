@@ -1,44 +1,39 @@
 """Push/pull orchestration across sealing, sharding, storage, cache, and chain.
 
 Push seals the repository bytes under a fresh secret and stages the sealed
-blob content-addressed in one pass: the store hashes each sealed piece as
-the envelope produces it, by the store's one rule for where a hash runs
-(see `cas`), and writes each ciphertext piece of a larger blob before the
-envelope seals the next, so a push holds at most the envelope's two buffers
-(2 MiB) beyond the plaintext, and the sealing time falls in the store
-phase. The blob's address is then known. The push splits the secret into
-threshold shares and sends one share to the middleman cache, and while that
-request is in flight it commits the blob: the store writes what waited (all
-of a sealed blob of at most 1 MiB, the 16-byte tag of a larger one) and
-renames the file into place. A commit that fails leaves no file and, once
-the middleman has answered, no cached share. Only after the middleman's
-reply does the push escrow one share on-chain via a registration
-transaction, and it hands the last share back to the owner. It returns
-without waiting for the registration to confirm; the receipt handle settles
-later. On a real clock the commit counts in `middleman_s`.
+blob content-addressed in one pass: the store hashes and writes each sealed
+piece as the envelope produces it (see `cas` for its buffers and where the
+hash runs), and the sealing time falls in the store phase. The blob's
+address is then known. The push splits the secret into threshold shares and
+sends one share to the middleman cache, and while that request is in flight
+it commits the blob (see `StagedBlob.commit`); a commit that fails leaves no
+file. Only after the middleman's reply does the push escrow one share
+on-chain via a registration transaction, and it hands the last share back
+to the owner. If the share store, the commit or the submit fails, the push
+evicts the middleman's share once before its error propagates, so it leaves
+no live share unless the middleman cannot be reached (the share then lives
+until its TTL). A push returns without waiting for the registration to
+confirm; the receipt handle settles later. On a real clock the commit
+counts in `middleman_s`.
 
 Pull asks the chain once: a confirmed registration returns the on-chain share
 or denies the caller, and a pending or unknown one returns nothing, so the
 pull uses the middleman's copy. It then fetches the blob, which charges the
 modeled download delay and reads nothing yet. On the middleman path it sends
-the share request, reads and hashes the blob's first piece (all of a blob
-of at most 1 MiB) while the request is in flight, then reads the reply. Two
-shares rebuild the secret, and the seal is opened in one pass: the store
-hands the blob out a piece at a time, re-hashing each piece against its
-address as it reads it, and the envelope decrypts each piece as it
-arrives. By the store's one rule, a blob of one piece, or any blob in a
-process allowed one CPU, is read through one buffer and hashed inline, and
-any other through a ring of up to three buffers hashed on the hash worker
-while the envelope decrypts, so a pull holds at most 3 MiB beyond the
-plaintext. Every phase is measured on the configured clock around its own
-step, so benchmarks can decompose latency; the report lists the phases in
-`PULL_PHASES` order. On a real clock, reading and hashing the first piece
-of a middleman pull fall in `share_fetch_s`, and every other read and hash
-in `decrypt_s`.
+the share request, reads and hashes the blob's first piece while the request
+is in flight, then reads the reply. Two shares rebuild the secret, and the
+seal is opened in one pass: the store hands the blob out a piece at a time,
+re-hashing each piece against its address as it reads it (see `cas`), and
+the envelope decrypts each piece as it arrives. Every phase is measured on
+the configured clock around its own step, so benchmarks can decompose
+latency; the report lists the phases in `PULL_PHASES` order. On a real
+clock, reading and hashing the first piece of a middleman pull fall in
+`share_fetch_s`, and every other read and hash in `decrypt_s`.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 
 from . import envelope
@@ -170,14 +165,14 @@ class Client:
             owner_share, cached_share, escrowed_share = split(secret, DEFAULT_PARAMS, self.rng)
             cid = staged.cid
             repo = cid.text
-            _while(self.middleman, "store_share", staged.commit, repo, cached_share.to_text())
-        stamps.append(self.clock.now())
-
-        try:
-            receipt = self.chain.submit_register(owner, repo, escrowed_share.to_text())
-        except BaseException:
-            self.middleman.evict(repo)  # failed push must leave no live cache entry
-            raise
+            try:  # from the share store on, a failed push must leave no live middleman share
+                _while(self.middleman, "store_share", staged.commit, repo, cached_share.to_text())
+                stamps.append(self.clock.now())
+                receipt = self.chain.submit_register(owner, repo, escrowed_share.to_text())
+            except BaseException:
+                with contextlib.suppress(ConnectionError):  # MiddlemanUnavailableError; the push's error says more
+                    self.middleman.evict(repo)
+                raise
         stamps.append(self.clock.now())
 
         return PushResult(

@@ -6,6 +6,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from socketserver import ThreadingMixIn
 
 import pytest
 
@@ -73,6 +74,20 @@ def make_world(tmp_path):
         return World(clock, cas, cache, chain, client, rng, Address.from_label("owner"))
 
     return build
+
+
+@pytest.fixture
+def accepts(monkeypatch):
+    """Count the connections every server accepts, seen from the server side."""
+    count = [0]
+    original = ThreadingMixIn.process_request
+
+    def counting(self, request, client_address):
+        count[0] += 1  # the accept loop runs on one thread
+        original(self, request, client_address)
+
+    monkeypatch.setattr(ThreadingMixIn, "process_request", counting)
+    return count
 
 
 @pytest.fixture

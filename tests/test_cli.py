@@ -138,6 +138,7 @@ def test_advance_on_a_state_dir_with_a_bad_pending_time_exits_1(run, tmp_path, k
         (lambda chain: chain["pending"][0].update(kind="bogus"), "advance", None),
         (lambda chain: chain["pending"][0].update(share_text=None), "advance", None),
         (lambda chain: chain["pending"][1].update(collaborator=None), "advance", None),
+        (lambda chain: chain["pending"][1].update(collaborator=""), "advance", None),
         (lambda chain: chain["pending"][0].update(seq="0"), "advance", None),
         (lambda chain: chain["pending"][1].update(seq=0), "advance", None),
         (lambda chain: chain["pending"][1].update(tx_id="tx-000000"), "advance", None),
@@ -145,9 +146,9 @@ def test_advance_on_a_state_dir_with_a_bad_pending_time_exits_1(run, tmp_path, k
         (lambda chain: chain.update(next_seq=0), "grant", 14.0),
         (lambda chain: chain.update(next_seq=2.0), "grant", None),
     ],
-    ids=["unknown-kind", "register-without-share", "grant-without-collaborator", "seq-not-an-int",
-         "seq-repeats", "tx-id-repeats", "next-seq-below-pending", "next-seq-below-pending-constant-delay",
-         "next-seq-not-an-int"],
+    ids=["unknown-kind", "register-without-share", "grant-without-collaborator", "grant-to-empty-collaborator",
+         "seq-not-an-int", "seq-repeats", "tx-id-repeats", "next-seq-below-pending",
+         "next-seq-below-pending-constant-delay", "next-seq-not-an-int"],
 )
 def test_a_state_dir_with_a_pending_tx_it_cannot_settle_or_number_exits_1(run, tmp_path, damage, command, delay_s):
     """Each pending transaction needs a known kind with its field, and a seq and tx_id of its own below next_seq."""

@@ -11,7 +11,6 @@ import tracemalloc
 import urllib.error
 import urllib.parse
 import urllib.request
-from socketserver import ThreadingMixIn
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -449,20 +448,6 @@ def test_http_non_object_bodies_and_non_string_fields_are_400(server):
 # -- connection behaviour --------------------------------------------------------
 
 
-@pytest.fixture
-def accepts(monkeypatch):
-    """Count the connections every server accepts, seen from the server side."""
-    count = [0]
-    original = ThreadingMixIn.process_request
-
-    def counting(self, request, client_address):
-        count[0] += 1  # the accept loop runs on one thread
-        original(self, request, client_address)
-
-    monkeypatch.setattr(ThreadingMixIn, "process_request", counting)
-    return count
-
-
 def _host_port(url: str) -> tuple[str, int]:
     parts = urllib.parse.urlsplit(url)
     return parts.hostname, parts.port
@@ -770,7 +755,7 @@ def test_an_error_in_the_work_propagates_as_itself_and_the_next_call_reconnects(
             with pytest.raises(type(error)) as raised:
                 client.fetch_share_while("repo", work)
             assert raised.value is error
-            assert client.fetch_share("repo") == "02bb"  # the first reply was left unread with its connection
+            assert client.fetch_share("repo") == "02bb"  # the server closed the first connection after its reply
         finally:
             client.close()
     assert len(accepted) == 2
@@ -844,41 +829,22 @@ def test_the_work_runs_once_when_the_request_cannot_be_sent(call):
     assert calls == [1]
 
 
-class _RecordingCache(ShareCache):
-    """A share cache that records the stores and evictions it applies."""
-
-    def __init__(self):
-        super().__init__()
-        self.applied = []
-
-    def store_share(self, repo, share_text):
-        super().store_share(repo, share_text)
-        self.applied.append(("store", repo))
-
-    def evict(self, repo):
-        super().evict(repo)
-        self.applied.append(("evict", repo))
-
-
-def test_a_store_whose_work_fails_is_answered_then_evicted_before_the_error_propagates():
-    error = OSError(28, "no space left on device")
+def test_a_fetch_whose_work_fails_reads_its_reply_so_the_next_call_reuses_the_connection(server, accepts):
+    error = OSError(5, "blob read failed")
 
     def work() -> None:
         raise error
 
-    server = MiddlemanServer(_RecordingCache(), port=0).start()
+    server.cache.store_share("repo", "02aa")
     client = HttpShareCache(server.url, timeout_s=2)
     try:
         with pytest.raises(OSError) as raised:
-            client.store_share_while("repo", "02aa", work)
+            client.fetch_share_while("repo", work)
         assert raised.value is error
-        assert server.cache.applied == [("store", "repo"), ("evict", "repo")]
-        assert server.cache.live_shares() == {}
-        client.store_share("other", "02bb")  # the connection is still in step
-        assert client.fetch_share("other") == "02bb"
+        assert client.fetch_share("repo") == "02aa"
     finally:
         client.close()
-        server.stop()
+    assert accepts[0] == 1
 
 
 def test_the_in_process_cache_runs_the_work_first():

@@ -363,20 +363,22 @@ def test_failed_middleman_blocks_registration(make_world):
     assert world.chain.registered_owner(Cid.of(b"unlucky").text) is None
 
 
+class _BrokenChain:
+    """A chain whose registration submit fails; every other call reaches `inner`."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def submit_register(self, sender, repo, share_text):
+        raise RuntimeError("mempool rejected the transaction")
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
 def test_failed_submission_evicts_middleman_entry(make_world):
     world = make_world()
-
-    class BrokenChain:
-        def __init__(self, inner):
-            self._inner = inner
-
-        def submit_register(self, sender, repo, share_text):
-            raise RuntimeError("mempool rejected the transaction")
-
-        def __getattr__(self, name):
-            return getattr(self._inner, name)
-
-    world.client.chain = BrokenChain(world.chain)
+    world.client.chain = _BrokenChain(world.chain)
     blob = b"evict me"
     with pytest.raises(RuntimeError):
         world.client.push(blob, world.owner)
@@ -384,46 +386,87 @@ def test_failed_submission_evicts_middleman_entry(make_world):
     assert world.chain.pending_count() == 0
 
 
+def test_a_failed_submission_propagates_as_itself_when_the_middleman_cannot_evict(make_world):
+    world = make_world()
+    server = MiddlemanServer(port=0).start()
+
+    class ChainThatOutlivesTheMiddleman(_BrokenChain):
+        def submit_register(self, sender, repo, share_text):
+            server.stop()  # the share is stored; the eviction will find no middleman
+            super().submit_register(sender, repo, share_text)
+
+    world.client.chain = ChainThatOutlivesTheMiddleman(world.chain)
+    world.client.middleman = HttpShareCache(server.url, timeout_s=2)
+    try:
+        with pytest.raises(RuntimeError, match="mempool rejected"):
+            world.client.push(b"not masked", world.owner)
+    finally:
+        world.client.middleman.close()
+        server.stop()
+    assert len(server.cache.live_shares()) == 1  # unevicted: it lives until its TTL
+
+
 # -- a failed push over HTTP, where the blob write and the share store overlap ------------
 
 
-class _SeenCache(ShareCache):
-    """A server's share cache that signals when a store has been applied."""
+class _RecordingCache(ShareCache):
+    """A server's share cache that records the stores and evictions it applies, or refuses every store."""
 
     def __init__(self, refuse: bool = False):
         super().__init__()
-        self.stored = threading.Event()
+        self.applied = []
         self.refuse = refuse
 
     def store_share(self, repo, share_text):
         if self.refuse:
             raise ValueError("refused")  # the server answers 400
         super().store_share(repo, share_text)
-        self.stored.set()
+        self.applied.append(("store", repo))
+
+    def evict(self, repo):
+        super().evict(repo)
+        self.applied.append(("evict", repo))
 
 
 @pytest.mark.parametrize("size", [64, MANY_PIECES], ids=["one-piece", "many-pieces"])
-def test_a_push_whose_blob_write_fails_at_commit_leaves_nothing_over_http(make_world, full_disk, size):
+def test_a_push_whose_blob_write_fails_at_commit_leaves_nothing_over_http(make_world, full_disk, accepts, size):
     world = make_world()
-    server = MiddlemanServer(_SeenCache(), port=0).start()
+    server = MiddlemanServer(_RecordingCache(), port=0).start()
     world.client.middleman = HttpShareCache(server.url, timeout_s=2)
     try:
         with full_disk(room=size), pytest.raises(OSError) as failure:  # the disk fills at the tag
             world.client.push(random.Random(13).randbytes(size), world.owner)
         assert failure.value.errno == errno.ENOSPC
-        assert server.cache.stored.wait(5)  # the share store reached the middleman
-        assert server.cache.live_shares() == {}
     finally:
         world.client.middleman.close()
         server.stop()
+    (_, repo), _ = server.cache.applied
+    assert server.cache.applied == [("store", repo), ("evict", repo)]
+    assert accepts[0] == 1  # on one connection, so the eviction could not overtake the store
     assert not any(p.is_file() for p in world.cas.root.rglob("*"))
     assert world.chain.pending_count() == 0
+
+
+def test_a_push_whose_submission_fails_stores_then_evicts_its_share_on_one_connection(make_world, accepts):
+    world = make_world()
+    world.client.chain = _BrokenChain(world.chain)
+    server = MiddlemanServer(_RecordingCache(), port=0).start()
+    world.client.middleman = HttpShareCache(server.url, timeout_s=2)
+    try:
+        with pytest.raises(RuntimeError):
+            world.client.push(b"undone", world.owner)
+    finally:
+        world.client.middleman.close()
+        server.stop()
+    (_, repo), _ = server.cache.applied
+    assert server.cache.applied == [("store", repo), ("evict", repo)]
+    assert accepts[0] == 1
 
 
 @pytest.mark.parametrize("fault", ["refused", "down"])
 def test_a_push_whose_share_store_fails_keeps_the_blob_over_http(make_world, fault):
     world = make_world()
-    server = MiddlemanServer(_SeenCache(refuse=fault == "refused"), port=0).start()
+    server = MiddlemanServer(_RecordingCache(refuse=fault == "refused"), port=0).start()
     if fault == "down":
         server.stop()
     world.client.middleman = HttpShareCache(server.url, timeout_s=2)
