@@ -3,27 +3,30 @@
 Blobs live on disk under their SHA-256 digest (`<root>/<first 2 hex>/<digest>`),
 so identical content is stored once, and every fetched blob is re-hashed
 against its address as it is read. A store takes two steps. `stage` hashes
-the blob in one pass and so learns its address; as it goes, it writes into a
-`.tmp-<pid>-<n>` file in the store root every piece that cannot wait (one
-whose buffer the next piece reuses). `commit` writes what waited and renames
-the temp file into place, so a caller can address a blob first and put the
-file create, write and rename beside other work. `store` is the two at once.
-A fetch hands the blob out as `FetchedPieces`, the mirror of what a store
-takes: the blob is read and hashed a piece at a time as its consumer draws
-it. One rule places the hash (see `_hash_worker`): a blob of one piece, or
-any blob in a process allowed one CPU, is hashed inline and fetched through a
-ring of one buffer; any other is hashed on the hash worker while the caller
-seals and writes, or reads into a ring of up to RING buffers and decrypts,
-the next piece, so a fetch holds at most RING pieces (3 MiB) at once. The
-digest is compared only after every piece has been hashed. Store and fetch
-each carry an independent linear delay (fixed overhead plus a per-megabyte
-term) charged to the configured clock by `stage` and by `fetch`, so a
-benchmark can model remote-gateway transfer times on a virtual clock.
+the blob in one pass and so learns its address, writing it as it goes into a
+`.tmp-<pid>-<n>` file in the store root; `commit` writes the last piece and
+renames the temp file into place, so a caller can address a blob first and
+put the file create, write and rename beside other work. `store` is the two
+at once. A fetch hands the blob out as `FetchedPieces`, the mirror of what a
+store takes: the blob is read and hashed a piece at a time as its consumer
+draws it, and the digest is compared only after every piece has been hashed.
+
+One rule governs every buffer of the pipeline, both ways: a piece stays
+intact until the piece after next is drawn. `envelope.SealedPieces` keeps it
+by sealing into two buffers in turn, and a fetch by reading into two. So a
+stage writes each piece once the next has been drawn and holds only the last
+for `commit`, a fetch's consumer may still be working on one piece while it
+draws the next, and the hash may run one piece behind (see `_hash_worker`
+for where it runs). A fetch holds at most two pieces (2 MiB) at once.
+
+Store and fetch each carry an independent linear delay (fixed overhead plus
+a per-megabyte term) charged to the configured clock by `stage` and by
+`fetch`, so a benchmark can model remote-gateway transfer times on a virtual
+clock.
 """
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import hashlib
 import itertools
@@ -39,7 +42,6 @@ from .clock import Clock, RealClock
 BYTES_PER_MB = 1_000_000
 CID_PREFIX = "sha256:"
 PIECE = 1 << 20  # stored bytes a fetch reads and hashes per piece
-RING = 3  # buffers a fetch of many pieces reads into in turn
 
 
 class NotFoundError(KeyError):
@@ -174,35 +176,33 @@ def _hash_worker(size: int):
 
 
 class _HashBehind:
-    """SHA-256 of a blob's pieces, run on the hash `worker` at most `depth` pieces behind.
+    """SHA-256 of a blob's pieces, run one piece behind on the hash `worker`.
 
-    `update` returns once every piece but the last `depth` given has been
-    hashed, so a piece's buffer may be reused after `depth` more updates.
-    `digest` waits for every piece; `close` waits for every piece without
-    reading the digest, so that a caller that stops early can free its
-    buffers. With no worker (None), `update` hashes the piece itself, so
-    nothing is ever pending.
+    `update` returns once every piece but the last given has been hashed, so
+    a piece's buffer may be reused after one more update. `digest` waits for
+    every piece; `close` waits for every piece without reading the digest, so
+    that a caller that stops early can free its buffers. With no worker
+    (None), `update` hashes the piece itself, so nothing is ever pending.
     """
 
-    __slots__ = ("_worker", "_hasher", "_depth", "_pending")
+    __slots__ = ("_worker", "_hasher", "_pending")
 
-    def __init__(self, worker, depth: int):
+    def __init__(self, worker):
         self._worker = worker
         self._hasher = hashlib.sha256()
-        self._depth = depth
-        self._pending = collections.deque()
+        self._pending = []  # at most two jobs, and one between calls
 
     def update(self, piece) -> None:
         if self._worker is None:
             self._hasher.update(piece)
             return
         self._pending.append(self._worker.submit(self._hasher.update, piece))
-        if len(self._pending) > self._depth:
-            self._pending.popleft().result()
+        if len(self._pending) > 1:
+            self._pending.pop(0).result()
 
     def digest(self) -> bytes:
         while self._pending:
-            self._pending.popleft().result()
+            self._pending.pop().result()
         return self._hasher.digest()
 
     def close(self) -> None:
@@ -215,19 +215,16 @@ class StagedBlob:
     """A blob hashed and addressed by `BlobStore.stage`, and stored at `commit`.
 
     `cid` is known once `stage` returns. Each piece is hashed as it is drawn
-    by a `_HashBehind` one piece behind: inline with no `worker`, or on the
-    hash worker while this thread writes the piece and draws the next, so
-    the source must keep each piece intact until the piece after next is
-    drawn, as `envelope.SealedPieces` does. Every hash has finished before
-    `stage` returns or raises. A mutable piece, such as a view of one of
-    `SealedPieces`' two buffers, is written to a temp file in the store root
-    before the next piece is drawn. An immutable `bytes` piece waits: it is
-    written once the next piece has been drawn, or at `commit` if it is the
-    last. The temp file is created at the first write, so a blob that
-    arrives as one `bytes` piece (any sealed blob of at most 1 MiB) touches
-    the disk only at `commit`.
+    by a `_HashBehind`, inline with no `worker` or one piece behind on it,
+    and written to a temp file in the store root once the next piece has
+    been drawn; the last piece is held for `commit`. So the source must keep
+    each piece intact until the piece after next is drawn (the rule of this
+    module), and the last until `commit`. Every hash has finished before
+    `stage` returns or raises. The temp file is created at the first write,
+    so a blob of one piece (any sealed blob of at most 1 MiB) touches the
+    disk only at `commit`.
 
-    `commit` writes what waits and renames the temp file onto the blob's
+    `commit` writes the last piece and renames the temp file onto the blob's
     address. A blob already stored there has the same bytes, so renaming
     over it keeps one copy per address (and replaces a copy damaged on disk).
     A stage or commit that fails part-way leaves no temp file, and used as a
@@ -240,20 +237,16 @@ class StagedBlob:
         self._store = store
         self._fd: int | None = None
         self._tmp: str | None = None
-        self._held: bytes | None = b""  # None once committed or discarded
-        hasher = _HashBehind(worker, 1)
+        self._held = b""  # the piece drawn last; None once committed or discarded
+        hasher = _HashBehind(worker)
         size = 0
         try:
             for piece in pieces:
                 if self._held:
-                    self._write(self._held)
-                    self._held = b""
+                    self._write(self._held)  # the piece before this one, intact until the next is drawn
                 hasher.update(piece)
                 size += len(piece)
-                if isinstance(piece, bytes):
-                    self._held = piece
-                else:
-                    self._write(piece)  # the next piece may reuse its buffer
+                self._held = piece
             self.cid = Cid(hasher.digest())
             store.clock.sleep(store.store_profile.delay_for(size))
         except BaseException:
@@ -267,7 +260,7 @@ class StagedBlob:
         _write_all(self._fd, data)
 
     def commit(self) -> None:
-        """Write what waits, then rename the temp file onto the blob's address."""
+        """Write the last piece, then rename the temp file onto the blob's address."""
         if self._held is None:
             raise ValueError(f"{self.cid.text} was already committed or discarded")
         try:
@@ -305,85 +298,83 @@ class StagedBlob:
             self._discard()
 
 
+def _read(path: str, cid: Cid, size: int) -> Generator[memoryview, None, None]:
+    """The pieces of the blob at `path`, then the check of their digest against `cid`.
+
+    A function, not a method: the generator that a `FetchedPieces` holds must
+    not hold the `FetchedPieces` in turn, or the two would form a cycle that
+    keeps the file open until the garbage collector runs.
+    """
+    hasher = _HashBehind(_hash_worker(size))
+    buf = memoryview(bytearray(min(size, PIECE)))
+    other = memoryview(bytearray(min(size - PIECE, PIECE))) if size > PIECE else buf
+    remaining = size
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except FileNotFoundError:
+        raise NotFoundError(f"no blob stored under {cid.text}") from None
+    try:
+        while remaining:
+            n = os.readv(fd, [buf[:remaining]])
+            if not n:
+                break
+            piece = buf[:n]
+            hasher.update(piece)
+            remaining -= n
+            yield piece
+            buf, other = other, buf  # next into the piece before this one, whose hash has finished
+        digest = hasher.digest()
+    finally:
+        hasher.close()  # an early exit, too, waits for the hash still reading a buffer
+        os.close(fd)
+    if digest != cid.digest:
+        raise CorruptBlobError(f"stored blob does not hash to {cid.text}")
+
+
 class FetchedPieces:
     """A fetched blob, handed out piece by piece and checked against its CID.
 
-    `len()` is the blob's size when it was fetched. The file is opened when
-    iteration starts, or at `start`, and read a piece of at most PIECE bytes
-    at a time into a ring of buffers. A consumer must be done with a piece,
-    or have copied it, before it draws the next. A blob of one piece, or any
-    blob in a process allowed one CPU, has a ring of one buffer and is
-    hashed inline; any other has up to RING buffers and is hashed on the
-    hash worker while the consumer works on the piece. A buffer is read into
-    again only after its piece's hash has finished. The file is read up to
-    the fetched size, every hash finishes, the file is closed, and only
-    then is the digest compared: an iteration that ends without
+    `len()` is the blob's size when it was fetched. The pieces come from one
+    read, made with the fetch, so they are iterated once: a second iteration
+    goes on where the first stopped. The file is opened at the first draw
+    and read a piece of at most PIECE bytes at a time; a blob of more than
+    one piece is read into two buffers in turn, which keeps the rule of this
+    module, and hashed where `_hash_worker` says. The file is read
+    up to the fetched size, every hash finishes, the file is closed, and
+    only then is the digest compared: an iteration that ends without
     `CorruptBlobError` has yielded exactly the bytes stored under the CID.
     However iteration ends, including by a consumer that stops early, every
     hash finishes before the file is closed and the buffers are let go.
 
     `start` draws the first piece at once, so that its read and hash can run
-    while the caller waits on something else; the next iteration begins with
-    that piece, and a started read is iterated once. Used as a context
-    manager, the pieces close a started read however the block ends.
+    while the caller waits on something else; iteration begins with that
+    piece. Used as a context manager, the pieces close the read however the
+    block ends.
     """
 
-    __slots__ = ("_path", "_cid", "_size", "_started")
+    __slots__ = ("_size", "_pieces", "_first")
 
     def __init__(self, path: str, cid: Cid, size: int):
-        self._path = path
-        self._cid = cid
         self._size = size
-        self._started: tuple[tuple, Generator] | None = None
+        self._pieces = _read(path, cid, size)
+        self._first: tuple = ()
 
     def __len__(self) -> int:
         return self._size
 
     def start(self) -> None:
         """Open the file, and read and hash the first piece."""
-        pieces = self._read()
-        self._started = (tuple(itertools.islice(pieces, 1)), pieces)
+        self._first = tuple(itertools.islice(self._pieces, 1))
 
     def __enter__(self) -> "FetchedPieces":
         return self
 
     def __exit__(self, *exc_info) -> None:
-        if self._started is not None:
-            self._started[1].close()  # a no-op once the read has ended
+        self._pieces.close()  # a no-op once the read has ended
 
     def __iter__(self) -> Iterator[memoryview]:
-        if self._started is None:
-            return self._read()
-        first, pieces = self._started
-        return itertools.chain(first, pieces)
-
-    def _read(self) -> Generator[memoryview, None, None]:
-        worker = _hash_worker(self._size)
-        pieces = 1 if worker is None else min(RING, -(-self._size // PIECE))
-        ring = [memoryview(bytearray(min(self._size, PIECE))) for _ in range(pieces)]
-        hasher = _HashBehind(worker, len(ring) - 1)  # so a buffer's hash is done before it comes round
-        bufs = itertools.cycle(ring)
-        remaining = self._size
-        try:
-            fd = os.open(self._path, os.O_RDONLY)
-        except FileNotFoundError:
-            raise NotFoundError(f"no blob stored under {self._cid.text}") from None
-        try:
-            while remaining:
-                buf = next(bufs)
-                n = os.readv(fd, [buf[:remaining]])
-                if not n:
-                    break
-                piece = buf[:n]
-                hasher.update(piece)
-                remaining -= n
-                yield piece
-            digest = hasher.digest()
-        finally:
-            hasher.close()  # an early exit, too, waits for the hashes still reading the ring
-            os.close(fd)
-        if digest != self._cid.digest:
-            raise CorruptBlobError(f"stored blob does not hash to {self._cid.text}")
+        first, self._first = self._first, ()
+        return itertools.chain(first, self._pieces)
 
 
 class BlobStore:
@@ -407,14 +398,13 @@ class BlobStore:
         return f"{self.root}/{hexd[:2]}/{hexd}"
 
     def stage(self, blob: bytes | Iterable) -> StagedBlob:
-        """Hash the blob, write what cannot wait, and charge the modeled upload delay.
+        """Hash the blob, write all but its last piece, and charge the modeled upload delay.
 
-        `blob` is bytes or an iterable of bytes-like pieces, such as
-        `envelope.SealedPieces`. A sized iterable's `len()` is its size in
-        bytes; one of more than PIECE bytes is hashed on the hash worker
-        (see `_hash_worker`), so it must keep each piece intact until the
-        piece after next is drawn. The blob is stored at the returned blob's
-        `commit` (see `StagedBlob`).
+        `blob` is bytes or an iterable of bytes-like pieces that keeps the
+        rule of this module, such as `envelope.SealedPieces`. A sized
+        iterable's `len()` is its size in bytes, from which `_hash_worker`
+        places the hash. The blob is stored at the returned blob's `commit`
+        (see `StagedBlob`).
         """
         if isinstance(blob, (bytes, bytearray, memoryview)):
             return StagedBlob(self, (blob,))

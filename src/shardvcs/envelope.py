@@ -63,13 +63,10 @@ class SealedPieces:
     `len()` is the sealed length. Iterating yields the ciphertext in pieces of
     at most CHUNK bytes from one incremental AES-GCM context, then the 16-byte
     tag; joined, the pieces equal `seal(plaintext, secret)`. The ciphertext
-    pieces are views of two buffers taken in turn, so a piece stays intact
-    until the piece after next is drawn: a consumer may still be reading
-    one piece (hashing it on another thread, say) while it draws the next,
-    but must be done with it, or have copied it, before it draws the one
-    after. A plaintext of at most CHUNK bytes is sealed in one call and
-    yielded whole, because the incremental context costs more to set up than
-    one piece saves.
+    pieces are views of two buffers taken in turn, which keeps the buffer
+    rule stated in `cas`. A sealed form of at most CHUNK bytes is sealed in
+    one call and yielded whole, because the incremental context costs more to
+    set up than one piece saves; it is then one piece to the store as well.
     """
 
     def __init__(self, plaintext: bytes, secret: bytes):
@@ -80,7 +77,7 @@ class SealedPieces:
         return len(self._plaintext) + TAG_LEN
 
     def __iter__(self) -> Iterator[bytes | memoryview]:
-        if len(self._plaintext) <= CHUNK:
+        if len(self) <= CHUNK:
             yield AESGCM(self._key).encrypt(self._iv, self._plaintext, None)
             return
         encryptor = Cipher(algorithms.AES(self._key), modes.GCM(self._iv)).encryptor()

@@ -304,6 +304,8 @@ class SimulatedChain:
             if extra:
                 self._collaborators[repo] = extra
         self._shares = dict(state["shares"])
+        if self._shares.keys() != self._owners.keys() or not all(isinstance(s, str) for s in self._shares.values()):
+            raise ValueError("shares must hold one string share for each registered repo and for no other")
         pending = state["pending"]
         for p in pending:
             for key in ("due_at", "submitted_at"):

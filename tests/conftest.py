@@ -14,7 +14,6 @@ import shardvcs.cas
 from shardvcs import (
     Address,
     BlobStore,
-    ChainConfig,
     Client,
     HarnessConfig,
     LatencyProfile,
@@ -53,7 +52,7 @@ class World:
 
 @pytest.fixture
 def make_world(tmp_path):
-    """Factory for a fully wired virtual-clock deployment."""
+    """Factory for a fully wired virtual-clock deployment, built as the CLI and the bench build theirs."""
 
     counter = [0]
 
@@ -65,13 +64,18 @@ def make_world(tmp_path):
         ttl_s: float = 24 * 3600.0,
     ) -> World:
         counter[0] += 1
-        clock = VirtualClock()
         rng = random.Random(seed)
-        cas = BlobStore(tmp_path / f"cas{counter[0]}", store_profile, fetch_profile, clock)
-        cache = ShareCache(ttl_s=ttl_s, clock=clock)
-        chain = SimulatedChain(ChainConfig.constant(delay_s), clock, rng=rng)
-        client = Client(cas, chain, cache, clock=clock, rng=rng)
-        return World(clock, cas, cache, chain, client, rng, Address.from_label("owner"))
+        cfg = HarnessConfig(
+            store_fixed_s=store_profile.fixed_overhead_s,
+            store_per_mb_s=store_profile.per_mb_s,
+            fetch_fixed_s=fetch_profile.fixed_overhead_s,
+            fetch_per_mb_s=fetch_profile.per_mb_s,
+            confirmation_delay_min_s=delay_s,  # equal bounds draw nothing from the rng
+            confirmation_delay_max_s=delay_s,
+            middleman_ttl_s=ttl_s,
+        )
+        client = cfg.client(tmp_path / f"cas{counter[0]}", rng=rng)
+        return World(client.clock, client.cas, client.middleman, client.chain, client, rng, Address.from_label("owner"))
 
     return build
 

@@ -295,6 +295,18 @@ def test_a_fetch_of_many_pieces_charges_its_delay_at_the_call_and_checks_the_has
     assert len(drawn) == len(lengths)  # every piece was read before the digest was compared
 
 
+@pytest.mark.parametrize("started", [False, True], ids=["drawn", "started"])
+@pytest.mark.parametrize("size", [1000, MANY_PIECES], ids=["one-piece", "many-pieces"])
+def test_a_second_iteration_of_a_fetch_yields_nothing(tmp_path, size, started):
+    store = BlobStore(tmp_path)
+    blob = random.Random(18).randbytes(size)
+    fetched = store.fetch(store.store(blob))
+    if started:
+        fetched.start()
+    assert _joined(fetched) == blob
+    assert list(fetched) == []  # not the started first piece, whose buffer was read into again
+
+
 @pytest.mark.parametrize("size", [1000, MANY_PIECES], ids=["one-piece", "many-pieces"])
 def test_a_blob_deleted_after_its_fetch_is_not_found_when_drawn(tmp_path, size):
     store = BlobStore(tmp_path)
@@ -367,15 +379,23 @@ def test_a_one_piece_stage_leaves_the_store_root_empty_until_commit(tmp_path):
         staged.commit()  # a staged blob commits once
 
 
-def test_a_stage_writes_mutable_pieces_at_once_and_the_last_bytes_piece_at_commit(tmp_path):
+def test_a_stage_writes_each_piece_once_the_next_is_drawn_and_the_last_at_commit(tmp_path):
     store = BlobStore(tmp_path)
-    buf = bytearray(b"a" * 30)
-    with store.stage([buf, b"b" * 20, b"c" * 10]) as staged:
-        buf[:] = b"z" * 30  # a mutable piece was written before the next was drawn
+    pieces = [bytearray(b"a" * 30), b"b" * 20, bytearray(b"c" * 10)]
+    on_disk_at_each_draw = []
+
+    def source():
+        for piece in pieces:
+            on_disk_at_each_draw.append(b"".join(p.read_bytes() for p in tmp_path.iterdir()))
+            yield piece
+
+    with store.stage(source()) as staged:
+        assert on_disk_at_each_draw == [b"", b"", b"a" * 30]
         (tmp,) = tmp_path.iterdir()
         assert tmp.name.startswith(".tmp-") and tmp.read_bytes() == b"a" * 30 + b"b" * 20
         staged.commit()
     assert _files(tmp_path) == [Cid.of(b"a" * 30 + b"b" * 20 + b"c" * 10).digest.hex()]
+    assert _joined(store.fetch(staged.cid)) == b"a" * 30 + b"b" * 20 + b"c" * 10
 
 
 @pytest.mark.parametrize(
@@ -435,6 +455,20 @@ def test_only_a_blob_of_many_pieces_in_a_process_with_two_cpus_is_hashed_on_the_
     assert worker is not None and cas._hash_worker(THREE_PIECES) is worker  # one worker per process
     monkeypatch.setattr(cas, "_cpus", lambda: 1)
     assert cas._hash_worker(THREE_PIECES) is None
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["one-cpu", "two-cpus"])
+def test_a_fetched_piece_stays_intact_until_the_piece_after_next_is_drawn(tmp_path, monkeypatch, cpus):
+    monkeypatch.setattr(cas, "_cpus", lambda: cpus)
+    store = BlobStore(tmp_path)
+    blob = random.Random(17).randbytes(THREE_PIECES)
+    cid = store.store(blob)
+    previous = None
+    for i, piece in enumerate(store.fetch(cid)):
+        if previous is not None:  # still held while this piece is drawn
+            assert previous == blob[(i - 1) * cas.PIECE : i * cas.PIECE]
+        previous = piece
+    assert i == 3 and previous == blob[3 * cas.PIECE :]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

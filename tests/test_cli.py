@@ -177,6 +177,33 @@ def test_a_state_dir_with_a_pending_tx_it_cannot_settle_or_number_exits_1(run, t
     assert (state_file.read_bytes(), log_file.read_bytes()) == before
 
 
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda shares, cid: shares.pop(cid),
+        lambda shares, cid: shares.update({cid: 7}),
+        lambda shares, cid: shares.update({"sha256:" + "0" * 64: shares[cid]}),
+    ],
+    ids=["owner-without-share", "share-not-a-string", "share-without-owner"],
+)
+def test_a_state_dir_whose_shares_do_not_match_its_owners_exits_1(run, tmp_path, damage):
+    """Each registered repo keeps one string share on-chain, and no other repo keeps one."""
+    state = tmp_path / "state"
+    cid, share = push_file(run, tmp_path, state)
+    assert run("advance", "20", "--state-dir", str(state))[0] == 0  # the registration confirms
+    state_file, log_file = state / "chain.json", state / "receipts.jsonl"
+    saved = json.loads(state_file.read_text())
+    damage(saved["chain"]["shares"], cid)
+    state_file.write_text(json.dumps(saved))
+    before = state_file.read_bytes(), log_file.read_bytes()
+    out = tmp_path / "out.bin"
+    rc, stdout, err = run("pull", cid, "--as", "alice", "--share", share, "--out", str(out), "--state-dir", str(state))
+    assert (rc, stdout) == (1, "")
+    assert err.startswith(f"usage error: {state_file}: unreadable state (ValueError: shares ") and "Traceback" not in err
+    assert (state_file.read_bytes(), log_file.read_bytes()) == before
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("next_seq", [0, 1])
 def test_a_next_seq_at_or_below_a_settled_seq_exits_1(run, tmp_path, next_seq):
     """A tx number already settled and logged is never issued again, so the log names each tx once."""

@@ -274,7 +274,7 @@ def test_pull_of_many_pieces_detects_a_forged_held_share(make_world):
 
 def test_a_pull_peaks_at_about_three_pieces_beyond_the_plaintext(make_world, slow_hash_worker):
     # Holding the sealed blob and the plaintext together would peak at twice the blob.
-    # The pull reads into a ring of three pieces while the worker hashes them.
+    # The pull reads into two buffers in turn while the worker hashes them.
     world = make_world()
     body = random.Random(8).randbytes(8 << 20)
     result = world.client.push(body, world.owner)
