@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
 from .cas import LatencyProfile
-from .ledger import Address
+from .ledger import CONFIRMED, Address
 from .protocol import PULL_PHASES, PUSH_PHASES, Client
 
 if TYPE_CHECKING:
@@ -61,12 +61,6 @@ class ReferenceTable:
 
     rows: tuple[ReferenceRow, ...]
 
-    def sizes(self) -> list[int]:
-        return [r.size_mb for r in self.rows]
-
-    def column(self, name: str) -> list[float]:
-        return [getattr(r, name) for r in self.rows]
-
 
 # Published reference means (literature values): sizes 1, 5, 10, 20 MB.
 EMBEDDED_REFERENCE = ReferenceTable(
@@ -97,9 +91,9 @@ def _fit_line(sizes: list[int], times: list[float]) -> tuple[LatencyProfile, tup
 
 def calibrate() -> CalibrationResult:
     """Fit store/fetch latency profiles to the push/pull columns of `EMBEDDED_REFERENCE`."""
-    sizes = EMBEDDED_REFERENCE.sizes()
-    store_profile, push_residuals = _fit_line(sizes, EMBEDDED_REFERENCE.column("system_push_s"))
-    fetch_profile, pull_residuals = _fit_line(sizes, EMBEDDED_REFERENCE.column("system_pull_s"))
+    sizes = [r.size_mb for r in EMBEDDED_REFERENCE.rows]
+    store_profile, push_residuals = _fit_line(sizes, [r.system_push_s for r in EMBEDDED_REFERENCE.rows])
+    fetch_profile, pull_residuals = _fit_line(sizes, [r.system_pull_s for r in EMBEDDED_REFERENCE.rows])
     return CalibrationResult(store_profile, fetch_profile, push_residuals, pull_residuals)
 
 
@@ -220,10 +214,10 @@ def run_push_bench(sizes: list[int], repeats: int, cfg: HarnessConfig, seed: int
         receipt = result.registration
         _sleep_until_due(client, receipt.tx_id, 0.0)
         client.chain.pending_count()  # settles what is due
-        if receipt.status != "confirmed":
+        if receipt.status != CONFIRMED:
             raise BenchError(f"registration {receipt.status}")
         timings = {**result.phases, "confirmation_s": receipt.confirmed_at - receipt.submitted_at}
-        return BenchSample("push", size, rep, result.user_perceived_duration, timings)
+        return BenchSample("push", size, rep, result.user_perceived_s, timings)
 
     return _sweep("push", sample, sizes, repeats, cfg, seed)
 
@@ -247,7 +241,7 @@ def run_pull_bench(
         plaintext, report = client.pull(result.cid, _OWNER, result.owner_share)
         if plaintext != blob:
             raise BenchError("pulled plaintext does not match the pushed bytes")
-        return BenchSample("pull", size, rep, report.total_s, report.phases, report.path_used)
+        return BenchSample("pull", size, rep, report.user_perceived_s, report.phases, report.path_used)
 
     return _sweep("pull", sample, sizes, repeats, cfg, seed)
 

@@ -41,7 +41,7 @@ from .clock import Clock, RealClock
 
 BYTES_PER_MB = 1_000_000
 CID_PREFIX = "sha256:"
-PIECE = 1 << 20  # stored bytes a fetch reads and hashes per piece
+PIECE = 1 << 20  # bytes per piece: sealed by `envelope.SealedPieces`, read and hashed by a fetch
 
 
 class NotFoundError(KeyError):

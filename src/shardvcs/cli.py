@@ -163,7 +163,7 @@ def _cmd_push(args) -> int:
     print(f"cid: {result.cid.text}")
     print(f"owner-share: {result.owner_share.to_text()}")
     print(f"registration: {result.registration.tx_id} {result.registration.status}")
-    print(f"user-perceived-s: {result.user_perceived_duration:.6f}")
+    print(f"user-perceived-s: {result.user_perceived_s:.6f}")
     return EXIT_OK
 
 
@@ -183,7 +183,7 @@ def _cmd_pull(args) -> int:
         sys.stdout.buffer.flush()
     print(
         f"path: {report.path_used}  access-checked: {report.access_checked}"
-        f"  total-s: {report.total_s:.6f}",
+        f"  user-perceived-s: {report.user_perceived_s:.6f}",
         file=sys.stderr,
     )
     return EXIT_OK

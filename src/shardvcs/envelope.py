@@ -4,13 +4,15 @@ A snapshot is sealed under one fresh 44-byte secret: a 32-byte key followed by
 a 12-byte IV. That secret is what the threshold-sharing layer splits; only
 this module knows its key||IV layout. GCM's 16-byte tag is the integrity
 backstop for the whole pipeline: plain secret sharing cannot detect a forged
-share, but a wrong reconstructed secret fails authentication here.
+share, but a wrong reconstructed secret fails authentication here. So does the
+secret a stranger rebuilds from the public on-chain share and the middleman's
+copy, which `protocol` masks with a pad only the owner's share makes.
 
-A push seals through `SealedPieces`, which produces the sealed form a piece
-at a time while its consumer hashes and writes it, so no second full-size
-copy of a snapshot is ever built. `seal` gives the same bytes in one call.
-A pull opens the sealed form the same way: `unseal` takes the pieces a
-fetch hands out and decrypts each one as it arrives.
+A push seals through `SealedPieces`, which produces the sealed form a piece of
+`cas.PIECE` bytes at a time while its consumer hashes and writes it, so no
+second full-size copy of a snapshot is ever built. `seal` gives the same bytes
+in one call. A pull opens the sealed form the same way: `unseal` takes the
+pieces a fetch hands out and decrypts each one as it arrives.
 """
 
 from __future__ import annotations
@@ -23,11 +25,12 @@ from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
+from .cas import PIECE
+
 KEY_LEN = 32
 IV_LEN = 12
 SECRET_LEN = KEY_LEN + IV_LEN
 TAG_LEN = 16
-CHUNK = 1 << 20  # plaintext bytes sealed per piece
 
 _SYSTEM_RNG = random.SystemRandom()
 
@@ -61,12 +64,13 @@ class SealedPieces:
     """The sealed form of `plaintext`, made piece by piece as it is iterated.
 
     `len()` is the sealed length. Iterating yields the ciphertext in pieces of
-    at most CHUNK bytes from one incremental AES-GCM context, then the 16-byte
-    tag; joined, the pieces equal `seal(plaintext, secret)`. The ciphertext
-    pieces are views of two buffers taken in turn, which keeps the buffer
-    rule stated in `cas`. A sealed form of at most CHUNK bytes is sealed in
-    one call and yielded whole, because the incremental context costs more to
-    set up than one piece saves; it is then one piece to the store as well.
+    at most `cas.PIECE` bytes from one incremental AES-GCM context, then the
+    16-byte tag; joined, the pieces equal `seal(plaintext, secret)`. The
+    ciphertext pieces are views of two buffers taken in turn, which keeps the
+    buffer rule stated in `cas`. A sealed form of at most PIECE bytes is
+    sealed in one call and yielded whole, because the incremental context
+    costs more to set up than one piece saves; it is one piece to the store
+    as well.
     """
 
     def __init__(self, plaintext: bytes, secret: bytes):
@@ -77,15 +81,15 @@ class SealedPieces:
         return len(self._plaintext) + TAG_LEN
 
     def __iter__(self) -> Iterator[bytes | memoryview]:
-        if len(self) <= CHUNK:
+        if len(self) <= PIECE:
             yield AESGCM(self._key).encrypt(self._iv, self._plaintext, None)
             return
         encryptor = Cipher(algorithms.AES(self._key), modes.GCM(self._iv)).encryptor()
         # update_into asks for a block less one beyond the input
-        bufs = itertools.cycle([memoryview(bytearray(CHUNK + 15)), memoryview(bytearray(CHUNK + 15))])
+        bufs = itertools.cycle([memoryview(bytearray(PIECE + 15)), memoryview(bytearray(PIECE + 15))])
         plaintext = memoryview(self._plaintext)
-        for start, buf in zip(range(0, len(plaintext), CHUNK), bufs):
-            yield buf[: encryptor.update_into(plaintext[start : start + CHUNK], buf)]
+        for start, buf in zip(range(0, len(plaintext), PIECE), bufs):
+            yield buf[: encryptor.update_into(plaintext[start : start + PIECE], buf)]
         encryptor.finalize()
         yield encryptor.tag
 

@@ -94,10 +94,6 @@ class ChainConfig:
         if self.confirmation_delay_min_s > self.confirmation_delay_max_s:
             raise ValueError("confirmation delay min must not exceed max")
 
-    @classmethod
-    def constant(cls, delay_s: float) -> "ChainConfig":
-        return cls(confirmation_delay_min_s=delay_s, confirmation_delay_max_s=delay_s)
-
 
 @dataclass(slots=True, kw_only=True)
 class TxReceipt:

@@ -2,15 +2,14 @@
 
 Holds at most one key share per repository id for a bounded time, and
 serves it to anyone: fetches carry no access control, so the service stays
-lightweight. Reconstruction needs two shares, so the cached share alone
-reveals nothing about the sealed key. It is not a secret, though, and it is
-not the only share in the open: the registration puts another share on the
-chain, where every chain reader sees it (calldata, then contract storage).
-The cached share and that public one rebuild the key, without the owner's
-share, for as long as the entry lives (the cache TTL, 24 h by default). So
-until the entry expires, a repository is only as confidential as its
-on-chain share; the access check on the chain's view call does not limit
-what a chain reader sees.
+lightweight. A share is opaque text here. The registration puts another
+share on the chain, where every chain reader sees it (calldata, then
+contract storage), so the copy a push caches is masked with a pad that only
+a holder of the owner's share can make (`protocol._mask`). The public
+on-chain share and the cached copy rebuild a wrong key, and only a holder of
+the owner's share can pull through the cache. The entry still lives for the
+cache TTL (24 h by default) after its registration confirms, and the chain's
+access list stays public to every chain reader.
 
 The cache is embeddable in-process (`ShareCache`) and exposable over HTTP
 (`MiddlemanServer`), with a thin client (`HttpShareCache`) presenting the

@@ -5,39 +5,44 @@ blob content-addressed in one pass: the store hashes and writes each sealed
 piece as the envelope produces it (see `cas` for its buffers and where the
 hash runs), and the sealing time falls in the store phase. The blob's
 address is then known. The push splits the secret into threshold shares and
-sends one share to the middleman cache, and while that request is in flight
-it commits the blob (see `StagedBlob.commit`); a commit that fails leaves no
-file. Only after the middleman's reply does the push escrow one share
-on-chain via a registration transaction, and it hands the last share back
-to the owner. If the share store, the commit or the submit fails, the push
-evicts the middleman's share once before its error propagates, so it leaves
-no live share unless the middleman cannot be reached (the share then lives
-until its TTL). A push returns without waiting for the registration to
-confirm; the receipt handle settles later. On a real clock the commit
-counts in `middleman_s`.
+sends one share to the middleman cache, masked with a pad that only a holder
+of the owner's share can make (`_mask`): the middleman's copy and the share
+the registration puts in the open on-chain would otherwise rebuild the
+secret between them. While that request is in flight it commits the blob
+(see `StagedBlob.commit`); a commit that fails leaves no file. Only after
+the middleman's reply does the push escrow one share on-chain via a
+registration transaction, and it hands the last share back to the owner. If
+the share store, the commit or the submit fails, the push evicts the
+middleman's share once before its error propagates, so it leaves no live
+share unless the middleman cannot be reached (the share then lives until its
+TTL). A push returns without waiting for the registration to confirm; the
+receipt handle settles later. On a real clock the commit counts in
+`middleman_s`.
 
-Pull asks the chain once: a confirmed registration returns the on-chain share
-or denies the caller, and a pending or unknown one returns nothing, so the
-pull uses the middleman's copy. It then fetches the blob, which charges the
-modeled download delay and reads nothing yet. On the middleman path it sends
-the share request, reads and hashes the blob's first piece while the request
-is in flight, then reads the reply. Two shares rebuild the secret, and the
-seal is opened in one pass: the store hands the blob out a piece at a time,
-re-hashing each piece against its address as it reads it (see `cas`), and
-the envelope decrypts each piece as it arrives. Every phase is measured on
-the configured clock around its own step, so benchmarks can decompose
-latency; the report lists the phases in `PULL_PHASES` order. On a real
-clock, reading and hashing the first piece of a middleman pull fall in
-`share_fetch_s`, and every other read and hash in `decrypt_s`.
+Pull asks the chain once: a confirmed registration returns the on-chain
+share or denies the caller, and a pending or unknown one returns nothing, so
+the pull uses the middleman's copy. It then fetches the blob, which charges
+the modeled download delay and reads nothing yet. On the middleman path it
+sends the share request, reads and hashes the blob's first piece while the
+request is in flight, then reads the reply, and removes the mask with the
+share it holds. Two shares rebuild the secret, and the seal is opened in one
+pass: the store hands the blob out a piece at a time, re-hashing each piece
+against its address as it reads it (see `cas`), and the envelope decrypts
+each piece as it arrives. Every phase is measured on the configured clock
+around its own step, so benchmarks can decompose latency; the report lists
+the phases in `PULL_PHASES` order. On a real clock, reading and hashing the
+first piece of a middleman pull fall in `share_fetch_s`, and every other
+read and hash in `decrypt_s`.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 from dataclasses import dataclass, field
 
 from . import envelope
-from .cas import BlobStore, Cid, CorruptBlobError, FetchedPieces, StagedBlob
+from .cas import BlobStore, Cid, CorruptBlobError, FetchedPieces
 from .clock import Clock
 from .ledger import Address, SimulatedChain, TxReceipt
 from .sss import DEFAULT_PARAMS, Share, split, combine
@@ -61,17 +66,23 @@ class IntegrityError(ProtocolError):
     """Retrieved data failed authentication or content-address checks."""
 
 
+class _Timed:
+    @property
+    def user_perceived_s(self) -> float:
+        """The foreground time, the sum of `phases`; a registration confirms in the background."""
+        return sum(self.phases.values())
+
+
 @dataclass
-class PushResult:
+class PushResult(_Timed):
     cid: Cid
     owner_share: Share
     registration: TxReceipt
-    user_perceived_duration: float
     phases: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
-class RetrievalReport:
+class RetrievalReport(_Timed):
     path_used: str
     phases: dict[str, float] = field(default_factory=dict)
 
@@ -80,14 +91,17 @@ class RetrievalReport:
         """Whether the chain's access gate ran: it did exactly when its share was used."""
         return self.path_used == ON_CHAIN
 
-    @property
-    def total_s(self) -> float:
-        return sum(self.phases.values())
-
 
 def _phases(names: tuple[str, ...], stamps: list[float]) -> dict[str, float]:
     """Each named phase runs from one clock stamp to the next."""
     return {name: end - start for name, start, end in zip(names, stamps, stamps[1:])}
+
+
+def _mask(share: Share, owner_share: Share, repo: str) -> Share:
+    """`share`'s payload XORed with a pad only the owner's share makes (masking twice unmasks)."""
+    n = len(share.payload)
+    pad = int.from_bytes(hashlib.shake_256(owner_share.payload + repo.encode()).digest(n), "big")
+    return Share(share.index, (int.from_bytes(share.payload, "big") ^ pad).to_bytes(n, "big"))
 
 
 # perfbench's TracedStore and TracedCache, proxies that only a change to the
@@ -97,25 +111,15 @@ def _phases(names: tuple[str, ...], stamps: list[float]) -> dict[str, float]:
 # code path.
 
 
-class _Stored:
-    """A blob that a store without `stage` has stored already; its commit does nothing."""
-
-    def __init__(self, cid: Cid):
-        self.cid = cid
-
-    def commit(self) -> None:
-        pass
-
-    def __enter__(self) -> "_Stored":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        pass
-
-
-def _stage(store, blob) -> StagedBlob | _Stored:
+@contextlib.contextmanager
+def _stage(store, blob):
+    """Yield `(cid, commit)` for `blob`; a blob left uncommitted leaves no temp file."""
     stage = getattr(store, "stage", None)
-    return stage(blob) if stage is not None else _Stored(store.store(blob))
+    if stage is None:
+        yield store.store(blob), lambda: None
+        return
+    with stage(blob) as staged:
+        yield staged.cid, staged.commit
 
 
 def _while(cache, call: str, work, *args):
@@ -158,15 +162,14 @@ class Client:
         sealed = envelope.SealedPieces(repo_bytes, secret)  # sealed as the store draws it
         stamps.append(self.clock.now())
 
-        with _stage(self.cas, sealed) as staged:  # a blob left uncommitted leaves no temp file
+        with _stage(self.cas, sealed) as (cid, commit):
             stamps.append(self.clock.now())
 
-            # Share roles by index: the owner keeps 1, the middleman caches 2, 3 goes on-chain.
+            # Share roles by index: the owner keeps 1, the middleman caches 2 (masked), 3 goes on-chain.
             owner_share, cached_share, escrowed_share = split(secret, DEFAULT_PARAMS, self.rng)
-            cid = staged.cid
             repo = cid.text
             try:  # from the share store on, a failed push must leave no live middleman share
-                _while(self.middleman, "store_share", staged.commit, repo, cached_share.to_text())
+                _while(self.middleman, "store_share", commit, repo, _mask(cached_share, owner_share, repo).to_text())
                 stamps.append(self.clock.now())
                 receipt = self.chain.submit_register(owner, repo, escrowed_share.to_text())
             except BaseException:
@@ -175,13 +178,7 @@ class Client:
                 raise
         stamps.append(self.clock.now())
 
-        return PushResult(
-            cid=cid,
-            owner_share=owner_share,
-            registration=receipt,
-            user_perceived_duration=stamps[-1] - stamps[0],
-            phases=_phases(PUSH_PHASES, stamps),
-        )
+        return PushResult(cid, owner_share, receipt, _phases(PUSH_PHASES, stamps))
 
     # -- retrieve -------------------------------------------------------------
 
@@ -205,7 +202,10 @@ class Client:
                 if remote_text is None:
                     remote_text, path_used = self._middleman_share(repo, blob), MIDDLEMAN
                 try:
-                    secret = combine([held_share, Share.from_text(remote_text)], threshold=2)
+                    remote = Share.from_text(remote_text)
+                    if path_used == MIDDLEMAN:
+                        remote = _mask(remote, held_share, repo)
+                    secret = combine([held_share, remote], threshold=2)
                 except ValueError as exc:  # a malformed share, ReconstructionError, duplicate indices, mismatched lengths
                     raise IntegrityError(f"share reconstruction failed: {exc}") from exc
                 stamps.append(self.clock.now())

@@ -117,7 +117,7 @@ def test_acceptance_3_contract_matches_bruteforce_interpreter():
     repos = [f"repo-{i}" for i in range(5)]
     mismatches = 0
     for _ in range(1_000):
-        chain = SimulatedChain(ChainConfig.constant(1.0), clock=VirtualClock(), rng=rng)
+        chain = SimulatedChain(ChainConfig(1.0, 1.0), clock=VirtualClock(), rng=rng)
         oracle = ContractOracle()
         for _ in range(rng.randint(1, 50)):
             op = rng.randrange(4)
@@ -230,10 +230,10 @@ def test_acceptance_6_reference_table_reproduction(calibrated_config):
         }
 
     push_dev = {}
-    for size, ref in zip(sizes, EMBEDDED_REFERENCE.column("system_push_s")):
+    for size, ref in zip(sizes, [r.system_push_s for r in EMBEDDED_REFERENCE.rows]):
         push_dev[size] = (mean_by_size(push_samples)[size] - ref) / ref
     pull_dev = {}
-    for size, ref in zip(sizes, EMBEDDED_REFERENCE.column("system_pull_s")):
+    for size, ref in zip(sizes, [r.system_pull_s for r in EMBEDDED_REFERENCE.rows]):
         pull_dev[size] = (mean_by_size(pull_samples)[size] - ref) / ref
 
     push_ok = all(abs(d) <= 0.10 for d in push_dev.values())
@@ -318,7 +318,7 @@ def test_acceptance_9_failure_atomicity(tmp_path, full_disk):
         rng = random.Random(7)
         cas = BlobStore(tmp_path / cas_dir, LatencyProfile(), LatencyProfile(), clock)
         cache = cache if cache is not None else ShareCache(clock=clock)
-        chain = chain_cls(ChainConfig.constant(1.0), clock=clock, rng=rng)
+        chain = chain_cls(ChainConfig(1.0, 1.0), clock=clock, rng=rng)
         return cas, cache, chain, Client(cas, chain, cache, clock=clock, rng=rng)
 
     # fault: the disk is full when the blob is written -> nothing anywhere

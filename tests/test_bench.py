@@ -31,11 +31,12 @@ def normal_equations_fit(xs, ys):
 
 
 def test_embedded_reference_rows():
-    assert EMBEDDED_REFERENCE.sizes() == [1, 5, 10, 20]
-    assert EMBEDDED_REFERENCE.column("system_push_s") == [2.04, 4.19, 6.56, 11.47]
-    assert EMBEDDED_REFERENCE.column("system_pull_s") == [1.29, 2.41, 2.54, 4.08]
-    assert EMBEDDED_REFERENCE.column("git_push_s") == [4.05, 6.16, 7.74, 8.14]
-    assert EMBEDDED_REFERENCE.column("git_pull_s") == [1.06, 1.07, 1.06, 1.17]
+    rows = EMBEDDED_REFERENCE.rows
+    assert [r.size_mb for r in rows] == [1, 5, 10, 20]
+    assert [r.system_push_s for r in rows] == [2.04, 4.19, 6.56, 11.47]
+    assert [r.system_pull_s for r in rows] == [1.29, 2.41, 2.54, 4.08]
+    assert [r.git_push_s for r in rows] == [4.05, 6.16, 7.74, 8.14]
+    assert [r.git_pull_s for r in rows] == [1.06, 1.07, 1.06, 1.17]
 
 
 def test_calibrate_matches_independent_least_squares():

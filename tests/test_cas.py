@@ -319,7 +319,7 @@ def test_a_blob_deleted_after_its_fetch_is_not_found_when_drawn(tmp_path, size):
 
 def test_sealed_pieces_are_stored_under_the_sha256_of_the_file(tmp_path):
     rng = random.Random(5)
-    key, iv, plaintext = rng.randbytes(32), rng.randbytes(12), rng.randbytes(3 * envelope.CHUNK + 5)
+    key, iv, plaintext = rng.randbytes(32), rng.randbytes(12), rng.randbytes(3 * cas.PIECE + 5)
     cid = BlobStore(tmp_path).store(envelope.SealedPieces(plaintext, key + iv))
     on_disk = (tmp_path / cid.digest.hex()[:2] / cid.digest.hex()).read_bytes()
     assert hashlib.sha256(on_disk).digest() == cid.digest
@@ -431,7 +431,7 @@ def test_a_stage_or_commit_failing_part_way_leaves_no_temp_file(tmp_path, full_d
 
 def test_a_staged_sealed_blob_is_the_file_store_writes_and_a_one_shot_encrypt(tmp_path):
     rng = random.Random(9)
-    key, iv, plaintext = rng.randbytes(32), rng.randbytes(12), rng.randbytes(3 * envelope.CHUNK)
+    key, iv, plaintext = rng.randbytes(32), rng.randbytes(12), rng.randbytes(3 * cas.PIECE)
     staged_store, stored_store = BlobStore(tmp_path / "staged"), BlobStore(tmp_path / "stored")
     with staged_store.stage(envelope.SealedPieces(plaintext, key + iv)) as staged:
         staged.commit()

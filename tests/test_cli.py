@@ -55,7 +55,7 @@ def test_walkthrough_push_pull_advance_grant(run, tmp_path):
     assert rc == 0
     assert out1.read_bytes() == payload
     assert "path: middleman" in err
-    assert "access-checked: False" in err
+    assert "access-checked: False  user-perceived-s: 0.000000" in err
 
     rc, out, _ = run("advance", "20", "--state-dir", str(state))
     assert rc == 0

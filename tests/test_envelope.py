@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from shardvcs.envelope import CHUNK, DecryptionError, SealedPieces, generate_secret, seal, unseal
+from shardvcs.cas import PIECE
+from shardvcs.envelope import DecryptionError, SealedPieces, generate_secret, seal, unseal
 
 import aes_gcm_oracle
 
@@ -139,7 +140,7 @@ def test_roundtrip_at_benchmark_size():
     assert unseal(seal(plaintext, b), b) == plaintext
 
 
-@pytest.mark.parametrize("n", [1, CHUNK - 16, CHUNK - 15, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+@pytest.mark.parametrize("n", [1, PIECE - 16, PIECE - 15, PIECE - 1, PIECE, PIECE + 1, 3 * PIECE + 5])
 def test_sealed_pieces_join_to_the_one_shot_seal(n):
     rng = random.Random(n)
     key, iv, plaintext = rng.randbytes(32), rng.randbytes(12), rng.randbytes(n)
@@ -148,10 +149,10 @@ def test_sealed_pieces_join_to_the_one_shot_seal(n):
     copies = [bytes(piece) for piece in pieces]
     assert b"".join(copies) == AESGCM(key).encrypt(iv, plaintext, None)
     assert len(pieces) == n + 16
-    if n + 16 <= CHUNK:  # sealed in one call, yielded whole
+    if n + 16 <= PIECE:  # sealed in one call, yielded whole
         assert [len(c) for c in copies] == [n + 16]
     else:  # at most one piece beyond the plaintext is held at a time, then the tag
-        assert max(len(c) for c in copies[:-1]) <= CHUNK
+        assert max(len(c) for c in copies[:-1]) <= PIECE
         assert len(copies[-1]) == 16
     assert [bytes(piece) for piece in pieces] == copies  # each iteration seals afresh
 
@@ -168,7 +169,7 @@ def _matches_the_oracle(piece, offset: int, key: bytes, iv: bytes, plaintext: by
 
 def test_a_sealed_piece_stays_intact_while_the_next_one_is_drawn():
     rng = random.Random(21)
-    key, iv, plaintext = rng.randbytes(32), rng.randbytes(12), rng.randbytes(3 * CHUNK)
+    key, iv, plaintext = rng.randbytes(32), rng.randbytes(12), rng.randbytes(3 * PIECE)
     one_shot = AESGCM(key).encrypt(iv, plaintext, None)
     pieces = iter(SealedPieces(plaintext, key + iv))
     held, offset, copies = next(pieces), 0, []
@@ -203,8 +204,8 @@ class ReusedBufferPieces:
             raise OSError("source failed at its end")
 
 
-@pytest.mark.parametrize("n", [0, 5, CHUNK + 1, 3 * CHUNK + 5])
-@pytest.mark.parametrize("cut", [1000, 4096, CHUNK])
+@pytest.mark.parametrize("n", [0, 5, PIECE + 1, 3 * PIECE + 5])
+@pytest.mark.parametrize("cut", [1000, 4096, PIECE])
 def test_unseal_decrypts_pieces_as_they_arrive(n, cut):
     b = _secret(n)
     plaintext = random.Random(n).randbytes(n)

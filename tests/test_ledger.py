@@ -27,7 +27,7 @@ CAROL = Address.from_label("carol")
 
 def make_chain(delay=14.0, **kw) -> tuple[SimulatedChain, VirtualClock]:
     clock = VirtualClock()
-    chain = SimulatedChain(ChainConfig.constant(delay), clock, rng=random.Random(0), **kw)
+    chain = SimulatedChain(ChainConfig(delay, delay), clock, rng=random.Random(0), **kw)
     return chain, clock
 
 
@@ -156,13 +156,13 @@ def test_views_cost_no_time():
 
 
 def test_advance_clock_requires_virtual():
-    chain = SimulatedChain(ChainConfig.constant(0.01), RealClock())
+    chain = SimulatedChain(ChainConfig(0.01, 0.01), RealClock())
     with pytest.raises(ClockModeError):
         chain.advance_clock(1.0)
 
 
 def test_real_clock_settles_with_wall_time():
-    chain = SimulatedChain(ChainConfig.constant(0.03), RealClock())
+    chain = SimulatedChain(ChainConfig(0.03, 0.03), RealClock())
     receipt = chain.submit_register(ALICE, "repo", "03aa")
     assert receipt.status == "pending"
     deadline = RealClock().now() + 2.0
@@ -224,7 +224,7 @@ def test_snapshot_restore_preserves_pending(tmp_path):
 
     clock2 = VirtualClock()
     clock2.advance_to(clock.now())
-    chain2 = SimulatedChain(ChainConfig.constant(14.0), clock2)
+    chain2 = SimulatedChain(ChainConfig(14.0, 14.0), clock2)
     chain2.restore(state)
     assert chain2.registered_owner("repo") is None
     settled = chain2.advance_clock(9.0)
@@ -246,7 +246,7 @@ def test_snapshot_lists_everyone_with_access_and_restores_it():
 
     clock2 = VirtualClock()
     clock2.advance_to(clock.now())
-    chain2 = SimulatedChain(ChainConfig.constant(1.0), clock2)
+    chain2 = SimulatedChain(ChainConfig(1.0, 1.0), clock2)
     chain2.restore(json.loads(json.dumps(state)))
     assert chain2.snapshot() == state
     assert chain2.check_access("repo", CAROL) and chain2.check_access("repo", ALICE)
@@ -293,7 +293,7 @@ def test_property_oracle_equivalence(data):
     repos = [f"repo-{i}" for i in range(n_repos)]
 
     clock = VirtualClock()
-    chain = SimulatedChain(ChainConfig.constant(1.0), clock)
+    chain = SimulatedChain(ChainConfig(1.0, 1.0), clock)
     oracle = ContractOracle()
 
     n_ops = data.draw(st.integers(0, 50))

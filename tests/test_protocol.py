@@ -1,12 +1,16 @@
 import errno
 import hashlib
+import http.client
+import json
 import os
 import random
 import sys
 import threading
 import tracemalloc
+import urllib.parse
 
 import pytest
+from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -86,7 +90,7 @@ def test_push_returns_before_confirmation(make_world):
     assert world.clock.now() < result.registration.submitted_at + 14.0
     world.chain.advance_clock(14.0)
     assert result.registration.status == "confirmed"
-    assert result.registration.confirmed_at > result.user_perceived_duration
+    assert result.registration.confirmed_at > result.user_perceived_s
 
 
 def test_push_share_role_assignment(make_world):
@@ -115,8 +119,8 @@ def test_push_duration_covers_foreground_phases_only(make_world):
     world = make_world(delay_s=14.0, store_profile=LatencyProfile(0.5, 0.1))
     result = world.client.push(b"\x00" * 2_000_000, world.owner)
     sealed_mb = (2_000_000 + 16) / 1e6  # ciphertext plus 16-byte tag
-    assert result.user_perceived_duration == pytest.approx(0.5 + 0.1 * sealed_mb)
-    assert result.user_perceived_duration == pytest.approx(sum(result.phases.values()))
+    assert result.user_perceived_s == pytest.approx(0.5 + 0.1 * sealed_mb)
+    assert result.user_perceived_s == pytest.approx(sum(result.phases.values()))
     assert result.phases["store_s"] == pytest.approx(0.5 + 0.1 * sealed_mb)
 
 
@@ -225,22 +229,69 @@ def test_pull_detects_corrupted_blob(make_world, tmp_path):
         world.client.pull(result.cid, world.owner, result.owner_share)
 
 
+def _unmasked_middleman_share(world, result) -> Share:
+    """The middleman's copy with the push's mask removed: XOR with SHAKE-256 of the owner's payload and the CID."""
+    repo = result.cid.text
+    cached = Share.from_text(world.cache.fetch_share(repo))
+    pad = hashlib.shake_256(result.owner_share.payload + repo.encode()).digest(len(cached.payload))
+    return Share(cached.index, bytes(a ^ b for a, b in zip(cached.payload, pad)))
+
+
 @pytest.mark.parametrize("size", [64, MANY_PIECES], ids=["one-piece", "many-pieces"])
 def test_pull_rejects_a_validly_tagged_forgery_by_a_key_holder(make_world, size):
-    # The middleman copy is unauthenticated, so anyone holding a share (any
-    # granted collaborator) can rebuild key and IV with it. GCM does not
+    # The middleman copy is unauthenticated, so anyone holding the owner's share
+    # (any granted collaborator) can unmask it and rebuild key and IV. GCM does not
     # commit to one plaintext: new bytes sealed under that key and IV carry a
     # valid tag. Only the re-hash against the owner-registered CID binds them.
     world = make_world()
     rng = random.Random(size)
     result = world.client.push(rng.randbytes(size), world.owner)
-    cached = Share.from_text(world.cache.fetch_share(result.cid.text))
-    secret = combine([result.owner_share, cached], threshold=2)
+    secret = combine([result.owner_share, _unmasked_middleman_share(world, result)], threshold=2)
     forged = AESGCM(secret[:KEY_LEN]).encrypt(secret[KEY_LEN:], rng.randbytes(size), None)
     hexd = result.cid.digest.hex()
     (world.cas.root / hexd[:2] / hexd).write_bytes(forged)
     with pytest.raises(IntegrityError):
         world.client.pull(result.cid, world.owner, result.owner_share)
+
+
+def _public_on_chain_share(world, result) -> Share:
+    """The share text of the push's pending registration, which every chain reader sees."""
+    (pending,) = [tx for tx in world.chain.snapshot()["pending"] if tx["repo"] == result.cid.text]
+    return Share.from_text(pending["share_text"])
+
+
+def test_a_stranger_with_the_public_shares_cannot_open_a_pushed_blob(make_world, http_cache):
+    world = make_world(delay_s=1000.0)
+    world.client.middleman = http_cache
+    body = b"confidential until the owner shares it"
+    result = world.client.push(body, world.owner)
+    public = _public_on_chain_share(world, result)
+    url = urllib.parse.urlsplit(http_cache.base_url)
+    conn = http.client.HTTPConnection(url.hostname, url.port, timeout=10)  # the reply anyone gets, asked without the client
+    try:
+        conn.request("GET", f"/share/{result.cid.text}")
+        reply = conn.getresponse()
+        assert reply.status == 200
+        served = Share.from_text(json.loads(reply.read())["share"])
+    finally:
+        conn.close()
+    hexd = result.cid.digest.hex()
+    sealed = (world.cas.root / hexd[:2] / hexd).read_bytes()
+
+    def open_with(*shares):
+        secret = combine(list(shares), threshold=2)
+        return AESGCM(secret[:KEY_LEN]).decrypt(secret[KEY_LEN:], sealed, None)
+
+    assert open_with(result.owner_share, public) == body  # the blob and the public share are the real ones
+    with pytest.raises(InvalidTag):
+        open_with(public, served)
+
+
+def test_a_pull_holding_only_the_public_on_chain_share_fails_before_confirmation(make_world):
+    world = make_world(delay_s=1000.0)
+    result = world.client.push(b"not for strangers", world.owner)
+    with pytest.raises(IntegrityError):
+        world.client.pull(result.cid, MALLORY, _public_on_chain_share(world, result))
 
 
 @pytest.mark.parametrize(
@@ -272,9 +323,15 @@ def test_pull_of_many_pieces_detects_a_forged_held_share(make_world):
         world.client.pull(result.cid, world.owner, forged)
 
 
-def test_a_pull_peaks_at_about_three_pieces_beyond_the_plaintext(make_world, slow_hash_worker):
+@pytest.mark.parametrize("hashing", ["worker", "inline"])
+def test_a_pull_peaks_at_about_two_pieces_beyond_the_plaintext(make_world, request, monkeypatch, hashing):
     # Holding the sealed blob and the plaintext together would peak at twice the blob.
-    # The pull reads into two buffers in turn while the worker hashes them.
+    # The pull reads into two 1 MiB buffers in turn, hashed on the worker or inline;
+    # a third buffer would reach 11 MiB.
+    if hashing == "worker":
+        request.getfixturevalue("slow_hash_worker")
+    else:
+        monkeypatch.setattr("shardvcs.cas._cpus", lambda: 1)
     world = make_world()
     body = random.Random(8).randbytes(8 << 20)
     result = world.client.push(body, world.owner)
@@ -286,7 +343,7 @@ def test_a_pull_peaks_at_about_three_pieces_beyond_the_plaintext(make_world, slo
     finally:
         tracemalloc.stop()
     assert plaintext == body
-    assert peak < (8 << 20) * 1.25 + (2 << 20)
+    assert peak < (8 << 20) + (5 << 19)  # 8 MiB + 2.5 MiB
 
 
 def test_pull_detects_forged_held_share(make_world):
@@ -327,7 +384,7 @@ def test_pull_phase_durations_cover_total(make_world):
     result = world.client.push(b"\x00" * 4_000_000, world.owner)
     world.chain.advance_clock(14.0)
     _, report = world.client.pull(result.cid, world.owner, result.owner_share)
-    assert report.total_s == pytest.approx(sum(report.phases.values()))
+    assert report.user_perceived_s == pytest.approx(sum(report.phases.values()))
     sealed_size = 4_000_000 + 16
     assert report.phases["blob_fetch_s"] == pytest.approx(0.3 + 0.05 * sealed_size / 1e6)
 
@@ -499,7 +556,7 @@ def test_property_roundtrip_every_path(tmp_path_factory, body, when, who):
     rng = random.Random(0)
     cas = sv.BlobStore(tmp_path_factory.mktemp("cas"), clock=clock)
     cache = sv.ShareCache(clock=clock)
-    chain = sv.SimulatedChain(sv.ChainConfig.constant(14.0), clock, rng=rng)
+    chain = sv.SimulatedChain(sv.ChainConfig(14.0, 14.0), clock, rng=rng)
     client = sv.Client(cas, chain, cache, clock=clock, rng=rng)
     owner = Address.from_label("owner")
 
@@ -552,7 +609,7 @@ def test_a_middleman_pull_reports_the_modeled_fetch_as_an_on_chain_pull_does(mak
     # the two pulls read the clock at other instants, so the differences may round apart
     modeled = pytest.approx(0.3 + 0.05 * (3 * PIECE + 16) / 1e6, rel=1e-12)
     assert early.phases["blob_fetch_s"] == modeled and late.phases["blob_fetch_s"] == modeled
-    assert early.total_s == modeled and late.total_s == modeled
+    assert early.user_perceived_s == modeled and late.user_perceived_s == modeled
 
 
 def _open_fds() -> list[str]:
@@ -607,7 +664,7 @@ THREE_PIECES = 3 * PIECE + 5  # four sealed pieces, the last one short
 
 def _one_shot_seal(world, result, body: bytes) -> bytes:
     """The pushed blob sealed in one call, its blocks at each piece's start spot-checked against the oracle."""
-    secret = combine([result.owner_share, Share.from_text(world.cache.fetch_share(result.cid.text))], threshold=2)
+    secret = combine([result.owner_share, _unmasked_middleman_share(world, result)], threshold=2)
     key, iv = secret[:KEY_LEN], secret[KEY_LEN:]
     sealed = AESGCM(key).encrypt(iv, body, None)
     for block in range(0, len(body) // 16, PIECE // 16):
