@@ -16,13 +16,15 @@ It writes `BENCH_<workload>.json` at the repo root: the machine line, both
 commits, the seeds, every run's `correct`, `PYTHONHASHSEED` and metrics, and
 per metric the median and quartiles of each tree, how many pairs the change
 won, the median and quartiles of the per-pair change ratios (change / parent
-- 1, seed by seed), and the bound from `BENCHMARK.json`; then it prints that
-summary, one line per metric. `beats_parent_iqr` compares the gap between the
-medians with the parent's spread across seeds, which also holds any drift of
-the machine during the run; the pair ratios cancel a drift that both trees
-share. `--trace` runs traced and fills the file's `per_layer`
-section instead of its `end_to_end` one; the other section is kept.
-`--parent none` records a single-tree baseline. Stdlib only.
+- 1, seed by seed), and the bound from `BENCHMARK.json`; and per tree the
+diagnostic `cpu_s_per_busy_s`, which shows whether a run's threads
+overlapped (see `parallelism`). Then it prints that summary, one line per
+metric. `beats_parent_iqr` compares the gap between the medians with the
+parent's spread across seeds, which also holds any drift of the machine
+during the run; the pair ratios cancel a drift that both trees share.
+`--trace` runs traced and fills the file's `per_layer` section instead of
+its `end_to_end` one; the other section is kept. `--parent none` records a
+single-tree baseline. Stdlib only.
 
 Each run starts in its own session, and its whole process group is killed
 once it ends, so a middleman child it leaves behind goes too. SIGTERM exits
@@ -122,11 +124,28 @@ def summarize(runs: list[dict], specs: list[dict]) -> dict:
     return out
 
 
+def parallelism(runs: list[dict]) -> dict:
+    """Each tree's CPU seconds per busy second, `cpu_ms_per_op * ops_per_s / 1000`, over runs that report both.
+
+    The product is exactly perfbench's `Tally.cpu_s / busy_s`. About 1.0 means
+    the process's threads took turns on one CPU at a time; about 1.5 means the
+    hash worker ran beside the main thread for much of each operation. It is a
+    diagnostic of the end-to-end metrics: it has no bound and no win count.
+    """
+    values: dict[str, list[float]] = {}
+    for run in runs:
+        metrics = run["metrics"]
+        if "cpu_ms_per_op" in metrics and "ops_per_s" in metrics:
+            values.setdefault(run["tree"], []).append(metrics["cpu_ms_per_op"] * metrics["ops_per_s"] / 1e3)
+    return {"unit": "s/s", "diagnostic": True, **{tree: spread(v) for tree, v in values.items()}}
+
+
 def summary_lines(metrics: dict) -> list[str]:
     """One line per metric of a `summarize` result: each tree's median [q1-q3], then the pair verdict."""
     lines = []
     for name, entry in metrics.items():
-        parts = [f"{name} ({entry['unit']}, {entry['better']} is better):"]
+        verdict = "diagnostic, no bound" if entry.get("diagnostic") else f"{entry['better']} is better"
+        parts = [f"{name} ({entry['unit']}, {verdict}):"]
         for tree in ("parent", "change"):
             if tree in entry:
                 stats = entry[tree]
@@ -235,11 +254,12 @@ def main(argv=None) -> int:
         "seeds": args.seeds,
         "all_correct": all(r["correct"] for r in runs),
         "metrics": summarize(runs, config[section]),
+        "diagnostics": {"cpu_s_per_busy_s": parallelism(runs)},
         "runs": runs,
     }
     out_path.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out_path}")
-    print("\n".join(summary_lines(report[section]["metrics"])))
+    print("\n".join(summary_lines({**report[section]["metrics"], **report[section]["diagnostics"]})))
     return 0 if report[section]["all_correct"] else 1
 
 

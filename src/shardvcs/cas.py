@@ -16,8 +16,13 @@ intact until the piece after next is drawn. `envelope.SealedPieces` keeps it
 by sealing into two buffers in turn, and a fetch by reading into two. So a
 stage writes each piece once the next has been drawn and holds only the last
 for `commit`, a fetch's consumer may still be working on one piece while it
-draws the next, and the hash may run one piece behind (see `_hash_worker`
-for where it runs). A fetch holds at most two pieces (2 MiB) at once.
+draws the next, and the hash may run one piece behind. A fetch holds at
+most two pieces (2 MiB) at once.
+
+`_hash_worker` says where each blob is hashed: inline, or one piece behind
+on one worker thread per process. For each blob it hashes, the worker is
+allowed every CPU of its caller's but the one the caller is on, and a blob
+whose hash did not overlap its caller's work sends the next few blobs inline.
 
 Store and fetch each carry an independent linear delay (fixed overhead plus
 a per-megabyte term) charged to the configured clock by `stage` and by
@@ -33,6 +38,7 @@ import itertools
 import math
 import os
 import threading
+import time
 from collections.abc import Generator, Iterable, Iterator, Sized
 from dataclasses import dataclass
 from pathlib import Path
@@ -144,15 +150,53 @@ def _cpus() -> int:
 
 
 _WORKER = None
+_WORKER_TID = None  # the worker thread's native id, read once by the thread itself
+_WORKER_MASK = None  # the CPUs the worker was last allowed, or None while it has its caller's
 _WORKER_LOCK = threading.Lock()
+_STEP_ASIDE = 4  # blobs hashed inline after a blob whose hash did not overlap its caller's work
+_inline_left = 0
 
 
 def _forget_worker() -> None:
-    global _WORKER
-    _WORKER = None  # a forked child has no copy of the worker's thread
+    """Start a forked child afresh: it has no copy of the worker's thread, and has hashed no blob."""
+    global _WORKER, _WORKER_TID, _WORKER_MASK, _inline_left
+    _WORKER = _WORKER_TID = _WORKER_MASK = None
+    _inline_left = 0
 
 
 os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _cpu_now() -> int:
+    """The CPU the calling thread is on: field 39 of its `/proc` stat line."""
+    fd = os.open("/proc/thread-self/stat", os.O_RDONLY)
+    try:
+        stat = os.read(fd, 4096)
+    finally:
+        os.close(fd)
+    return int(stat.rsplit(b")", 1)[1].split()[36])  # fields from the third on follow the command's ")"
+
+
+def _place(tid: int) -> None:
+    """Allow the worker thread `tid` every CPU of its caller's but the one the caller is on now."""
+    global _WORKER_MASK
+    try:
+        mask = os.sched_getaffinity(0) - {_cpu_now()}
+        if mask and mask != _WORKER_MASK:
+            os.sched_setaffinity(tid, mask)
+            _WORKER_MASK = mask
+    except (AttributeError, OSError):  # no affinity call or no /proc on this platform
+        pass
+
+
+def _stepping_aside() -> bool:
+    """Whether this blob is one of those hashed inline after a blob whose hash did not overlap."""
+    global _inline_left
+    with _WORKER_LOCK:
+        if _inline_left > 0:
+            _inline_left -= 1
+            return True
+    return False
 
 
 def _hash_worker(size: int):
@@ -163,15 +207,26 @@ def _hash_worker(size: int):
     keeps the inline hash. The worker is one thread for the whole process,
     started by the first blob that needs it: one SHA-256 stream fills a core,
     and a single thread runs each blob's pieces in the order they were given.
+
+    Left to itself, the kernel tends to wake the worker on the CPU of the
+    thread it serves, and the two then take turns. So each blob first allows
+    the worker every CPU of the calling thread's but the one that thread is
+    on now; the mask is set only when it changes. A blob whose caller waited
+    on the worker at least as long as its hash ran gained nothing over the
+    inline hash (another process may hold the other CPU), so the next
+    `_STEP_ASIDE` blobs are hashed inline, and then one blob tries the worker
+    again (see `_HashBehind.digest`).
     """
-    if size <= PIECE or _cpus() < 2:
+    if size <= PIECE or _cpus() < 2 or _stepping_aside():
         return None
-    global _WORKER
+    global _WORKER, _WORKER_TID
     with _WORKER_LOCK:
         if _WORKER is None:
             from concurrent.futures import ThreadPoolExecutor  # imports logging: not at start-up
 
             _WORKER = ThreadPoolExecutor(1, thread_name_prefix="shardvcs-hash")
+            _WORKER_TID = _WORKER.submit(threading.get_native_id).result()
+        _place(_WORKER_TID)
     return _WORKER
 
 
@@ -183,26 +238,46 @@ class _HashBehind:
     every piece; `close` waits for every piece without reading the digest, so
     that a caller that stops early can free its buffers. With no worker
     (None), `update` hashes the piece itself, so nothing is ever pending.
+
+    On the worker, each job times its hash in the worker's CPU time and each
+    wait is timed on the caller's wall clock. `digest` compares the two sums:
+    a caller that waited at least as long as the hash ran had nothing to
+    overlap it with, and the next blobs step aside (see `_hash_worker`).
     """
 
-    __slots__ = ("_worker", "_hasher", "_pending")
+    __slots__ = ("_worker", "_hasher", "_pending", "_hashed_s", "_waited_s")
 
     def __init__(self, worker):
         self._worker = worker
         self._hasher = hashlib.sha256()
         self._pending = []  # at most two jobs, and one between calls
+        self._hashed_s = self._waited_s = 0.0
 
     def update(self, piece) -> None:
         if self._worker is None:
             self._hasher.update(piece)
             return
-        self._pending.append(self._worker.submit(self._hasher.update, piece))
+        self._pending.append(self._worker.submit(self._hash, piece))
         if len(self._pending) > 1:
-            self._pending.pop(0).result()
+            self._wait(self._pending.pop(0))
+
+    def _hash(self, piece) -> None:  # on the worker, which runs one job at a time
+        start = time.thread_time()
+        self._hasher.update(piece)
+        self._hashed_s += time.thread_time() - start
+
+    def _wait(self, job) -> None:
+        start = time.perf_counter()
+        job.result()
+        self._waited_s += time.perf_counter() - start
 
     def digest(self) -> bytes:
-        while self._pending:
-            self._pending.pop().result()
+        global _inline_left
+        if self._pending:  # hashed on the worker
+            while self._pending:
+                self._wait(self._pending.pop())
+            if self._waited_s >= self._hashed_s:
+                _inline_left = _STEP_ASIDE
         return self._hasher.digest()
 
     def close(self) -> None:

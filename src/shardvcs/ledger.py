@@ -304,6 +304,8 @@ class SimulatedChain:
             raise ValueError("shares must hold one string share for each registered repo and for no other")
         pending = state["pending"]
         for p in pending:
+            if not isinstance(p["repo"], str):
+                raise ValueError(f"pending {p['tx_id']}: repo must be a string, got {p['repo']!r}")
             for key in ("due_at", "submitted_at"):
                 if not is_finite(p[key]):
                     raise ValueError(f"pending {key} must be a finite number, got {p[key]!r}")

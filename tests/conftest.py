@@ -133,12 +133,15 @@ class SlowHashWorker:
 
     With the delay, a hash that the store failed to wait for is still
     running when the store returns, so `pending()` shows it, and a digest
-    read too early differs from the blob's.
+    read too early differs from the blob's. The delay is no hash time, so a
+    caller waits out every blob's hash: with `steps_aside` set, the blobs
+    after one on this worker are hashed inline as `cas._hash_worker` would.
     """
 
     def __init__(self):
         self._executor = ThreadPoolExecutor(1, thread_name_prefix="test-hash")
         self.jobs = []
+        self.steps_aside = False
 
     def submit(self, fn, *args):
         def late(*args):
@@ -158,8 +161,23 @@ class SlowHashWorker:
 
 @pytest.fixture
 def slow_hash_worker(monkeypatch):
-    """Every blob of more than one piece is hashed on a `SlowHashWorker`, whatever the CPU count."""
+    """Every blob of more than one piece is hashed on a `SlowHashWorker`, whatever the CPU count.
+
+    Set the worker's `steps_aside` to let a blob that did not overlap send the next blobs inline.
+    """
     worker = SlowHashWorker()
-    monkeypatch.setattr(shardvcs.cas, "_hash_worker", lambda size: worker if size > shardvcs.cas.PIECE else None)
+
+    def hash_worker(size):
+        if size <= shardvcs.cas.PIECE or (worker.steps_aside and shardvcs.cas._stepping_aside()):
+            return None
+        return worker
+
+    monkeypatch.setattr(shardvcs.cas, "_hash_worker", hash_worker)
     yield worker
     worker.shutdown()
+
+
+@pytest.fixture(autouse=True)
+def hash_worker_in_use(monkeypatch):
+    """Each test starts with the hash worker in use, not stepped aside by an earlier test's blob."""
+    monkeypatch.setattr(shardvcs.cas, "_inline_left", 0)

@@ -149,6 +149,23 @@ def test_summary_lines_give_each_tree_and_the_pair_verdict_per_metric():
     ]
 
 
+def test_parallelism_is_cpu_seconds_per_busy_second_per_tree_with_no_verdict():
+    # Hand-built tallies of (cpu_s, busy_s) over 500 ops each, as perfbench reports them:
+    # cpu_ms_per_op = cpu_s * 1e3 / ops and ops_per_s = ops / busy_s.
+    tallies = {"parent": [(25.0, 25.0), (26.0, 25.0), (24.0, 25.0)], "change": [(30.0, 20.0), (28.0, 20.0)]}
+    runs = [{"tree": tree, "seed": seed, "metrics": {"cpu_ms_per_op": cpu_s * 1e3 / 500, "ops_per_s": 500 / busy_s}}
+            for tree, of_tree in tallies.items() for seed, (cpu_s, busy_s) in enumerate(of_tree, start=1)]
+    runs.append({"tree": "change", "seed": 9, "metrics": {"ops_per_s": 40.0}})  # no CPU time: left out
+    runs.append({"tree": "change", "seed": 10, "metrics": {}})
+    entry = bench_pairs.parallelism(runs)
+    assert entry["parent"] == pytest.approx({"median": 1.0, "q1": 0.98, "q3": 1.02})  # 1.0, 1.04, 0.96
+    assert entry["change"] == pytest.approx({"median": 1.45, "q1": 1.425, "q3": 1.475})  # 1.5, 1.4
+    assert entry["diagnostic"] is True and entry.keys() == {"unit", "diagnostic", "parent", "change"}
+    assert bench_pairs.summary_lines({"cpu_s_per_busy_s": entry}) == [
+        "cpu_s_per_busy_s (s/s, diagnostic, no bound):  parent 1 [0.98-1.02]  change 1.45 [1.425-1.475]"
+    ]
+
+
 def test_a_clean_tree_runs_head_as_the_only_tree_without_a_parent(tmp_path, monkeypatch):
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": SPECS}))
     answers = {("rev-parse", "HEAD"): "c0ffee", ("status", "--porcelain"): "", ("stash", "create"): ""}
@@ -198,6 +215,7 @@ def test_both_trees_are_unpacked_side_by_side_and_share_each_hash_seed(tmp_path,
     assert [(r["tree"], r["seed"], r["pythonhashseed"]) for r in report["runs"]] == [
         ("change", 3, 3), ("parent", 3, 3), ("parent", 4, 4), ("change", 4, 4)
     ]
+    assert report["diagnostics"] == {"cpu_s_per_busy_s": {"unit": "s/s", "diagnostic": True}}  # no run timed CPU
 
 
 def _running(pid: int) -> bool:

@@ -7,6 +7,7 @@ import signal
 import stat
 import threading
 import time
+import types
 
 import pytest
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -471,16 +472,71 @@ def test_a_fetched_piece_stays_intact_until_the_piece_after_next_is_drawn(tmp_pa
     assert i == 3 and previous == blob[3 * cas.PIECE :]
 
 
+def _placeable() -> bool:
+    return hasattr(os, "sched_setaffinity") and len(os.sched_getaffinity(0)) >= 2
+
+
+@pytest.mark.skipif(not _placeable(), reason="needs two CPUs and the affinity calls")
+def test_each_blob_on_the_worker_keeps_it_off_the_cpu_its_caller_is_on(monkeypatch):
+    caller = os.sched_getaffinity(0)
+    for cpu in sorted(caller)[:2]:  # two CPUs in turn, so the mask must change between them
+        monkeypatch.setattr(cas, "_cpu_now", lambda: cpu)
+        assert cas._hash_worker(2 * cas.PIECE) is not None
+        assert os.sched_getaffinity(cas._WORKER_TID) == caller - {cpu}
+    calls = []
+    monkeypatch.setattr(cas, "_cpu_now", lambda: calls.append("/proc read") or 0)
+    monkeypatch.setattr(cas.os, "sched_setaffinity", lambda *args: calls.append(args))
+    assert cas._hash_worker(cas.PIECE) is None
+    assert calls == []  # a blob of one piece is hashed inline and places nothing
+
+
+@pytest.mark.parametrize("outcome", ["waits-dominate", "hash-dominates"])
+def test_only_a_blob_whose_caller_waited_out_its_hash_sends_the_next_blob_inline(
+    tmp_path, slow_hash_worker, monkeypatch, outcome
+):
+    # Each slow job sleeps 2 ms before a hash of well under that, so the caller waits out every hash,
+    # unless the worker's CPU clock reads one second more on each call.
+    if outcome == "hash-dominates":
+        ticks = itertools.count()
+        clocks = types.SimpleNamespace(perf_counter=time.perf_counter, thread_time=ticks.__next__)
+        monkeypatch.setattr(cas, "time", clocks)
+    slow_hash_worker.steps_aside = True
+    store = BlobStore(tmp_path)
+    blob = random.Random(18).randbytes(THREE_PIECES)
+    cid = store.store(blob)  # bytes: one piece to the store, hashed inline
+    assert _joined(store.fetch(cid)) == blob and len(slow_hash_worker.jobs) == 4
+    assert _joined(store.fetch(cid)) == blob
+    assert len(slow_hash_worker.jobs) == (4 if outcome == "waits-dominate" else 8)
+
+
+def test_a_blob_after_those_that_stepped_aside_tries_the_worker_again(tmp_path, slow_hash_worker):
+    slow_hash_worker.steps_aside = True
+    store = BlobStore(tmp_path)
+    blob = random.Random(19).randbytes(THREE_PIECES)
+    cid = store.store(blob)
+    assert _joined(store.fetch(cid)) == blob and len(slow_hash_worker.jobs) == 4  # its caller waited out the hash
+    for _ in range(cas._STEP_ASIDE):
+        assert _joined(store.fetch(cid)) == blob
+    assert len(slow_hash_worker.jobs) == 4  # every one of them hashed inline
+    assert _joined(store.fetch(cid)) == blob and len(slow_hash_worker.jobs) == 8
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_hashes_on_a_worker_of_its_own(tmp_path, monkeypatch):
     monkeypatch.setattr(cas, "_cpus", lambda: 2)
     store = BlobStore(tmp_path)
     sealed = envelope.SealedPieces(random.Random(14).randbytes(THREE_PIECES), bytes(44))
     cid = store.store(sealed)  # the parent's worker is running now
+    parent_tid = cas._WORKER_TID
     pid = os.fork()
     if pid == 0:  # the child has no thread behind the parent's executor
         try:
-            os._exit(0 if store.store(sealed) == cid and _joined(store.fetch(cid)) == _joined(sealed) else 1)
+            forgotten = (cas._WORKER, cas._WORKER_TID, cas._WORKER_MASK, cas._inline_left) == (None, None, None, 0)
+            stored = store.store(sealed) == cid and _joined(store.fetch(cid)) == _joined(sealed)
+            tid = cas._WORKER_TID  # read by the child's own worker thread
+            own = tid != parent_tid and tid == cas._WORKER.submit(threading.get_native_id).result()
+            placed = not _placeable() or len(os.sched_getaffinity(tid)) == len(os.sched_getaffinity(0)) - 1
+            os._exit(0 if forgotten and stored and own and placed else 1)
         finally:
             os._exit(2)
     for _ in range(1000):

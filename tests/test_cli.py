@@ -145,13 +145,15 @@ def test_advance_on_a_state_dir_with_a_bad_pending_time_exits_1(run, tmp_path, k
         (lambda chain: chain.update(next_seq=0), "grant", None),
         (lambda chain: chain.update(next_seq=0), "grant", 14.0),
         (lambda chain: chain.update(next_seq=2.0), "grant", None),
+        (lambda chain: chain["pending"][0].update(repo=["x"]), "advance", None),
+        (lambda chain: chain["pending"][1].update(repo={"x": 1}), "advance", None),
     ],
     ids=["unknown-kind", "register-without-share", "grant-without-collaborator", "grant-to-empty-collaborator",
          "seq-not-an-int", "seq-repeats", "tx-id-repeats", "next-seq-below-pending",
-         "next-seq-below-pending-constant-delay", "next-seq-not-an-int"],
+         "next-seq-below-pending-constant-delay", "next-seq-not-an-int", "repo-a-list", "repo-an-object"],
 )
 def test_a_state_dir_with_a_pending_tx_it_cannot_settle_or_number_exits_1(run, tmp_path, damage, command, delay_s):
-    """Each pending transaction needs a known kind with its field, and a seq and tx_id of its own below next_seq."""
+    """Each pending transaction needs a string repo, a known kind with its field, and its own seq and tx_id below next_seq."""
     state = tmp_path / "state"
     world = ["--state-dir", str(state)]
     if delay_s is not None:
